@@ -1,30 +1,20 @@
-// Executor throughput: the vectorized/parallel execution path against the
-// seed's tuple-at-a-time hash join, on a COUNT(*) over a 3-table chain.
+// Executor throughput: the vectorized execution path and the ground-truth
+// count against the seed's tuple-at-a-time hash join, on a COUNT(*) over a
+// 3-table chain.
 //
 // Modes, all required to produce bit-identical counts:
 //   seed_tuple    — a faithful replica of the pre-refactor hash join
 //                   (unordered_map<vector<Value>, vector<Row>> build,
 //                   per-probe key vector allocation), driven row at a time;
 //   tuple         — the flat-hash-table join, driven row at a time;
-//   batch_generic — the batch driver with kernel specialization disabled
-//                   (CompileOptions), i.e. per-row Value dispatch;
 //   batch         — the batch driver with type-specialized kernels;
 //   batch_recorder — batch plus the flight-recorder capture the service
 //                   layer performs per query (one QueryRecord per run into
 //                   an enabled recorder): the recorder-on overhead probe,
 //                   gated <= 2% over batch by check_bench_regression.py
 //                   --overhead-pair batch_recorder:batch;
-//   parallel      — the morsel-parallel counting pipeline
-//                   (ParallelTrueCount) on the shared pool, thread count
-//                   from JOINEST_THREADS / hardware_concurrency;
-//   parallel_Kt   — the same pipeline pinned to K threads via a private
-//                   K-1-worker pool (K in {1, 2, 4, hw}): the core-count
-//                   scaling sweep.
-//
-// Full (non-smoke) runs enforce the executor's two perf contracts: batch
-// must beat batch_generic by >= 1.5x (kernel specialization pays), and the
-// 4-thread sweep point must reach >= 0.7 parallel efficiency vs parallel_1t
-// (skipped on machines with fewer than 4 cores).
+//   truth         — TrueResultSize, the factorized count that never
+//                   enumerates the join.
 //
 // Each mode runs one warm-up plus `repeats` timed runs; the reported wall
 // time is the median. rows/sec normalises by total base-table rows so the
@@ -49,11 +39,9 @@
 #include "common/logging.h"
 #include "common/random.h"
 #include "common/table_printer.h"
-#include "common/thread_pool.h"
 #include "executor/compile.h"
 #include "executor/execute.h"
 #include "executor/join_ops.h"
-#include "executor/parallel.h"
 #include "executor/scan_ops.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -226,13 +214,9 @@ std::unique_ptr<Operator> MakeSeedTree(const Fixture& f) {
       std::vector<Predicate>{joins[1]});
 }
 
-std::unique_ptr<Operator> MakeFlatTree(const Fixture& f,
-                                       bool specialize_kernels) {
+std::unique_ptr<Operator> MakeFlatTree(const Fixture& f) {
   const std::unique_ptr<PlanNode> plan = CanonicalSafePlan(f.spec);
-  CompileOptions options;
-  options.specialize_kernels = specialize_kernels;
-  auto root = CompilePlan(f.catalog, f.spec, *plan, nullptr, nullptr,
-                          nullptr, options);
+  auto root = CompilePlan(f.catalog, f.spec, *plan);
   JOINEST_CHECK(root.ok()) << root.status();
   return std::move(*root);
 }
@@ -312,9 +296,8 @@ int main(int argc, char** argv) {
                static_cast<long long>(scale));
   const Fixture f = MakeFixture(scale);
 
-  std::printf("== executor throughput: %lld base rows, %d threads%s ==\n",
-              static_cast<long long>(f.total_rows), NumExecutorThreads(),
-              smoke ? " (smoke)" : "");
+  std::printf("== executor throughput: %lld base rows%s ==\n",
+              static_cast<long long>(f.total_rows), smoke ? " (smoke)" : "");
 
   std::vector<ModeResult> results;
   results.push_back(TimeMode("seed_tuple", repeats, f.total_rows, [&] {
@@ -322,15 +305,11 @@ int main(int argc, char** argv) {
     return DrainTupleCount(*tree);
   }));
   results.push_back(TimeMode("tuple", repeats, f.total_rows, [&] {
-    const auto tree = MakeFlatTree(f, /*specialize_kernels=*/true);
+    const auto tree = MakeFlatTree(f);
     return DrainTupleCount(*tree);
   }));
-  results.push_back(TimeMode("batch_generic", repeats, f.total_rows, [&] {
-    const auto tree = MakeFlatTree(f, /*specialize_kernels=*/false);
-    return DrainBatchCount(*tree);
-  }));
   results.push_back(TimeMode("batch", repeats, f.total_rows, [&] {
-    const auto tree = MakeFlatTree(f, /*specialize_kernels=*/true);
+    const auto tree = MakeFlatTree(f);
     return DrainBatchCount(*tree);
   }));
   // The recorder-on path: same batch drive plus the one QueryRecord capture
@@ -340,7 +319,7 @@ int main(int argc, char** argv) {
   FlightRecorder recorder(
       FlightRecorder::Options().set_enabled(true).set_capacity(256));
   results.push_back(TimeMode("batch_recorder", repeats, f.total_rows, [&] {
-    const auto tree = MakeFlatTree(f, /*specialize_kernels=*/true);
+    const auto tree = MakeFlatTree(f);
     const int64_t count = DrainBatchCount(*tree);
     QueryRecord record;
     record.api = QueryRecord::Api::kExecute;
@@ -352,29 +331,11 @@ int main(int argc, char** argv) {
     recorder.Record(std::move(record));
     return count;
   }));
-  results.push_back(TimeMode("parallel", repeats, f.total_rows, [&] {
-    auto count = ParallelTrueCount(f.catalog, f.spec);
+  results.push_back(TimeMode("truth", repeats, f.total_rows, [&] {
+    auto count = TrueResultSize(f.catalog, f.spec);
     JOINEST_CHECK(count.ok()) << count.status();
     return *count;
   }));
-
-  // Core-count scaling sweep: the same pipeline pinned to K threads via a
-  // private pool (K - 1 workers plus the calling thread).
-  std::vector<int> sweep = {1, 2, 4};
-  const int hw = NumExecutorThreads();
-  if (hw > 4) sweep.push_back(hw);
-  for (int k : sweep) {
-    ThreadPool pool(k - 1);
-    ParallelOptions options;
-    options.pool = &pool;
-    options.max_workers = k;
-    const std::string mode = "parallel_" + std::to_string(k) + "t";
-    results.push_back(TimeMode(mode, repeats, f.total_rows, [&] {
-      auto count = ParallelTrueCount(f.catalog, f.spec, options);
-      JOINEST_CHECK(count.ok()) << count.status();
-      return *count;
-    }));
-  }
 
   // Bit-identical results across every mode, or the numbers are noise.
   for (const ModeResult& r : results) {
@@ -399,42 +360,6 @@ int main(int argc, char** argv) {
   }
   printer.Print(std::cout);
 
-  const auto rate_of = [&results](const std::string& mode) -> double {
-    for (const ModeResult& r : results) {
-      if (r.mode == mode) return r.rows_per_sec;
-    }
-    return 0;
-  };
-  const double kernel_speedup =
-      rate_of("batch_generic") > 0 ? rate_of("batch") / rate_of("batch_generic")
-                                   : 0;
-  const double efficiency_4t =
-      rate_of("parallel_1t") > 0
-          ? rate_of("parallel_4t") / rate_of("parallel_1t") / 4.0
-          : 0;
-  std::printf("kernel speedup (batch vs batch_generic): %.2fx\n",
-              kernel_speedup);
-  if (hw >= 4) {
-    std::printf("parallel efficiency at 4 threads: %.2f\n", efficiency_4t);
-  }
-
-  // Full runs enforce the executor perf contracts; smoke runs only report
-  // (20k rows is small enough that scheduler noise dominates the sweep).
-  if (!smoke) {
-    if (kernel_speedup < 1.5) {
-      std::fprintf(stderr,
-                   "FAIL: kernel specialization speedup %.2fx < 1.5x\n",
-                   kernel_speedup);
-      return 1;
-    }
-    if (hw >= 4 && efficiency_4t < 0.7) {
-      std::fprintf(stderr,
-                   "FAIL: parallel efficiency at 4 threads %.2f < 0.7\n",
-                   efficiency_4t);
-      return 1;
-    }
-  }
-
   // Publish every number through the metrics registry, then assemble the
   // JSON from a registry read-back. The scrape is the source of truth for
   // the file (one telemetry surface for benches and serving); doubles
@@ -455,14 +380,6 @@ int main(int argc, char** argv) {
   Gauge& count_gauge = registry.GetGauge(
       "bench_executor_count", "COUNT(*) agreed on by every mode");
   count_gauge.Set(static_cast<double>(results[0].count));
-  registry
-      .GetGauge("bench_executor_kernel_speedup",
-                "batch rows/sec over batch_generic rows/sec")
-      .Set(kernel_speedup);
-  registry
-      .GetGauge("bench_executor_parallel_efficiency_4t",
-                "parallel_4t rows/sec over 4x parallel_1t rows/sec")
-      .Set(efficiency_4t);
 
   JsonWriter json;
   json.BeginObject();
@@ -474,16 +391,10 @@ int main(int argc, char** argv) {
   json.Int(scale);
   json.Key("total_rows");
   json.Int(f.total_rows);
-  json.Key("threads");
-  json.Int(NumExecutorThreads());
   json.Key("repeats");
   json.Int(repeats);
   json.Key("count");
   json.Int(static_cast<int64_t>(count_gauge.Value()));
-  json.Key("kernel_speedup");
-  json.Number(kernel_speedup);
-  json.Key("parallel_efficiency_4t");
-  json.Number(efficiency_4t);
   json.Key("modes");
   json.BeginArray();
   for (const ModeResult& r : results) {

@@ -16,6 +16,23 @@ std::atomic<ThreadPoolObserver*> g_observer{nullptr};
 thread_local int t_worker_index = -1;
 thread_local const ThreadPool* t_worker_pool = nullptr;
 
+// How the pool started the task the current thread is running: the
+// executing worker (-1: inline on a submitter, or the draining destructor)
+// and whether it was stolen. A TaskGroup claim ticket hands both to the
+// observer.
+struct TaskSource {
+  int worker = -1;
+  bool stolen = false;
+};
+thread_local TaskSource t_task_source;
+
+void RunTask(const ThreadPool::Task& task, TaskSource source) {
+  const TaskSource outer = t_task_source;  // Tasks may run others inline.
+  t_task_source = source;
+  task();
+  t_task_source = outer;
+}
+
 struct ObservedTask {
   ThreadPoolObserver* observer;
   int worker;
@@ -69,8 +86,7 @@ ThreadPool::~ThreadPool() {
       if (task) {
         pending_.fetch_sub(1, std::memory_order_relaxed);
         tasks_inline_.fetch_add(1, std::memory_order_relaxed);
-        ObservedTask observed(-1, false);
-        task();
+        RunTask(task, TaskSource{});
         ran = true;
       }
     }
@@ -92,8 +108,7 @@ void ThreadPool::Submit(Task task) {
     // No workers, or the queues are saturated: the producer becomes the
     // worker. Keeps submission bounded without ever blocking.
     tasks_inline_.fetch_add(1, std::memory_order_relaxed);
-    ObservedTask observed(-1, false);
-    task();
+    RunTask(task, TaskSource{});
     return;
   }
   size_t target;
@@ -145,8 +160,7 @@ bool ThreadPool::TryRunOneTask(int index) {
   pending_.fetch_sub(1, std::memory_order_relaxed);
   tasks_run_.fetch_add(1, std::memory_order_relaxed);
   if (stolen) tasks_stolen_.fetch_add(1, std::memory_order_relaxed);
-  ObservedTask observed(index, stolen);
-  task();
+  RunTask(task, TaskSource{index, stolen});
   return true;
 }
 
@@ -184,7 +198,8 @@ TaskGroup::TaskGroup(ThreadPool& pool)
 
 TaskGroup::~TaskGroup() { Wait(); }
 
-bool TaskGroup::RunOne(const std::shared_ptr<State>& state) {
+bool TaskGroup::RunOne(const std::shared_ptr<State>& state, int worker,
+                       bool stolen) {
   std::function<void()> fn;
   {
     MutexLock lock(state->mu);
@@ -192,7 +207,13 @@ bool TaskGroup::RunOne(const std::shared_ptr<State>& state) {
     fn = std::move(state->unstarted.front());
     state->unstarted.pop_front();
   }
-  fn();
+  {
+    // Observed only once claimed, and closed before the completion below
+    // is reported: a waiter may return from Wait() and free what the
+    // observer records into (the trace session behind the task's span).
+    ObservedTask observed(worker, stolen);
+    fn();
+  }
   bool last;
   {
     MutexLock lock(state->mu);
@@ -212,12 +233,14 @@ void TaskGroup::Run(std::function<void()> fn) {
   // a worker or the waiting thread gets there first pops the real task, so
   // Wait() can help without double execution.
   std::shared_ptr<State> state = state_;
-  pool_.Submit([state] { RunOne(state); });
+  pool_.Submit([state] {
+    RunOne(state, t_task_source.worker, t_task_source.stolen);
+  });
 }
 
 void TaskGroup::Wait() {
   // Help first: run this group's unstarted tasks on the waiting thread.
-  while (RunOne(state_)) {
+  while (RunOne(state_, /*worker=*/-1, /*stolen=*/false)) {
   }
   MutexLock lock(state_->mu);
   while (state_->outstanding != 0) state_->cv.Wait(state_->mu);

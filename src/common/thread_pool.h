@@ -1,20 +1,19 @@
 // Shared work-stealing thread pool for every data-parallel subsystem.
 //
-// Before this existed, each parallel path — the morsel-parallel counting
-// pipeline (executor/parallel.cc), the partitioned sketch ANALYZE
+// Before this existed, each parallel path — the partitioned sketch ANALYZE
 // (storage/analyze.cc) and the predicate-transfer Bloom build
-// (pt/reducer.cc) — spawned its own std::threads per call. Concurrent
-// sessions therefore oversubscribed the machine (8 sessions x 8 threads on
-// an 8-core box) and paid a thread create/join per query. This pool is the
-// single process-wide replacement: subsystems submit tasks, workers run
-// them, and concurrent sessions share one fixed set of workers.
+// (pt/reducer.cc) among them — spawned its own std::threads per call.
+// Concurrent sessions therefore oversubscribed the machine (8 sessions x 8
+// threads on an 8-core box) and paid a thread create/join per query. This
+// pool is the single process-wide replacement: subsystems submit tasks,
+// workers run them, and concurrent sessions share one fixed set of workers.
 //
 // Design (Chase–Lev-style stealing, mutex-guarded for tsan cleanliness):
 //  * one deque per worker. The owning worker pushes and pops at the BACK
 //    (LIFO — freshly spawned subtasks are cache-hot); idle workers steal
 //    from the FRONT of a victim's deque (FIFO — the oldest, largest-grained
 //    work moves). Each deque is guarded by its own mutex rather than the
-//    classic lock-free protocol: tasks here are morsel-sized (thousands of
+//    classic lock-free protocol: tasks here are chunk-sized (thousands of
 //    rows), so the lock is noise, and every access is tsan-provable.
 //  * external submissions round-robin across the worker deques; a task
 //    running on a worker submits to that worker's own deque (locality).
@@ -35,7 +34,9 @@
 // registry (obs/ sits above common/). Telemetry goes through the
 // ThreadPoolObserver hook; obs/pool_obs.{h,cc} installs the registry-backed
 // implementation (pool_tasks_total / pool_steals_total / pool_queue_depth
-// and per-task trace spans).
+// and per-task trace spans). The observer sees TaskGroup tasks — every
+// subsystem submits through one — from the moment a thread claims one
+// until just before the group learns it finished.
 
 #ifndef JOINEST_COMMON_THREAD_POOL_H_
 #define JOINEST_COMMON_THREAD_POOL_H_
@@ -53,15 +54,17 @@
 namespace joinest {
 
 // Process-wide telemetry hook (see obs/pool_obs.h for the registry-backed
-// implementation). TaskStarted returns an opaque token handed back to
-// TaskFinished — the span the trace layer opens for the task, when tracing
-// is active.
+// implementation), called around each TaskGroup task. TaskStarted returns
+// an opaque token handed back to TaskFinished — the span the trace layer
+// opens for the task, when tracing is active. TaskFinished runs before the
+// task's group can report completion, so a caller that waits on the group
+// may then free whatever the token records into.
 class ThreadPoolObserver {
  public:
   virtual ~ThreadPoolObserver() = default;
   // `worker` is the executing worker index (-1: ran inline on a submitter
-  // or waiter); `stolen` is true when the task came off another worker's
-  // deque.
+  // or a waiter that helped); `stolen` is true when the task came off
+  // another worker's deque.
   virtual void* TaskStarted(int worker, bool stolen) = 0;
   virtual void TaskFinished(int worker, bool stolen, void* token) = 0;
   // Approximate queued-task count, reported at submission.
@@ -156,8 +159,10 @@ class TaskGroup {
     int64_t outstanding JOINEST_GUARDED_BY(mu) = 0;
   };
 
-  // Pops one unstarted task and runs it; false when none were queued.
-  static bool RunOne(const std::shared_ptr<State>& state);
+  // Pops one unstarted task and runs it, observed as run by `worker`
+  // (-1: inline); false when none were queued.
+  static bool RunOne(const std::shared_ptr<State>& state, int worker,
+                     bool stolen);
 
   ThreadPool& pool_;
   std::shared_ptr<State> state_;
@@ -165,7 +170,7 @@ class TaskGroup {
 
 // Worker-thread budget for the process: JOINEST_THREADS when set to a
 // positive integer (deterministic CI), otherwise hardware_concurrency();
-// always at least 1. The executor's NumExecutorThreads() is an alias.
+// always at least 1.
 int NumPoolThreads();
 
 // The process-wide pool every subsystem shares, sized NumPoolThreads() - 1

@@ -6,13 +6,11 @@
 
 namespace joinest {
 
-namespace {
-
-StatusOr<std::unique_ptr<Operator>> CompileNode(
+StatusOr<std::unique_ptr<Operator>> CompilePlan(
     const Catalog& catalog, const QuerySpec& spec, const PlanNode& node,
     std::vector<Operator*>* registry,
     std::vector<PlanNodeOperator>* node_roots,
-    const ScanSelections* selections, const CompileOptions& options) {
+    const ScanSelections* selections) {
   auto track = [registry](std::unique_ptr<Operator> op)
       -> std::unique_ptr<Operator> {
     if (registry != nullptr) registry->push_back(op.get());
@@ -39,16 +37,12 @@ StatusOr<std::unique_ptr<Operator>> CompileNode(
           table, node.table_index,
           selections->row_ids[static_cast<size_t>(node.table_index)]));
     } else {
-      auto scan = std::make_unique<SeqScanOperator>(table, node.table_index);
-      if (options.specialize_kernels) scan->Specialize();
-      op = track(std::move(scan));
+      op = track(std::make_unique<SeqScanOperator>(table, node.table_index));
     }
     if (!node.filter.empty()) {
       auto filter =
           std::make_unique<FilterOperator>(std::move(op), node.filter);
-      if (options.specialize_kernels) {
-        filter->Specialize(LayoutTypes(catalog, spec, filter->layout()));
-      }
+      filter->Specialize(LayoutTypes(catalog, spec, filter->layout()));
       op = track(std::move(filter));
     }
     return root(std::move(op));
@@ -60,8 +54,8 @@ StatusOr<std::unique_ptr<Operator>> CompileNode(
   }
   JOINEST_ASSIGN_OR_RETURN(
       std::unique_ptr<Operator> left,
-      CompileNode(catalog, spec, *node.left, registry, node_roots, selections,
-                  options));
+      CompilePlan(catalog, spec, *node.left, registry, node_roots,
+                  selections));
 
   if (node.method == JoinMethod::kIndexNestedLoop) {
     if (node.right->kind != PlanNode::Kind::kScan) {
@@ -78,8 +72,8 @@ StatusOr<std::unique_ptr<Operator>> CompileNode(
 
   JOINEST_ASSIGN_OR_RETURN(
       std::unique_ptr<Operator> right,
-      CompileNode(catalog, spec, *node.right, registry, node_roots, selections,
-                  options));
+      CompilePlan(catalog, spec, *node.right, registry, node_roots,
+                  selections));
   switch (node.method) {
     case JoinMethod::kNestedLoop:
       return root(track(std::make_unique<NestedLoopJoinOperator>(
@@ -92,10 +86,8 @@ StatusOr<std::unique_ptr<Operator>> CompileNode(
       const std::vector<ColumnRef> right_layout = right->layout();
       auto join = std::make_unique<HashJoinOperator>(
           std::move(left), std::move(right), node.join_predicates);
-      if (options.specialize_kernels) {
-        join->Specialize(LayoutTypes(catalog, spec, left_layout),
-                         LayoutTypes(catalog, spec, right_layout));
-      }
+      join->Specialize(LayoutTypes(catalog, spec, left_layout),
+                       LayoutTypes(catalog, spec, right_layout));
       return root(track(std::move(join)));
     }
     case JoinMethod::kSortMerge:
@@ -105,17 +97,6 @@ StatusOr<std::unique_ptr<Operator>> CompileNode(
       break;  // Handled above.
   }
   return Internal("unreachable join method");
-}
-
-}  // namespace
-
-StatusOr<std::unique_ptr<Operator>> CompilePlan(
-    const Catalog& catalog, const QuerySpec& spec, const PlanNode& plan,
-    std::vector<Operator*>* registry,
-    std::vector<PlanNodeOperator>* node_roots,
-    const ScanSelections* selections, const CompileOptions& options) {
-  return CompileNode(catalog, spec, plan, registry, node_roots, selections,
-                     options);
 }
 
 }  // namespace joinest

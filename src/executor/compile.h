@@ -25,16 +25,9 @@ struct PlanNodeOperator {
   Operator* op = nullptr;
 };
 
-// Compilation knobs.
-struct CompileOptions {
-  // Select type-specialized batch kernels (executor/kernels.h) per operator
-  // from the table schemas. Off compiles the pure generic Value path — the
-  // parity oracle the kernel tests and the batch_generic benchmark mode
-  // compare against.
-  bool specialize_kernels = true;
-};
-
-// Compiles `plan` into an operator tree over the catalog's tables. If
+// Compiles `plan` into an operator tree over the catalog's tables, with
+// filters and hash joins specialized to the table schemas' column types
+// (executor/kernels.h). If
 // `registry` is non-null, every created operator is appended (pre-order) so
 // the caller can report per-operator row counts after execution. If
 // `node_roots` is non-null, the root operator of every plan node is
@@ -54,8 +47,7 @@ StatusOr<std::unique_ptr<Operator>> CompilePlan(
     const Catalog& catalog, const QuerySpec& spec, const PlanNode& plan,
     std::vector<Operator*>* registry = nullptr,
     std::vector<PlanNodeOperator>* node_roots = nullptr,
-    const ScanSelections* selections = nullptr,
-    const CompileOptions& options = CompileOptions{});
+    const ScanSelections* selections = nullptr);
 
 }  // namespace joinest
 

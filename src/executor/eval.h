@@ -18,8 +18,8 @@ bool EvalCompare(const Value& left, CompareOp op, const Value& right);
 // Evaluates a conjunction of local predicates over one row, with operand
 // positions already resolved against the row's layout (left_pos / right_pos
 // parallel to predicates; right_pos is -1 for column-vs-constant). Shared
-// by the tuple filter, the batch filter and the morsel-parallel counting
-// pipeline so the three paths agree bit for bit.
+// by the tuple filter and the batch filter's generic remainder so the two
+// paths agree bit for bit.
 bool EvalPredicatesRow(const Row& row, const std::vector<Predicate>& predicates,
                        const std::vector<int>& left_pos,
                        const std::vector<int>& right_pos);

@@ -1,10 +1,18 @@
 #include "executor/execute.h"
 
+#include <algorithm>
 #include <chrono>
+#include <map>
+#include <unordered_map>
+#include <utility>
 
 #include "executor/compile.h"
-#include "executor/parallel.h"
+#include "executor/eval.h"
+#include "executor/hash_table.h"
 #include "executor/scan_ops.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
+#include "rewrite/equivalence.h"
 
 namespace joinest {
 
@@ -149,9 +157,224 @@ std::unique_ptr<PlanNode> CanonicalSafePlan(const QuerySpec& spec) {
   return plan;
 }
 
+namespace {
+
+// A join-key value: one canonical Value per equivalence class.
+using Key = std::vector<Value>;
+
+struct KeyHash {
+  size_t operator()(const Key& key) const {
+    uint64_t h = 0x9e3779b97f4a7c15ull;
+    for (const Value& v : key) h = HashUint64(h ^ v.Hash());
+    return static_cast<size_t>(h);
+  }
+};
+
+// Canonical keys match exactly when their types and values do: the
+// comparison JoinHashTable's probe makes, minus the cross-type CHECK.
+bool SameKey(const Value& a, const Value& b) {
+  return a.type() == b.type() && a == b;
+}
+
+struct KeyEq {
+  bool operator()(const Key& a, const Key& b) const {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end(), SameKey);
+  }
+};
+
+// Weighted row counts per key value: what a table sends its parent.
+using KeyCounts = std::unordered_map<Key, int64_t, KeyHash, KeyEq>;
+
+// One table of the query as a node of the join tree.
+struct TreeNode {
+  // The table's join columns per equivalence class (the variables it
+  // covers), keyed by class id.
+  std::map<int, std::vector<int>> columns;
+  std::vector<Predicate> local;
+  int parent = -1;
+  // Classes shared with the parent: the key of the message sent to it.
+  std::vector<int> key_classes;
+  std::vector<int> children;
+
+  bool Covers(int cls) const { return columns.count(cls) > 0; }
+};
+
+// Peels the tables leaf-first into a join tree by GYO ear removal: a table
+// is an ear when the classes it shares with the other remaining tables all
+// belong to one of them, which becomes its parent. Returns the tables in
+// removal order, root last, or nothing when no join tree exists.
+std::vector<int> PeelJoinTree(std::vector<TreeNode>& nodes) {
+  const size_t n = nodes.size();
+  std::vector<bool> removed(n, false);
+  std::vector<int> order;
+  while (order.size() + 1 < n) {
+    bool peeled = false;
+    for (size_t t = 0; t < n && !peeled; ++t) {
+      if (removed[t]) continue;
+      std::vector<int> shared;
+      for (const auto& entry : nodes[t].columns) {
+        for (size_t u = 0; u < n; ++u) {
+          if (u != t && !removed[u] && nodes[u].Covers(entry.first)) {
+            shared.push_back(entry.first);
+            break;
+          }
+        }
+      }
+      for (size_t p = 0; p < n && !peeled; ++p) {
+        if (p == t || removed[p] ||
+            !std::all_of(shared.begin(), shared.end(),
+                         [&](int cls) { return nodes[p].Covers(cls); })) {
+          continue;
+        }
+        nodes[t].parent = static_cast<int>(p);
+        nodes[t].key_classes = std::move(shared);
+        nodes[p].children.push_back(static_cast<int>(t));
+        removed[t] = true;
+        order.push_back(static_cast<int>(t));
+        peeled = true;
+      }
+    }
+    if (!peeled) return {};
+  }
+  for (size_t t = 0; t < n; ++t) {
+    if (!removed[t]) order.push_back(static_cast<int>(t));
+  }
+  return order;
+}
+
+Status CountOverflow() {
+  return OutOfRange("join count exceeds the int64 range");
+}
+
+// COUNT(*) by message passing up the join tree: each table scans its rows
+// once, weighs each qualifying row by the product of its children's
+// counts for the row's key, and sums the weights per the key it shares
+// with its parent. The root's sum is the join size.
+StatusOr<int64_t> CountJoinTree(const Catalog& catalog, const QuerySpec& spec,
+                                const std::vector<TreeNode>& nodes,
+                                const std::vector<int>& order) {
+  std::vector<KeyCounts> sent(nodes.size());
+  int64_t total = 0;
+  Key key;
+  for (int t : order) {
+    const TreeNode& node = nodes[static_cast<size_t>(t)];
+    const Table& table = catalog.table(spec.tables[t].catalog_id);
+    auto cell = [&table](int64_t row, int column) -> const Value& {
+      return table.column(column)[static_cast<size_t>(row)];
+    };
+    // The columns holding each child's key, then the parent's.
+    auto columns_of = [&node](const std::vector<int>& classes) {
+      std::vector<int> columns;
+      for (int cls : classes) columns.push_back(node.columns.at(cls).front());
+      return columns;
+    };
+    std::vector<std::vector<int>> child_columns;
+    for (int child : node.children) {
+      child_columns.push_back(
+          columns_of(nodes[static_cast<size_t>(child)].key_classes));
+    }
+    const std::vector<int> parent_columns = columns_of(node.key_classes);
+    // Join columns of this table in one class must agree.
+    std::vector<std::pair<int, int>> agree;
+    for (const auto& entry : node.columns) {
+      for (size_t i = 1; i < entry.second.size(); ++i) {
+        agree.emplace_back(entry.second.front(), entry.second[i]);
+      }
+    }
+    auto key_of = [&](int64_t row, const std::vector<int>& columns) {
+      key.resize(columns.size());
+      for (size_t i = 0; i < columns.size(); ++i) {
+        key[i] = cell(row, columns[i]).CanonicalKey();
+      }
+    };
+    auto qualifies = [&](int64_t row) {
+      for (const Predicate& p : node.local) {
+        const Value& right = p.kind == Predicate::Kind::kLocalConst
+                                 ? p.constant
+                                 : cell(row, p.right.column);
+        if (!EvalCompare(cell(row, p.left.column), p.op, right)) return false;
+      }
+      for (const auto& [a, b] : agree) {
+        if (!SameKey(cell(row, a).CanonicalKey(),
+                     cell(row, b).CanonicalKey())) {
+          return false;
+        }
+      }
+      return true;
+    };
+    for (int64_t r = 0; r < table.num_rows(); ++r) {
+      if (!qualifies(r)) continue;
+      int64_t weight = 1;
+      for (size_t c = 0; c < node.children.size() && weight > 0; ++c) {
+        key_of(r, child_columns[c]);
+        const KeyCounts& counts =
+            sent[static_cast<size_t>(node.children[c])];
+        const auto it = counts.find(key);
+        if (it == counts.end()) {
+          weight = 0;
+        } else if (__builtin_mul_overflow(weight, it->second, &weight)) {
+          return CountOverflow();
+        }
+      }
+      if (weight == 0) continue;
+      int64_t* sum = &total;
+      if (node.parent >= 0) {
+        key_of(r, parent_columns);
+        sum = &sent[static_cast<size_t>(t)][key];
+      }
+      if (__builtin_add_overflow(*sum, weight, sum)) return CountOverflow();
+    }
+    for (int child : node.children) {
+      KeyCounts().swap(sent[static_cast<size_t>(child)]);
+    }
+  }
+  return total;
+}
+
+}  // namespace
+
 StatusOr<int64_t> TrueResultSize(const Catalog& catalog,
                                  const QuerySpec& spec) {
-  return ParallelTrueCount(catalog, spec);
+  JOINEST_RETURN_IF_ERROR(spec.Validate(catalog));
+  Span span("TrueResultSize", "tables", spec.num_tables());
+  int64_t base_rows = 0;
+  for (const TableRef& ref : spec.tables) {
+    base_rows += catalog.table(ref.catalog_id).num_rows();
+  }
+  MetricsRegistry::Global()
+      .GetCounter("executor_morsel_rows_total",
+                  "Base-table rows scanned by ground-truth counting")
+      .Add(base_rows);
+
+  // Each equivalence class of join columns is a variable; each table
+  // covers the classes of its join columns.
+  std::vector<TreeNode> nodes(static_cast<size_t>(spec.num_tables()));
+  std::vector<Predicate> joins;
+  for (const Predicate& p : spec.predicates) {
+    if (p.kind == Predicate::Kind::kJoin) {
+      joins.push_back(p);
+    } else {
+      nodes[static_cast<size_t>(p.left.table)].local.push_back(p);
+    }
+  }
+  const EquivalenceClasses classes = EquivalenceClasses::Build(joins);
+  for (int cls = 0; cls < classes.num_classes(); ++cls) {
+    for (const ColumnRef& ref : classes.members(cls)) {
+      nodes[static_cast<size_t>(ref.table)].columns[cls].push_back(
+          ref.column);
+    }
+  }
+
+  const std::vector<int> order = PeelJoinTree(nodes);
+  if (order.empty()) {
+    // No join tree (a cycle through two or more classes): run the plan
+    // whose COUNT(*) defines ground truth.
+    JOINEST_ASSIGN_OR_RETURN(
+        ExecutionResult result,
+        ExecutePlan(catalog, spec, *CanonicalSafePlan(spec)));
+    return result.count;
+  }
+  return CountJoinTree(catalog, spec, nodes, order);
 }
 
 StatusOr<std::vector<int64_t>> TruePrefixSizes(

@@ -55,8 +55,8 @@ StatusOr<ExecutionResult> ExecutePlan(const Catalog& catalog,
                                           nullptr);
 
 // Greedy connected join order starting from table 0 (a cartesian step is
-// appended only when the join graph is disconnected) — the order the
-// canonical safe plan and the parallel counting pipeline share.
+// appended only when the join graph is disconnected) — the canonical safe
+// plan's order.
 std::vector<int> CanonicalJoinOrder(int num_tables,
                                     const std::vector<Predicate>& joins);
 
@@ -66,9 +66,15 @@ std::vector<int> CanonicalJoinOrder(int num_tables,
 std::unique_ptr<PlanNode> CanonicalSafePlan(const QuerySpec& spec);
 
 // Ground truth without an optimizer: the exact result count of the
-// canonical safe plan, computed with the morsel-parallel counting pipeline
-// (see executor/parallel.h). Used by tests and benches to compare estimates
-// with true cardinalities.
+// canonical safe plan (all predicates applied), computed without
+// enumerating the join. Each equivalence class of join columns is a
+// variable; the tables are peeled leaf-first into a join tree (GYO ear
+// removal), and each table sends its parent weighted row counts per
+// shared-key value, so the cost is one scan per table whatever the join
+// size or order. A query with no join tree (a cycle through two or more
+// classes) runs the canonical safe plan instead. OutOfRange when the count
+// or a partial count exceeds int64. Used by tests and benches to compare
+// estimates with true cardinalities.
 StatusOr<int64_t> TrueResultSize(const Catalog& catalog,
                                  const QuerySpec& spec);
 

@@ -262,42 +262,13 @@ bool HashJoinOperator::NextImpl(Row& row) {
   }
 }
 
+// Batch probe: per input row, probe once and emit as many of its matches as
+// fit, resuming mid-span on the next call. The kernel probe and emit loops
+// replace the generic ones where Specialize proved the key and row types;
+// other shapes probe through JoinHashTable::Probe and copy rows with
+// ConcatInto. Same probe order and span walk as the tuple path, so the
+// emitted multiset is bit-identical.
 bool HashJoinOperator::NextBatchImpl(RowBatch& batch) {
-  if (specialized_) return NextBatchSpecialized(batch);
-  batch.Clear();
-  while (!batch.full()) {
-    if (batch_match_cursor_ < batch_matches_.size) {
-      const Row& outer = input_.row(input_pos_);
-      // Emit as many of the current row's matches as fit.
-      do {
-        ConcatRows(batch.AppendSlot(), outer,
-                   table_->row(batch_matches_.data[batch_match_cursor_++]));
-        ++rows_produced_;
-      } while (!batch.full() && batch_match_cursor_ < batch_matches_.size);
-      if (batch_match_cursor_ < batch_matches_.size) break;
-      ++input_pos_;
-    } else if (input_valid_ && input_pos_ < input_.size()) {
-      batch_matches_ =
-          table_->Probe(input_.row(input_pos_), probe_positions_, scratch_);
-      batch_match_cursor_ = 0;
-      if (batch_matches_.empty()) ++input_pos_;
-    } else {
-      if (!left_->NextBatch(input_)) {
-        input_valid_ = false;
-        break;
-      }
-      input_valid_ = true;
-      input_pos_ = 0;
-    }
-  }
-  return !batch.empty();
-}
-
-// The generic NextBatchImpl state machine with the kernel probe and emit
-// loops swapped in. Control flow mirrors the generic path exactly — same
-// probe order, same span walk, same batch boundaries — so the emitted rows
-// are bit-identical; only the per-row Value dispatch is gone.
-bool HashJoinOperator::NextBatchSpecialized(RowBatch& batch) {
   batch.Clear();
   const size_t out_width =
       static_cast<size_t>(left_width_) + static_cast<size_t>(right_width_);

@@ -108,10 +108,10 @@ class HashJoinOperator : public Operator {
   // column types (schema-proven at CompilePlan time): a single int64 key
   // pair probes through JoinHashTable::ProbeFastInt64 — no per-row
   // canonicalisation or contract checks — and an all-int64 output layout
-  // emits through native stores into resized slots instead of
-  // clear+reinsert. Shapes the kernels decline (multi-column or mixed-type
-  // keys, string columns) keep the generic loops. The tuple path stays
-  // generic on purpose: it is the parity oracle.
+  // emits through native stores into resized slots. Shapes the kernels
+  // decline (multi-column or mixed-type keys, string columns), and joins
+  // never specialized, keep the generic Probe/ConcatInto loops. The tuple
+  // path stays generic on purpose: it is the parity oracle.
   void Specialize(const std::vector<TypeKind>& left_types,
                   const std::vector<TypeKind>& right_types);
 
@@ -124,8 +124,6 @@ class HashJoinOperator : public Operator {
   void CloseImpl() override;
 
  private:
-  bool NextBatchSpecialized(RowBatch& batch);
-
   std::unique_ptr<Operator> left_;
   std::unique_ptr<Operator> right_;
   std::vector<int> build_positions_;  // Key columns in the right layout.

@@ -16,10 +16,11 @@
 //    string);
 //  * EvalCompiledPredicates runs the per-type inner loops over a batch.
 //
-// The generic Value path remains intact behind CompileOptions
-// {specialize_kernels=false} — it is both the fallback for shapes the
-// kernels decline (mixed-type keys, string-vs-numeric) and the parity
-// oracle tests/parity_test.cc compares against bit for bit.
+// CompilePlan always specializes. The generic Value loops remain only as
+// the fallback for shapes the kernels decline (mixed-type keys,
+// string-vs-numeric); the tuple path (Operator::Next) stays generic and is
+// the parity oracle tests/parity_test.cc compares the kernels against bit
+// for bit.
 //
 // Kernel selections are counted in executor_kernel_selected_total{type=}.
 

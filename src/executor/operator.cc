@@ -10,8 +10,8 @@ using Clock = std::chrono::steady_clock;
 
 // The operator currently being driven on this thread. Each wrapper call
 // pushes itself here so a child's wrapper can credit its elapsed time to
-// the parent (exclusive-time accounting). Morsel workers drive disjoint
-// operator trees, so a per-thread chain is exact.
+// the parent (exclusive-time accounting). Concurrent queries drive
+// disjoint operator trees, so a per-thread chain is exact.
 thread_local Operator* tls_current_operator = nullptr;
 
 }  // namespace

@@ -9,27 +9,17 @@
 namespace joinest {
 
 SeqScanOperator::SeqScanOperator(const Table& table, int table_index)
-    : SeqScanOperator(table, table_index, RowRange{0, table.num_rows()}) {}
-
-SeqScanOperator::SeqScanOperator(const Table& table, int table_index,
-                                 RowRange range)
-    : table_(table), range_(range) {
-  JOINEST_CHECK_GE(range_.begin, 0);
-  JOINEST_CHECK_LE(range_.end, table.num_rows());
+    : table_(table) {
   for (int c = 0; c < table.num_columns(); ++c) {
     layout_.push_back(ColumnRef{table_index, c});
   }
-}
-
-void SeqScanOperator::Specialize() {
-  specialized_ = true;
   CountKernelSelection("scan_columnwise_fill");
 }
 
-void SeqScanOperator::OpenImpl() { cursor_ = range_.begin; }
+void SeqScanOperator::OpenImpl() { cursor_ = 0; }
 
 bool SeqScanOperator::NextImpl(Row& row) {
-  if (cursor_ >= range_.end) return false;
+  if (cursor_ >= table_.num_rows()) return false;
   table_.CopyRowInto(cursor_, row);
   ++cursor_;
   ++rows_produced_;
@@ -39,14 +29,8 @@ bool SeqScanOperator::NextImpl(Row& row) {
 bool SeqScanOperator::NextBatchImpl(RowBatch& batch) {
   batch.Clear();
   const int64_t take =
-      std::min<int64_t>(batch.capacity(), range_.end - cursor_);
-  if (specialized_) {
-    FillBatchColumnwise(table_, cursor_, take, batch, slots_);
-  } else {
-    for (int64_t i = 0; i < take; ++i) {
-      table_.CopyRowInto(cursor_ + i, batch.AppendSlot());
-    }
-  }
+      std::min<int64_t>(batch.capacity(), table_.num_rows() - cursor_);
+  FillBatchColumnwise(table_, cursor_, take, batch, slots_);
   cursor_ += take;
   rows_produced_ += take;
   return !batch.empty();
@@ -110,6 +94,9 @@ FilterOperator::FilterOperator(std::unique_ptr<Operator> child,
       right_pos_.push_back(-1);
     }
   }
+  generic_predicates_ = predicates_;
+  generic_left_pos_ = left_pos_;
+  generic_right_pos_ = right_pos_;
 }
 
 void FilterOperator::Specialize(const std::vector<TypeKind>& child_types) {
@@ -134,13 +121,9 @@ void FilterOperator::Specialize(const std::vector<TypeKind>& child_types) {
 
 void FilterOperator::OpenImpl() { child_->Open(); }
 
-bool FilterOperator::RowPasses(const Row& row) const {
-  return EvalPredicatesRow(row, predicates_, left_pos_, right_pos_);
-}
-
 bool FilterOperator::NextImpl(Row& row) {
   while (child_->Next(row)) {
-    if (RowPasses(row)) {
+    if (EvalPredicatesRow(row, predicates_, left_pos_, right_pos_)) {
       ++rows_produced_;
       return true;
     }
@@ -152,31 +135,23 @@ bool FilterOperator::NextBatchImpl(RowBatch& batch) {
   // The filter's layout equals the child's, so the child fills the caller's
   // batch directly and passing rows are compacted in place — no copies.
   while (child_->NextBatch(batch)) {
-    int passed = 0;
-    if (specialized_) {
-      // Kernel path: typed column-at-a-time loops over the specialized
-      // predicates, then the generic remainder row-wise over survivors.
-      // The conjunction short-circuits per column instead of per row, but
-      // the predicates are pure, so the surviving set is bit-identical.
-      keep_.assign(batch.size(), 1);
-      EvalCompiledPredicates(batch, compiled_, keep_);
-      if (!generic_predicates_.empty()) {
-        for (int i = 0; i < batch.size(); ++i) {
-          if (!keep_[i]) continue;
-          keep_[i] = EvalPredicatesRow(batch.row(i), generic_predicates_,
-                                       generic_left_pos_, generic_right_pos_)
-                         ? 1
-                         : 0;
-        }
-      }
-      for (int i = 0; i < batch.size(); ++i) passed += keep_[i];
-    } else {
-      keep_.resize(batch.size());
+    // Typed column-at-a-time loops over the compiled predicates, then the
+    // generic remainder row-wise over survivors. The conjunction
+    // short-circuits per column instead of per row, but the predicates are
+    // pure, so the surviving set is bit-identical.
+    keep_.assign(batch.size(), 1);
+    EvalCompiledPredicates(batch, compiled_, keep_);
+    if (!generic_predicates_.empty()) {
       for (int i = 0; i < batch.size(); ++i) {
-        keep_[i] = RowPasses(batch.row(i)) ? 1 : 0;
-        passed += keep_[i];
+        if (!keep_[i]) continue;
+        keep_[i] = EvalPredicatesRow(batch.row(i), generic_predicates_,
+                                     generic_left_pos_, generic_right_pos_)
+                       ? 1
+                       : 0;
       }
     }
+    int passed = 0;
+    for (int i = 0; i < batch.size(); ++i) passed += keep_[i];
     if (passed == 0) continue;  // Fully filtered batch; pull the next one.
     if (passed < batch.size()) batch.Keep(keep_);
     rows_produced_ += batch.size();

@@ -40,22 +40,17 @@ struct ScanSelections {
 };
 
 // Scans all rows of a base table. Output layout: ColumnRef{table_index, c}
-// for every column c. Optionally restricted to a [begin, end) row range —
-// the morsel the parallel counting path hands each worker.
+// for every column c. The batch path fills column-wise through the kernel
+// fill (the column types are schema-proven, so the per-cell variant
+// dispatch of CopyRowInto is unnecessary).
 class SeqScanOperator : public Operator {
  public:
   // `table` must outlive the operator.
   SeqScanOperator(const Table& table, int table_index);
-  SeqScanOperator(const Table& table, int table_index, RowRange range);
 
   std::string name() const override { return "SeqScan"; }
 
-  // Switches the batch path to the column-wise kernel fill (the column
-  // types are schema-proven, so the per-cell variant dispatch of
-  // CopyRowInto is unnecessary). Called once at CompilePlan time.
-  void Specialize();
-
-  bool specialized() const override { return specialized_; }
+  bool specialized() const override { return true; }
 
  protected:
   void OpenImpl() override;
@@ -65,9 +60,7 @@ class SeqScanOperator : public Operator {
 
  private:
   const Table& table_;
-  RowRange range_;
   int64_t cursor_ = 0;
-  bool specialized_ = false;
   std::vector<Row*> slots_;  // Kernel-fill scratch, reused per batch.
 };
 
@@ -110,9 +103,9 @@ class FilterOperator : public Operator {
   // Lowers the predicate list against the child layout's column types:
   // predicates whose operand types fit a typed kernel run column-at-a-time
   // through EvalCompiledPredicates; any remainder stays on the generic row
-  // path. The tuple path (NextImpl) is left generic on purpose — it is the
-  // parity oracle the batch kernels are tested against. Called once at
-  // CompilePlan time.
+  // path (until then, all of them). The tuple path (NextImpl) is left
+  // generic on purpose — it is the parity oracle the batch kernels are
+  // tested against. Called once at CompilePlan time.
   void Specialize(const std::vector<TypeKind>& child_types);
 
   bool specialized() const override { return specialized_; }
@@ -124,8 +117,6 @@ class FilterOperator : public Operator {
   void CloseImpl() override;
 
  private:
-  bool RowPasses(const Row& row) const;
-
   std::unique_ptr<Operator> child_;
   std::vector<Predicate> predicates_;
   // Resolved operand positions, parallel to predicates_: left position and
@@ -133,8 +124,8 @@ class FilterOperator : public Operator {
   std::vector<int> left_pos_;
   std::vector<int> right_pos_;
   std::vector<char> keep_;  // Batch-path selection vector, reused.
-  // Kernel state (Specialize): the compiled specialized predicates plus the
-  // generic remainder with its resolved positions.
+  // Batch-path state: the predicates Specialize compiled to kernels plus
+  // the generic remainder with its resolved positions.
   bool specialized_ = false;
   std::vector<CompiledPredicate> compiled_;
   std::vector<Predicate> generic_predicates_;

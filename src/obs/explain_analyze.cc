@@ -13,6 +13,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "optimizer/optimizer.h"
+#include "rewrite/transitive_closure.h"
 
 namespace joinest {
 
@@ -127,8 +128,16 @@ StatusOr<ExplainAnalyzeReport> ExplainAnalyzePlan(
       {
         Span truth_span("explain_analyze::true_prefix_sizes", "levels",
                         static_cast<int64_t>(order.size()) - 1);
+        // Count each level over the predicates the plan could join on:
+        // with closure on, a prefix joined through an implied predicate is
+        // a join, not the cartesian product of the raw spec's prefix.
+        QuerySpec truth_spec = spec;
+        if (options.estimation.transitive_closure) {
+          truth_spec.predicates =
+              ComputeTransitiveClosure(spec.predicates).predicates;
+        }
         JOINEST_ASSIGN_OR_RETURN(actual,
-                                 TruePrefixSizes(catalog, spec, order));
+                                 TruePrefixSizes(catalog, truth_spec, order));
       }
       JOINEST_CHECK_EQ(actual.size(), order.size() - 1);
       JOINEST_CHECK_EQ(est_ls.size(), actual.size());

@@ -6,9 +6,11 @@
 //   * the optimizer's annotations (PlanNode::estimated_rows),
 //   * the executor's per-operator statistics (rows, inclusive/self time,
 //     batch fill), matched to plan nodes via ExecutionResult::node_stats,
-//   * ground truth from the morsel-parallel counting pipeline
-//     (TruePrefixSizes), which prices each join level's estimate with the
-//     paper's error measure q = max(est/act, act/est).
+//   * ground truth from the factorized count (TruePrefixSizes) over the
+//     predicates the plan joined on — the closed set when
+//     options.estimation.transitive_closure is on — which prices each join
+//     level's estimate with the paper's error measure
+//     q = max(est/act, act/est).
 //
 // Each join level is estimated under Rule LS (Algorithm ELS), Rule M
 // (Selinger) and Rule SS, so one report reproduces the paper's comparison

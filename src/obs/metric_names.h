@@ -34,8 +34,7 @@
   X(executor_hashjoin_build_rows_total)                                      \
   X(executor_hashjoin_builds_total)                                          \
   X(executor_kernel_selected_total)         /* label: type= */               \
-  X(executor_morsel_rows_total)                                              \
-  X(executor_morsels_total)                                                  \
+  X(executor_morsel_rows_total)             /* ground-truth rows scanned */ \
   /* --- shared thread pool (obs/pool_obs.cc) --------------------------- */ \
   X(pool_queue_depth)                                                        \
   X(pool_steals_total)                                                       \
@@ -62,8 +61,6 @@
   /* --- bench exports (BENCH_*.json gates read these) ------------------ */ \
   X(bench_accuracy_gmean_ratio)                                              \
   X(bench_executor_count)                                                    \
-  X(bench_executor_kernel_speedup)                                           \
-  X(bench_executor_parallel_efficiency_4t)                                   \
   X(bench_executor_rows_per_sec)            /* label: mode= */               \
   X(bench_executor_seconds)                                                  \
   X(bench_executor_speedup_vs_seed_tuple)                                    \

@@ -3,10 +3,10 @@
 // A TraceSession owns a fixed-capacity ring buffer of 64-byte span events.
 // Activating a session makes it the process-wide recording target; Span
 // objects constructed anywhere (the parser, the rewrite passes, the
-// estimator, operator Open/Close, morsel workers) then record one complete
+// estimator, operator Open/Close, pool tasks) then record one complete
 // event each on destruction. With no active session a Span costs one
 // relaxed atomic load — instrumentation can stay compiled in on hot-ish
-// paths (per operator open, per morsel; never per row).
+// paths (per operator open, per pool task; never per row).
 //
 // Spans nest: each thread keeps a span stack, so events carry their parent
 // span id and depth, and the Chrome trace-event export renders the nesting

@@ -10,7 +10,6 @@
 #include "common/check.h"
 #include "common/thread_pool.h"
 #include "executor/eval.h"
-#include "executor/parallel.h"
 #include "obs/metrics.h"
 #include "obs/pool_obs.h"
 #include "pt/bloom.h"
@@ -19,9 +18,9 @@ namespace joinest {
 
 namespace {
 
-// Probe/hash chunk size — matches the executor's morsel granularity so the
-// reducer's memory footprint per chunk is one cache-resident hash array.
-constexpr int64_t kChunkRows = kMorselRows;
+// Probe/hash chunk size: small enough that one chunk's hash array stays
+// cache-resident.
+constexpr int64_t kChunkRows = 4096;
 
 // Smallest filter we bother sizing; below this the power-of-two rounding
 // dominates anyway and a tiny filter risks needless false positives when the

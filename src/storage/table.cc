@@ -68,16 +68,6 @@ void Table::CopyRowInto(int64_t row, std::vector<Value>& out) const {
   for (int c = 0; c < num_columns(); ++c) out[c] = columns_[c][row];
 }
 
-std::vector<RowRange> Table::Morsels(int64_t morsel_rows) const {
-  JOINEST_CHECK_GT(morsel_rows, 0);
-  std::vector<RowRange> morsels;
-  for (int64_t begin = 0; begin < num_rows_; begin += morsel_rows) {
-    morsels.push_back(
-        RowRange{begin, std::min(begin + morsel_rows, num_rows_)});
-  }
-  return morsels;
-}
-
 std::string Table::ToString(int64_t max_rows) const {
   std::ostringstream oss;
   oss << schema_.ToString() << " [" << num_rows_ << " rows]\n";

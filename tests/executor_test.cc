@@ -669,15 +669,6 @@ TEST(BatchScanTest, NextBatchEmitsAllRows) {
   EXPECT_EQ(scan.rows_produced(), 2500);
 }
 
-TEST(BatchScanTest, RowRangeScanCoversOnlyTheRange) {
-  Table table = MakeTable("k", {0, 1, 2, 3, 4, 5, 6, 7});
-  SeqScanOperator scan(table, 0, RowRange{2, 6});
-  const std::vector<Row> rows = Drain(scan);
-  ASSERT_EQ(rows.size(), 4u);
-  EXPECT_EQ(rows.front()[0].AsInt64(), 2);
-  EXPECT_EQ(rows.back()[0].AsInt64(), 5);
-}
-
 TEST(BatchFilterTest, SkipsFullyFilteredBatches) {
   // 3000 rows, only the last 10 pass: the batch loop must not report an
   // empty batch as end-of-stream.
@@ -710,21 +701,6 @@ TEST(OperatorTimingTest, ExecutePlanReportsPerOperatorSeconds) {
     // Inclusive wall-clock: no operator exceeds the whole query.
     EXPECT_LE(stats.seconds, result->seconds + 1e-9) << stats.name;
   }
-}
-
-TEST(TableMorselTest, MorselsPartitionTheTable) {
-  Table table = MakeTable("k", MakeSequentialColumn(10000));
-  const std::vector<RowRange> morsels = table.Morsels(4096);
-  ASSERT_EQ(morsels.size(), 3u);
-  int64_t covered = 0;
-  int64_t expected_begin = 0;
-  for (const RowRange& range : morsels) {
-    EXPECT_EQ(range.begin, expected_begin);
-    covered += range.size();
-    expected_begin = range.end;
-  }
-  EXPECT_EQ(covered, 10000);
-  EXPECT_TRUE(table.Morsels(4096).front().size() == 4096);
 }
 
 }  // namespace

@@ -465,6 +465,56 @@ TEST(FeedbackService, ExplainAnalyzeSeedsJoinPrefixes) {
   EXPECT_EQ(pair->rows(), static_cast<double>(level0.actual));
 }
 
+// Regression: EXPLAIN ANALYZE counted each join level over the raw spec, so
+// a plan that joined two tables through an implied predicate reported their
+// cartesian product as the level's actual — and fed it back. Single-class
+// star: A and B meet only through C's class, and the plan joins them first
+// on the implied A.x = B.x.
+TEST(FeedbackService, ExplainAnalyzeLevelsCountTheImpliedJoin) {
+  auto db = Database::Open();
+  ASSERT_TRUE(db.ok()) << db.status();
+  std::vector<int64_t> a(50), b(60), c(20000);
+  for (size_t i = 0; i < a.size(); ++i) a[i] = static_cast<int64_t>(i);
+  for (size_t i = 0; i < b.size(); ++i) b[i] = static_cast<int64_t>(40 + i);
+  for (size_t i = 0; i < c.size(); ++i) c[i] = static_cast<int64_t>(i % 1000);
+  for (const auto& [name, column] :
+       {std::pair<const char*, std::vector<int64_t>&>{"C", c}, {"A", a},
+        {"B", b}}) {
+    ASSERT_TRUE((*db)->LoadTable(name, Table::FromColumns(
+                                           Schema({{"x", TypeKind::kInt64}}),
+                                           {ToValueColumn(column)}))
+                    .ok());
+  }
+  const Session session = MakeSession(**db, FeedbackOptions());
+  auto report = session.ExplainAnalyze(
+      "SELECT COUNT(*) FROM C, A, B WHERE A.x = C.x AND B.x = C.x");
+  ASSERT_TRUE(report.ok()) << report.status();
+  ASSERT_EQ(report->join_levels.size(), 2u);
+  const ExplainAnalyzeReport::JoinLevel& level = report->join_levels[0];
+  ASSERT_TRUE(level.prefix == "A x B" || level.prefix == "B x A")
+      << "plan no longer starts with A and B: " << level.prefix;
+  // A and B share the ten values 40..49: the implied join, not 50 x 60.
+  constexpr int64_t kPairCount = 10;
+  EXPECT_EQ(level.actual, kPairCount);
+
+  // The level's actual is what the plan's first join produced.
+  const ExplainAnalyzeReport::OperatorRow* first_join = nullptr;
+  for (const ExplainAnalyzeReport::OperatorRow& row : report->operators) {
+    if (row.label.find("Join") != std::string::npos &&
+        (first_join == nullptr || row.depth > first_join->depth)) {
+      first_join = &row;
+    }
+  }
+  ASSERT_NE(first_join, nullptr);
+  ASSERT_TRUE(first_join->has_actual);
+  EXPECT_EQ(first_join->actual_rows, level.actual);
+
+  // The observation fed back under the pair's fingerprint is the truth.
+  auto pair = session.Estimate("SELECT COUNT(*) FROM A, B WHERE A.x = B.x");
+  ASSERT_TRUE(pair.ok()) << pair.status();
+  EXPECT_EQ(pair->rows(), static_cast<double>(kPairCount));
+}
+
 TEST(FeedbackService, PaperFaithfulSessionsUnaffectedByIngestion) {
   auto db = OpenExample1();
   const Session plain = MakeSession(*db);

@@ -15,12 +15,13 @@
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
+#include "common/thread_pool.h"
 #include "estimator/presets.h"
 #include "executor/execute.h"
-#include "executor/parallel.h"
 #include "obs/explain_analyze.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
+#include "obs/pool_obs.h"
 #include "obs/trace.h"
 #include "query/parser.h"
 #include "storage/datasets.h"
@@ -36,9 +37,9 @@ TEST(MetricsTest, ConcurrentIncrementsScrapeToExactTotals) {
   HistogramMetric& histogram = registry.GetHistogram(
       "obs_test_values", "", HistogramBuckets::Exponential(1.0, 2.0, 10));
 
-  // The executor's worker count, so the test exercises the same concurrency
-  // the morsel pipeline produces (JOINEST_THREADS honoured).
-  const int num_threads = std::max(NumExecutorThreads(), 4);
+  // The shared pool's thread budget, so the test exercises the concurrency
+  // the pool produces (JOINEST_THREADS honoured).
+  const int num_threads = std::max(NumPoolThreads(), 4);
   constexpr int kPerThread = 20000;
   std::vector<std::thread> workers;
   workers.reserve(static_cast<size_t>(num_threads));
@@ -201,6 +202,31 @@ TEST(TraceTest, SpanNestingRoundTripsThroughExport) {
     if (c == '}') --balance;
   }
   EXPECT_EQ(balance, 0);
+}
+
+// Regression: a pool task's ThreadPool::task span used to close after its
+// TaskGroup had reported completion, so a caller that waited on the group
+// and then destroyed its session let the worker record into freed memory
+// (ASan: heap-use-after-free). Each claimed task's span now closes before
+// the group can complete, so every task is in the session once Wait()
+// returns — including the ones the waiting thread ran itself.
+TEST(TraceTest, PoolTaskSpansCloseBeforeTheirGroupCompletes) {
+  EnsureThreadPoolMetrics();
+  ThreadPool pool(3);
+  constexpr int kTasks = 6;
+  for (int i = 0; i < 3000; ++i) {
+    TraceSession session(/*capacity=*/64);
+    session.Activate();
+    {
+      TaskGroup group(pool);
+      for (int t = 0; t < kTasks; ++t) group.Run([] {});
+    }
+    int task_spans = 0;
+    for (const TraceSession::Event& event : session.Snapshot()) {
+      if (std::string(event.name) == "ThreadPool::task") ++task_spans;
+    }
+    ASSERT_EQ(task_spans, kTasks) << "iteration " << i;
+  }
 }
 
 TEST(TraceTest, RingOverwritesOldestAndCountsDropped) {

@@ -1,17 +1,16 @@
 // Cross-method and cross-path parity: every join method, the batch driver,
-// and the morsel-parallel counting pipeline must produce identical results
-// on the same query. Counts are the repo's ground truth (TrueResultSize
-// feeds every estimator comparison), so parity here is load-bearing — a
+// and the factorized ground-truth count must produce identical results on
+// the same query. Counts are the repo's ground truth (TrueResultSize feeds
+// every estimator comparison), so parity here is load-bearing — a
 // divergence anywhere silently corrupts the paper reproduction.
 
 #include <cstdint>
-#include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "executor/compile.h"
 #include "executor/execute.h"
 #include "executor/hash_table.h"
-#include "executor/parallel.h"
 #include "executor/plan.h"
 #include "gtest/gtest.h"
 #include "storage/table.h"
@@ -79,15 +78,6 @@ DrainResult DrainBatch(Operator& op) {
   return out;
 }
 
-int64_t ParallelCountWithThreads(const Catalog& catalog,
-                                 const QuerySpec& spec, const char* threads) {
-  JOINEST_CHECK_EQ(setenv("JOINEST_THREADS", threads, /*overwrite=*/1), 0);
-  auto count = TrueResultSize(catalog, spec);
-  unsetenv("JOINEST_THREADS");
-  JOINEST_CHECK(count.ok()) << count.status();
-  return *count;
-}
-
 struct ParityCase {
   WorkloadOptions::Shape shape;
   int num_tables;
@@ -117,7 +107,7 @@ GeneratedWorkload MakeWorkload(const ParityCase& c) {
   options.add_local_predicate = c.local_predicate;
   options.seed = c.seed;
   // Small enough that tuple nested loops stay fast, large enough that the
-  // batch path spans several batches and the parallel path several morsels.
+  // batch path spans several batches.
   options.min_rows = 80;
   options.max_rows = 200;
   options.min_distinct = 10;
@@ -161,73 +151,198 @@ TEST(CanonicalPlanTest, KeyedJoinsAreHashJoins) {
   }
 }
 
-// The batch driver must be a pure re-packaging of the tuple stream: same
-// row count AND same multiset of rows (checksum) from the same tree.
-TEST(BatchParityTest, BatchDriverMatchesTupleDriver) {
+// ------------------------------------------------ Ground-truth counting
+//
+// TrueResultSize counts without enumerating (a factorized COUNT(*) over a
+// join tree, or the canonical plan when there is none). Ground truth is
+// defined as the canonical safe plan's COUNT(*), so the two must agree.
+
+// Checks TrueResultSize against canonical-plan execution (its keyed joins
+// are hash joins already); returns the count.
+int64_t ExpectTrueCountMatchesPlan(const Catalog& catalog,
+                                   const QuerySpec& spec,
+                                   const std::string& what) {
+  auto count = TrueResultSize(catalog, spec);
+  EXPECT_TRUE(count.ok()) << what << ": " << count.status();
+  const int64_t expected = CountWithMethod(catalog, spec, JoinMethod::kHash);
+  EXPECT_EQ(count.ok() ? *count : -1, expected) << what;
+  return expected;
+}
+
+TEST(TrueCountTest, MatchesCanonicalPlanOnParityCases) {
   for (const ParityCase& c : ParityCases()) {
     const GeneratedWorkload w = MakeWorkload(c);
-    const std::unique_ptr<PlanNode> plan = CanonicalSafePlan(w.spec);
-    auto root = CompilePlan(w.catalog, w.spec, *plan);
-    ASSERT_TRUE(root.ok()) << root.status();
-    const DrainResult tuple = DrainTuple(**root);
-    const DrainResult batch = DrainBatch(**root);  // Re-opens the tree.
-    EXPECT_EQ(batch.rows, tuple.rows) << "seed " << c.seed;
-    EXPECT_EQ(batch.checksum, tuple.checksum) << "seed " << c.seed;
+    ExpectTrueCountMatchesPlan(
+        w.catalog, w.spec,
+        "shape " + std::to_string(static_cast<int>(c.shape)) + " seed " +
+            std::to_string(c.seed));
   }
 }
 
-// The morsel-parallel counting pipeline must match the operator tree bit
-// for bit, whatever the worker count.
-TEST(ParallelParityTest, ParallelCountMatchesTuplePathAcrossThreadCounts) {
-  for (const ParityCase& c : ParityCases()) {
-    const GeneratedWorkload w = MakeWorkload(c);
-    const int64_t expected =
-        CountWithMethod(w.catalog, w.spec, JoinMethod::kHash);
-    EXPECT_EQ(ParallelCountWithThreads(w.catalog, w.spec, "1"), expected)
-        << "1 thread, seed " << c.seed;
-    EXPECT_EQ(ParallelCountWithThreads(w.catalog, w.spec, "8"), expected)
-        << "8 threads, seed " << c.seed;
+Table IntTable(const std::vector<std::string>& names,
+               const std::vector<std::vector<int64_t>>& columns) {
+  std::vector<ColumnDef> defs;
+  std::vector<std::vector<Value>> values;
+  for (size_t c = 0; c < names.size(); ++c) {
+    defs.push_back({names[c], TypeKind::kInt64});
+    values.push_back(ToValueColumn(columns[c]));
   }
+  return Table::FromColumns(Schema(std::move(defs)), std::move(values));
+}
+
+Predicate Join(int lt, int lc, int rt, int rc) {
+  return Predicate::Join(ColumnRef{lt, lc}, ColumnRef{rt, rc});
+}
+
+// A cycle through three classes has no join tree: the count falls back to
+// running the canonical plan.
+TEST(TrueCountTest, MultiClassTriangleFallsBackToThePlan) {
+  Catalog catalog;
+  JOINEST_CHECK(catalog.AddTable("R", IntTable({"a", "b"},
+                                               {{1, 1, 2, 3, 3, 4},
+                                                {1, 2, 2, 3, 1, 4}}))
+                    .ok());
+  JOINEST_CHECK(catalog.AddTable("S", IntTable({"b", "c"},
+                                               {{1, 2, 2, 3, 4, 4},
+                                                {5, 5, 6, 7, 8, 5}}))
+                    .ok());
+  JOINEST_CHECK(catalog.AddTable("T", IntTable({"c", "a"},
+                                               {{5, 5, 6, 7, 8, 8},
+                                                {1, 2, 2, 3, 4, 1}}))
+                    .ok());
+  QuerySpec spec = MakeCountSpec(catalog, 3);
+  spec.predicates = {Join(0, 1, 1, 0), Join(1, 1, 2, 0), Join(2, 1, 0, 0)};
+  EXPECT_GT(ExpectTrueCountMatchesPlan(catalog, spec, "triangle"), 0);
+}
+
+// A.x = B.x AND A.z = B.x puts two columns of A in one class: only A rows
+// with x == z can join.
+TEST(TrueCountTest, TwoColumnsOfOneTableInOneClass) {
+  Catalog catalog;
+  JOINEST_CHECK(
+      catalog.AddTable("A", IntTable({"x", "z"}, {{1, 2, 3, 3}, {1, 1, 3, 2}}))
+          .ok());
+  JOINEST_CHECK(catalog.AddTable("B", IntTable({"x"}, {{1, 1, 2, 3}})).ok());
+  QuerySpec spec = MakeCountSpec(catalog, 2);
+  spec.predicates = {Join(0, 0, 1, 0), Join(0, 1, 1, 0)};
+  // (1,1) meets two B rows, (3,3) one; (2,1) and (3,2) disagree.
+  EXPECT_EQ(ExpectTrueCountMatchesPlan(catalog, spec, "two columns"), 3);
+}
+
+// A double key between two int64 keys: messages carry canonical keys, so
+// 3.0 meets 3 and 2.5 meets nothing.
+TEST(TrueCountTest, Int64AndDoubleKeysInOneClass) {
+  Catalog catalog;
+  JOINEST_CHECK(catalog.AddTable("I", IntTable({"a"}, {{1, 2, 3, 3}})).ok());
+  JOINEST_CHECK(
+      catalog
+          .AddTable("D", Table::FromColumns(
+                             Schema({{"b", TypeKind::kDouble}}),
+                             {ToValueColumn(std::vector<double>{
+                                 3.0, 2.5, 1.0, 1e19})}))
+          .ok());
+  JOINEST_CHECK(catalog.AddTable("J", IntTable({"c"}, {{3, 1, 1}})).ok());
+  QuerySpec spec = MakeCountSpec(catalog, 3);
+  spec.predicates = {Join(0, 0, 1, 0), Join(1, 0, 2, 0)};
+  // Key 3: 2 x 1 x 1; key 1: 1 x 1 x 2.
+  EXPECT_EQ(ExpectTrueCountMatchesPlan(catalog, spec, "int64/double"), 4);
+}
+
+TEST(TrueCountTest, AliasedSelfJoin) {
+  Catalog catalog;
+  JOINEST_CHECK(
+      catalog.AddTable("R", IntTable({"a", "b"}, {{1, 2, 2, 3}, {2, 3, 1, 3}}))
+          .ok());
+  QuerySpec spec;
+  spec.count_star = true;
+  JOINEST_CHECK(spec.AddTable(catalog, "R", "r1").ok());
+  JOINEST_CHECK(spec.AddTable(catalog, "R", "r2").ok());
+  spec.predicates = {Join(0, 1, 1, 0)};
+  // r1.b = r2.a: b=2 meets a=2 twice, b=3 meets a=3 once (twice over),
+  // b=1 meets a=1 once.
+  EXPECT_EQ(ExpectTrueCountMatchesPlan(catalog, spec, "self-join"), 5);
+}
+
+TEST(TrueCountTest, DisconnectedQueryWithLocalPredicate) {
+  Catalog catalog;
+  JOINEST_CHECK(catalog.AddTable("A", IntTable({"x"}, {{1, 2, 3, 4}})).ok());
+  JOINEST_CHECK(catalog.AddTable("B", IntTable({"y"}, {{7, 8, 9}})).ok());
+  QuerySpec spec = MakeCountSpec(catalog, 2);
+  spec.predicates = {Predicate::LocalConst(ColumnRef{0, 0}, CompareOp::kLt,
+                                           Value(int64_t{3}))};
+  EXPECT_EQ(ExpectTrueCountMatchesPlan(catalog, spec, "disconnected"), 6);
+}
+
+TEST(TrueCountTest, JoinWithAnEmptyTable) {
+  Catalog catalog;
+  JOINEST_CHECK(catalog.AddTable("A", IntTable({"x"}, {{1, 2, 3}})).ok());
+  JOINEST_CHECK(
+      catalog.AddTable("E", IntTable({"x"}, {std::vector<int64_t>{}})).ok());
+  JOINEST_CHECK(catalog.AddTable("B", IntTable({"x"}, {{1, 2}})).ok());
+  QuerySpec spec = MakeCountSpec(catalog, 3);
+  spec.predicates = {Join(0, 0, 1, 0), Join(1, 0, 2, 0)};
+  EXPECT_EQ(ExpectTrueCountMatchesPlan(catalog, spec, "empty table"), 0);
+}
+
+TEST(TrueCountTest, SingleTableColumnToColumnPredicate) {
+  Catalog catalog;
+  JOINEST_CHECK(
+      catalog.AddTable("A", IntTable({"x", "z"}, {{1, 2, 3, 4}, {1, 3, 3, 0}}))
+          .ok());
+  QuerySpec spec = MakeCountSpec(catalog, 1);
+  spec.predicates = {Predicate::LocalColCol(ColumnRef{0, 0}, CompareOp::kEq,
+                                            ColumnRef{0, 1})};
+  EXPECT_EQ(ExpectTrueCountMatchesPlan(catalog, spec, "col = col"), 2);
+  spec.predicates[0].op = CompareOp::kLt;
+  EXPECT_EQ(ExpectTrueCountMatchesPlan(catalog, spec, "col < col"), 1);
+}
+
+// Five 10,000-row tables on one key value join to 10^20 rows: beyond int64,
+// so the count fails instead of wrapping — and never enumerates.
+TEST(TrueCountTest, CountBeyondInt64IsOutOfRange) {
+  Catalog catalog;
+  QuerySpec spec;
+  spec.count_star = true;
+  for (int t = 0; t < 5; ++t) {
+    const std::string name = "T" + std::to_string(t);
+    JOINEST_CHECK(
+        catalog
+            .AddTable(name,
+                      IntTable({"k"}, {std::vector<int64_t>(10000, 7)}))
+            .ok());
+    JOINEST_CHECK(spec.AddTable(catalog, name).ok());
+    if (t > 0) spec.predicates.push_back(Join(t - 1, 0, t, 0));
+  }
+  auto count = TrueResultSize(catalog, spec);
+  ASSERT_FALSE(count.ok());
+  EXPECT_EQ(count.status().code(), StatusCode::kOutOfRange);
+  // Four tables stay in range: 10^16.
+  spec.tables.pop_back();
+  spec.predicates.pop_back();
+  count = TrueResultSize(catalog, spec);
+  ASSERT_TRUE(count.ok()) << count.status();
+  EXPECT_EQ(*count, int64_t{10000000000000000});
 }
 
 // --------------------------------------------- Specialized batch kernels
 //
 // CompilePlan lowers schema-provable filters, scans and hash joins onto
-// typed kernels (executor/kernels.h). The generic row-at-a-time path stays
-// behind CompileOptions{specialize_kernels = false} as the parity oracle:
-// both compilations of the same plan must produce the same row count AND
-// the same multiset of rows.
-
-DrainResult DrainCompiled(const Catalog& catalog, const QuerySpec& spec,
-                          const PlanNode& plan, bool specialize) {
-  CompileOptions options;
-  options.specialize_kernels = specialize;
-  auto root = CompilePlan(catalog, spec, plan, nullptr, nullptr, nullptr,
-                          options);
-  JOINEST_CHECK(root.ok()) << root.status();
-  return DrainBatch(**root);
-}
+// typed kernels (executor/kernels.h). The tuple driver stays generic and is
+// the parity oracle: the batch drive of the same compiled plan must produce
+// the same row count AND the same multiset of rows.
 
 void ExpectKernelParity(const Catalog& catalog, const QuerySpec& spec,
                         const char* what) {
   const std::unique_ptr<PlanNode> plan = CanonicalSafePlan(spec);
-  const DrainResult generic =
-      DrainCompiled(catalog, spec, *plan, /*specialize=*/false);
-  const DrainResult specialized =
-      DrainCompiled(catalog, spec, *plan, /*specialize=*/true);
-  EXPECT_EQ(specialized.rows, generic.rows) << what;
-  EXPECT_EQ(specialized.checksum, generic.checksum) << what;
-  // The tuple driver is always generic; it anchors both batch paths.
-  CompileOptions specialize;
-  auto root = CompilePlan(catalog, spec, *plan, nullptr, nullptr, nullptr,
-                          specialize);
+  auto root = CompilePlan(catalog, spec, *plan);
   JOINEST_CHECK(root.ok()) << root.status();
   const DrainResult tuple = DrainTuple(**root);
-  EXPECT_EQ(tuple.rows, generic.rows) << what;
-  EXPECT_EQ(tuple.checksum, generic.checksum) << what;
+  const DrainResult batch = DrainBatch(**root);  // Re-opens the tree.
+  EXPECT_EQ(batch.rows, tuple.rows) << what;
+  EXPECT_EQ(batch.checksum, tuple.checksum) << what;
 }
 
-TEST(KernelParityTest, SpecializedMatchesGenericOnGeneratedWorkloads) {
+TEST(KernelParityTest, SpecializedBatchMatchesTupleOnGeneratedWorkloads) {
   for (const ParityCase& c : ParityCases()) {
     const GeneratedWorkload w = MakeWorkload(c);
     ExpectKernelParity(w.catalog, w.spec, "generated workload");
@@ -321,8 +436,8 @@ TEST_F(KernelMixedTypeTest, ConjunctionAcrossKernelsAgrees) {
 }
 
 // String payloads force the generic emit path; an int64-only projection of
-// the same join takes the all-int64 emit kernel. Both must match their
-// generic compilations.
+// the same join takes the all-int64 emit kernel. Both must match the tuple
+// driver.
 TEST_F(KernelMixedTypeTest, JoinEmitKernelsAgree) {
   ExpectKernelParity(catalog_, SpecWith({}), "string payload join");
 }
@@ -386,8 +501,9 @@ TEST_F(MixedTypeKeyTest, HashJoinMatchesNumericEquality) {
 }
 
 TEST_F(MixedTypeKeyTest, TrueResultSizeMatches) {
-  EXPECT_EQ(ParallelCountWithThreads(catalog_, spec_, "1"), 5);
-  EXPECT_EQ(ParallelCountWithThreads(catalog_, spec_, "4"), 5);
+  auto count = TrueResultSize(catalog_, spec_);
+  ASSERT_TRUE(count.ok()) << count.status();
+  EXPECT_EQ(*count, 5);
 }
 
 // Same join probed from the double side as the build side: the direction

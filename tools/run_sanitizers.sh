@@ -3,15 +3,15 @@
 # configuration:
 #
 #   * asan_ubsan — AddressSanitizer + UndefinedBehaviorSanitizer over the
-#     full ctest suite;
+#     full ctest suite (obs_test destroys a trace session right after each
+#     pool task group, so a task span outliving its session shows up as a
+#     heap-use-after-free);
 #   * tsan — ThreadSanitizer over the tests that exercise concurrency: the
 #     shared work-stealing pool (thread_pool_test hammers stealing, nested
 #     submission, and shutdown-with-pending-tasks directly),
 #     the partitioned sketch ANALYZE path (pool tasks per row-range
-#     partition),
-#     the morsel-parallel executor (parity_test drives TrueResultSize
-#     under JOINEST_THREADS=8; executor_test covers the shared read-only
-#     hash tables it probes), and the estimation service (service_test
+#     partition), the executor and parity suites (executor_test,
+#     parity_test, kept as a guard), and the estimation service (service_test
 #     races sessions against concurrent ANALYZE snapshot republishes and
 #     hammers the sharded result cache), the query flight recorder
 #     (flight_recorder_test drives N writers into the mutex-sharded ring),
