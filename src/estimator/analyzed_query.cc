@@ -1,6 +1,7 @@
 #include "estimator/analyzed_query.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <sstream>
@@ -103,8 +104,9 @@ StatusOr<AnalyzedQuery> AnalyzedQuery::Create(
     runtime_span.SetArg("applied", static_cast<int64_t>(applied));
   }
 
-  // Step 5 (+ the §3.3 strawman's per-class constant): join selectivities
-  // exist per predicate; precompute the per-class representative.
+  // Step 5 (+ the §3.3 strawman's per-class constant): one edge per closed
+  // join predicate carrying its S_J, so step 6 never recomputes one; and the
+  // per-class representative.
   Span span("estimator::join_selectivities");
   query.representative_selectivity_.assign(query.classes_.num_classes(), 1.0);
   std::vector<bool> has_any(query.classes_.num_classes(), false);
@@ -113,6 +115,9 @@ StatusOr<AnalyzedQuery> AnalyzedQuery::Create(
     const int cls = query.classes_.ClassOf(p.left);
     JOINEST_CHECK_GE(cls, 0);
     const double sel = query.JoinSelectivity(p);
+    query.edges_.push_back(JoinEdge{sel, cls,
+                                    static_cast<uint8_t>(p.left.table),
+                                    static_cast<uint8_t>(p.right.table)});
     double& rep = query.representative_selectivity_[cls];
     if (!has_any[cls]) {
       rep = sel;
@@ -228,17 +233,19 @@ std::vector<Predicate> AnalyzedQuery::EligiblePredicates(
   return EligiblePredicatesBetween(mask, uint64_t{1} << next_table);
 }
 
+bool AnalyzedQuery::Crosses(const JoinEdge& edge, uint64_t left_mask,
+                            uint64_t right_mask) {
+  const uint64_t lbit = uint64_t{1} << edge.left_table;
+  const uint64_t rbit = uint64_t{1} << edge.right_table;
+  return ((left_mask & lbit) && (right_mask & rbit)) ||
+         ((left_mask & rbit) && (right_mask & lbit));
+}
+
 bool AnalyzedQuery::MasksConnected(uint64_t left_mask,
                                    uint64_t right_mask) const {
   JOINEST_CHECK_EQ(left_mask & right_mask, 0u) << "composites overlap";
-  for (const Predicate& p : predicates_) {
-    if (p.kind != Predicate::Kind::kJoin) continue;
-    const uint64_t lbit = uint64_t{1} << p.left.table;
-    const uint64_t rbit = uint64_t{1} << p.right.table;
-    if (((left_mask & lbit) && (right_mask & rbit)) ||
-        ((left_mask & rbit) && (right_mask & lbit))) {
-      return true;
-    }
+  for (const JoinEdge& edge : edges_) {
+    if (Crosses(edge, left_mask, right_mask)) return true;
   }
   return false;
 }
@@ -256,6 +263,15 @@ double AnalyzedQuery::JoinCardinality(uint64_t mask, double card,
 double AnalyzedQuery::JoinComposites(uint64_t left_mask, double left_card,
                                      uint64_t right_mask,
                                      double right_card) const {
+  return JoinCompositesUnder(options_.rule, left_mask, left_card, right_mask,
+                             right_card);
+}
+
+double AnalyzedQuery::JoinCompositesUnder(SelectivityRule rule,
+                                          uint64_t left_mask,
+                                          double left_card,
+                                          uint64_t right_mask,
+                                          double right_card) const {
   JOINEST_CHECK_CARDINALITY(left_card) << "left composite";
   JOINEST_CHECK_CARDINALITY(right_card) << "right composite";
   // Feedback override: an observed actual for the combined sub-plan beats
@@ -270,55 +286,75 @@ double AnalyzedQuery::JoinComposites(uint64_t left_mask, double left_card,
     JOINEST_CHECK_CARDINALITY(*observed) << "observed composite";
     return *observed;
   }
-  std::vector<Predicate> eligible =
-      EligiblePredicatesBetween(left_mask, right_mask);
+  JOINEST_CHECK_EQ(left_mask & right_mask, 0u) << "composites overlap";
   double result = left_card * right_card;
-  if (eligible.empty()) return result;  // Cartesian product.
-
   // A join estimate can never exceed the cartesian product: every applied
   // selectivity is in [0, 1], so `result` only shrinks below.
   const double cartesian = result;
-  switch (options_.rule) {
-    case SelectivityRule::kMultiplicative: {
-      // Rule M: every eligible predicate contributes.
-      for (const Predicate& p : eligible) result *= JoinSelectivity(p);
-      JOINEST_CHECK_CARDINALITY(result);
-      JOINEST_DCHECK_LE(result, cartesian * (1.0 + 1e-9))
-          << "rule M output exceeds the cartesian product";
-      return result;
+
+  if (rule == SelectivityRule::kMultiplicative) {
+    // Rule M: every eligible predicate contributes.
+    bool any = false;
+    for (const JoinEdge& edge : edges_) {
+      if (!Crosses(edge, left_mask, right_mask)) continue;
+      result *= edge.selectivity;
+      any = true;
     }
-    case SelectivityRule::kSmallest:
-    case SelectivityRule::kLargest:
-    case SelectivityRule::kRepresentative: {
-      // One selectivity per equivalence class; classes multiply
-      // independently.
-      std::unordered_map<int, double> per_class;
-      for (const Predicate& p : eligible) {
-        const int cls = classes_.ClassOf(p.left);
-        JOINEST_CHECK_GE(cls, 0);
-        if (options_.rule == SelectivityRule::kRepresentative) {
-          per_class[cls] = representative_selectivity_[cls];
-          continue;
-        }
-        const double sel = JoinSelectivity(p);
-        auto [it, inserted] = per_class.emplace(cls, sel);
-        if (inserted) continue;
-        if (options_.rule == SelectivityRule::kSmallest) {
-          it->second = std::min(it->second, sel);
-        } else {
-          it->second = std::max(it->second, sel);
-        }
-      }
-      for (const auto& [cls, sel] : per_class) {
-        JOINEST_CHECK_SELECTIVITY(sel) << "class " << cls;
-        result *= sel;
-      }
-      JOINEST_CHECK_CARDINALITY(result);
-      JOINEST_DCHECK_LE(result, cartesian * (1.0 + 1e-9))
-          << "per-class rule output exceeds the cartesian product";
-      return result;
+    if (!any) return result;  // Cartesian product.
+    JOINEST_CHECK_CARDINALITY(result);
+    JOINEST_DCHECK_LE(result, cartesian * (1.0 + 1e-9))
+        << "rule M output exceeds the cartesian product";
+    return result;
+  }
+
+  // One selectivity per equivalence class, kept in order of the class's
+  // first eligible edge; classes multiply independently. A query has few
+  // classes, so the factors live on the stack unless it has many.
+  struct ClassFactor {
+    int class_id;
+    double selectivity;
+  };
+  constexpr int kStackClasses = 16;
+  std::array<ClassFactor, kStackClasses> stack_factors{};
+  std::vector<ClassFactor> heap_factors;
+  ClassFactor* factors = stack_factors.data();
+  if (classes_.num_classes() > kStackClasses) {
+    heap_factors.resize(static_cast<size_t>(classes_.num_classes()));
+    factors = heap_factors.data();
+  }
+  int num_factors = 0;
+  for (const JoinEdge& edge : edges_) {
+    if (!Crosses(edge, left_mask, right_mask)) continue;
+    const double sel = rule == SelectivityRule::kRepresentative
+                           ? representative_selectivity_[edge.class_id]
+                           : edge.selectivity;
+    ClassFactor* factor = factors;
+    while (factor != factors + num_factors &&
+           factor->class_id != edge.class_id) {
+      ++factor;
+    }
+    if (factor == factors + num_factors) {
+      *factor = ClassFactor{edge.class_id, sel};
+      ++num_factors;
+    } else if (rule == SelectivityRule::kSmallest) {
+      factor->selectivity = std::min(factor->selectivity, sel);
+    } else if (rule == SelectivityRule::kLargest) {
+      factor->selectivity = std::max(factor->selectivity, sel);
     }
   }
+  if (num_factors == 0) return result;  // Cartesian product.
+  // Products depend on their order; docs/ALGORITHM.md fixes it as reverse
+  // order of first appearance. That is the order libstdc++'s
+  // std::unordered_map<int, double> yields class ids below 13 in, so the
+  // estimates agree digit for digit with ones grouped in such a map.
+  for (int i = num_factors - 1; i >= 0; --i) {
+    JOINEST_CHECK_SELECTIVITY(factors[i].selectivity)
+        << "class " << factors[i].class_id;
+    result *= factors[i].selectivity;
+  }
+  JOINEST_CHECK_CARDINALITY(result);
+  JOINEST_DCHECK_LE(result, cartesian * (1.0 + 1e-9))
+      << "per-class rule output exceeds the cartesian product";
   return result;
 }
 
@@ -410,14 +446,22 @@ std::string AnalyzedQuery::FormatTrace(
 
 std::vector<double> AnalyzedQuery::EstimateOrder(
     const std::vector<int>& order) const {
+  return EstimateOrder(order, options_.rule);
+}
+
+std::vector<double> AnalyzedQuery::EstimateOrder(const std::vector<int>& order,
+                                                 SelectivityRule rule) const {
   JOINEST_CHECK_EQ(static_cast<int>(order.size()), spec_.num_tables());
   std::vector<double> sizes;
   if (order.empty()) return sizes;
+  sizes.reserve(order.size() - 1);
   uint64_t mask = uint64_t{1} << order[0];
   double card = BaseCardinality(order[0]);
   for (size_t i = 1; i < order.size(); ++i) {
-    card = JoinCardinality(mask, card, order[i]);
-    mask |= uint64_t{1} << order[i];
+    const uint64_t bit = uint64_t{1} << order[i];
+    card = JoinCompositesUnder(rule, mask, card, bit,
+                               BaseCardinality(order[i]));
+    mask |= bit;
     sizes.push_back(card);
   }
   return sizes;

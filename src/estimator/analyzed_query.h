@@ -7,10 +7,14 @@
 //   3. assign local-predicate selectivities (rewrite/local_merge),
 //   4. compute effective table and column cardinalities per table
 //      (estimator/table_profile),
-//   5. derive join selectivities S_J = 1/max(d'_left, d'_right).
+//   5. derive join selectivities S_J = 1/max(d'_left, d'_right), stored
+//      once per closed join predicate as an edge (two tables, equivalence
+//      class, S_J).
 //
 // JoinCardinality implements the final phase (step 6): the incremental
-// result-size computation, under a configurable selectivity rule:
+// result-size computation, under a configurable selectivity rule. It reads
+// only the step-5 edges, so an optimizer can call it once per candidate join
+// without recomputing a selectivity or allocating:
 //
 //   * kMultiplicative — Rule M, Selinger [13]: multiply every eligible join
 //     predicate's selectivity (ignores dependencies; underestimates).
@@ -20,7 +24,8 @@
 //   * kRepresentative — the §3.3 strawman: one fixed selectivity per class.
 //
 // Multiple equivalence classes multiply independently (independence
-// assumption), whatever the rule.
+// assumption), whatever the rule: the per-class factors multiply in reverse
+// order of the class's first eligible edge (docs/ALGORITHM.md, final phase).
 
 #ifndef JOINEST_ESTIMATOR_ANALYZED_QUERY_H_
 #define JOINEST_ESTIMATOR_ANALYZED_QUERY_H_
@@ -146,6 +151,12 @@ class AnalyzedQuery {
   // Walks a left-deep join order; returns the estimated size after each of
   // the num_tables()-1 joins.
   std::vector<double> EstimateOrder(const std::vector<int>& order) const;
+  // The same walk under `rule` instead of options().rule. Create reads the
+  // rule only for a metric label, so this equals EstimateOrder(order) of an
+  // analysis whose options differ from these only in the rule: one analysis
+  // answers every rule.
+  std::vector<double> EstimateOrder(const std::vector<int>& order,
+                                    SelectivityRule rule) const;
 
   // One incremental step, fully explained: which predicates were eligible,
   // what each one's selectivity was, and what the rule chose per
@@ -195,12 +206,28 @@ class AnalyzedQuery {
   // every cached AnalyzedQuery was computed against one observation set.
   std::optional<double> FeedbackCardinality(uint64_t mask) const;
 
+  // JoinComposites under an explicit rule.
+  double JoinCompositesUnder(SelectivityRule rule, uint64_t left_mask,
+                             double left_card, uint64_t right_mask,
+                             double right_card) const;
+
+  // One closed join predicate as step 6 reads it, in predicates_ order.
+  struct JoinEdge {
+    double selectivity = 1.0;  // S_J.
+    int32_t class_id = -1;
+    uint8_t left_table = 0;
+    uint8_t right_table = 0;
+  };
+  static bool Crosses(const JoinEdge& edge, uint64_t left_mask,
+                      uint64_t right_mask);
+
   const Catalog* catalog_ = nullptr;
   QuerySpec spec_;
   EstimationOptions options_;
   std::vector<Predicate> predicates_;
   EquivalenceClasses classes_;
   std::vector<TableProfile> profiles_;
+  std::vector<JoinEdge> edges_;
   // Per equivalence class, the representative selectivity (kRepresentative).
   std::vector<double> representative_selectivity_;
 };

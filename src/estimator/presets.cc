@@ -1,5 +1,7 @@
 #include "estimator/presets.h"
 
+#include <optional>
+
 namespace joinest {
 
 EstimationOptions PresetOptions(AlgorithmPreset preset) {
@@ -71,6 +73,46 @@ std::vector<AlgorithmPreset> AllPresets() {
           AlgorithmPreset::kELS,
           AlgorithmPreset::kRepresentativeSmall,
           AlgorithmPreset::kRepresentativeLarge};
+}
+
+namespace {
+
+// Every prefix size of `order` under `rule` (see PaperRuleEstimates).
+std::vector<double> PrefixSizes(const AnalyzedQuery& analyzed,
+                                const std::vector<int>& order,
+                                SelectivityRule rule) {
+  std::vector<double> sizes = {analyzed.BaseCardinality(order[0])};
+  const std::vector<double> joins = analyzed.EstimateOrder(order, rule);
+  sizes.insert(sizes.end(), joins.begin(), joins.end());
+  return sizes;
+}
+
+}  // namespace
+
+StatusOr<PaperRuleEstimates> EstimatePaperRules(
+    const Catalog& catalog, const QuerySpec& spec,
+    const std::vector<int>& order, const AnalyzedQuery* els,
+    const AnalyzedQuery* standard) {
+  if (order.empty()) return InvalidArgument("empty join order");
+  std::optional<AnalyzedQuery> built_els, built_standard;
+  if (els == nullptr) {
+    JOINEST_ASSIGN_OR_RETURN(
+        built_els, AnalyzedQuery::Create(catalog, spec,
+                                         PresetOptions(AlgorithmPreset::kELS)));
+    els = &*built_els;
+  }
+  if (standard == nullptr) {
+    JOINEST_ASSIGN_OR_RETURN(
+        built_standard,
+        AnalyzedQuery::Create(catalog, spec,
+                              PresetOptions(AlgorithmPreset::kSM)));
+    standard = &*built_standard;
+  }
+  PaperRuleEstimates estimates;
+  estimates.ls = PrefixSizes(*els, order, SelectivityRule::kLargest);
+  estimates.m = PrefixSizes(*standard, order, SelectivityRule::kMultiplicative);
+  estimates.ss = PrefixSizes(*standard, order, SelectivityRule::kSmallest);
+  return estimates;
 }
 
 AnalyzeOptions StatsPresetOptions(StatsPreset preset) {

@@ -38,6 +38,24 @@ std::vector<AlgorithmPreset> PaperPresets();
 // All presets.
 std::vector<AlgorithmPreset> AllPresets();
 
+// The paper's three comparison rules along one left-deep order: Rule LS
+// under Algorithm ELS (kELS), Rules M and SS under standard statistics
+// (kSM, kSSS). Each vector holds the estimated size of every prefix of the
+// order: order[0] alone, then after each join.
+struct PaperRuleEstimates {
+  std::vector<double> ls, m, ss;
+};
+
+// Builds at most two analyses. kSM and kSSS differ only in the rule, which
+// AnalyzedQuery::Create reads only for a metric label, so one analysis
+// answers both. A caller that already holds an analysis whose options equal
+// kELS's (or kSM's) apart from the rule passes it as `els` (or `standard`),
+// and no analysis is built for it.
+StatusOr<PaperRuleEstimates> EstimatePaperRules(
+    const Catalog& catalog, const QuerySpec& spec,
+    const std::vector<int>& order, const AnalyzedQuery* els = nullptr,
+    const AnalyzedQuery* standard = nullptr);
+
 // The orthogonal statistics dimension: which ANALYZE pipeline feeds the
 // catalog the estimator reads. Lets benchmarks sweep algorithm × statistics
 // source to quantify how sketch/sampling error propagates through Rules

@@ -21,8 +21,9 @@
 // bumps a monotone epoch, and the epoch is mixed into the estimation
 // options digest (service/fingerprint.cc) — a cached estimate can never be
 // served across a selectivity refresh. The store is flag-gated per session
-// (Session::Options::set_predicate_transfer); the default leaves the
-// estimator paper-faithful.
+// (EstimatorFeatures::runtime_selectivities, set through
+// Session::Options::set_features); the default leaves the estimator
+// paper-faithful.
 
 #ifndef JOINEST_ESTIMATOR_RUNTIME_SELECTIVITY_H_
 #define JOINEST_ESTIMATOR_RUNTIME_SELECTIVITY_H_

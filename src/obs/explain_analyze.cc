@@ -77,17 +77,6 @@ void AppendOperatorRows(const PlanNode& node, const Catalog& catalog,
   }
 }
 
-// Estimates after each join of `order` under one preset rule.
-StatusOr<std::vector<double>> RuleEstimates(const Catalog& catalog,
-                                            const QuerySpec& spec,
-                                            const std::vector<int>& order,
-                                            AlgorithmPreset preset) {
-  JOINEST_ASSIGN_OR_RETURN(
-      AnalyzedQuery analyzed,
-      AnalyzedQuery::Create(catalog, spec, PresetOptions(preset)));
-  return analyzed.EstimateOrder(order);
-}
-
 }  // namespace
 
 double QErrorValue(double estimated, double actual) {
@@ -116,15 +105,12 @@ StatusOr<ExplainAnalyzeReport> ExplainAnalyzePlan(
     // left-deep plan bottom-up; for a bushy plan it is the comparable
     // left-deep linearisation.
     const std::vector<int> order = PlanLeafOrder(plan);
-    std::vector<double> est_ls, est_m, est_ss;
     std::vector<int64_t> actual;
     if (options.with_true_cardinalities && order.size() >= 2) {
-      JOINEST_ASSIGN_OR_RETURN(
-          est_ls, RuleEstimates(catalog, spec, order, AlgorithmPreset::kELS));
-      JOINEST_ASSIGN_OR_RETURN(
-          est_m, RuleEstimates(catalog, spec, order, AlgorithmPreset::kSM));
-      JOINEST_ASSIGN_OR_RETURN(
-          est_ss, RuleEstimates(catalog, spec, order, AlgorithmPreset::kSSS));
+      // Entry 0 of each rule's sizes is order[0] alone; level i reads
+      // entry i.
+      JOINEST_ASSIGN_OR_RETURN(const PaperRuleEstimates rules,
+                               EstimatePaperRules(catalog, spec, order));
       {
         Span truth_span("explain_analyze::true_prefix_sizes", "levels",
                         static_cast<int64_t>(order.size()) - 1);
@@ -140,7 +126,7 @@ StatusOr<ExplainAnalyzeReport> ExplainAnalyzePlan(
                                  TruePrefixSizes(catalog, truth_spec, order));
       }
       JOINEST_CHECK_EQ(actual.size(), order.size() - 1);
-      JOINEST_CHECK_EQ(est_ls.size(), actual.size());
+      JOINEST_CHECK_EQ(rules.ls.size(), order.size());
 
       MetricsRegistry& registry = MetricsRegistry::Global();
       const char* kHelp = "EXPLAIN ANALYZE q-error per join level";
@@ -160,13 +146,13 @@ StatusOr<ExplainAnalyzeReport> ExplainAnalyzePlan(
         level.level = static_cast<int>(i) + 1;
         level.prefix = prefix;
         level.actual = actual[i];
-        level.est_ls = est_ls[i];
-        level.est_m = est_m[i];
-        level.est_ss = est_ss[i];
+        level.est_ls = rules.ls[i + 1];
+        level.est_m = rules.m[i + 1];
+        level.est_ss = rules.ss[i + 1];
         const double act = static_cast<double>(actual[i]);
-        level.q_ls = QErrorValue(est_ls[i], act);
-        level.q_m = QErrorValue(est_m[i], act);
-        level.q_ss = QErrorValue(est_ss[i], act);
+        level.q_ls = QErrorValue(level.est_ls, act);
+        level.q_m = QErrorValue(level.est_m, act);
+        level.q_ss = QErrorValue(level.est_ss, act);
         h_ls.Observe(level.q_ls);
         h_m.Observe(level.q_m);
         h_ss.Observe(level.q_ss);

@@ -1,6 +1,7 @@
 #include "optimizer/optimizer.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <numeric>
@@ -76,106 +77,159 @@ std::pair<double, JoinMethod> BestJoinMethod(const SearchState& state, int t,
                                state.scans[t].raw_rows, has_keys, out_rows);
 }
 
-struct Candidate {
+// One left-deep step priced: the composite after joining one more base
+// table. Enumerators compare steps by these numbers alone; the plan tree is
+// built once, for the winner (BuildPlanForOrder / BuildBushyPlan).
+struct Step {
   bool valid = false;
-  double cost = 0;
+  double cost = 0;  // Cumulative, including the inputs.
   double rows = 0;
-  std::unique_ptr<PlanNode> plan;
+  JoinMethod method = JoinMethod::kNestedLoop;
 };
 
-// Extends `entry` (covering `mask`) with table `t`; returns the new
-// candidate, or invalid if no join method applies.
-Candidate Extend(const SearchState& state, uint64_t mask,
-                 const Candidate& entry, int t) {
-  Candidate result;
-  const double out_rows =
-      state.analyzed->JoinCardinality(mask, entry.rows, t);
-  std::vector<Predicate> eligible =
-      state.analyzed->EligiblePredicates(mask, t);
+// Joins base table `t` into the composite `mask` of `rows` estimated rows
+// that cost `cost` to produce; invalid if no join method applies.
+Step Extend(const SearchState& state, uint64_t mask, double rows,
+            double cost, int t) {
+  Step result;
+  const double out_rows = state.analyzed->JoinCardinality(mask, rows, t);
   const auto [step_cost, method] =
-      BestJoinMethod(state, t, entry.rows, out_rows, !eligible.empty());
+      BestJoinMethod(state, t, rows, out_rows,
+                     state.analyzed->HasEligiblePredicate(mask, t));
   if (!std::isfinite(step_cost)) return result;
   JOINEST_CHECK_CARDINALITY(out_rows)
       << "estimated join output for table " << t;
   JOINEST_DCHECK_GE(step_cost, 0.0) << "negative join step cost";
   result.valid = true;
+  result.cost = cost + step_cost;
   result.rows = out_rows;
-  result.cost = entry.cost + step_cost;
-  result.plan = MakeJoinNode(method, entry.plan->Clone(),
-                             MakeAnnotatedScan(state, t), std::move(eligible));
-  result.plan->estimated_rows = out_rows;
-  result.plan->estimated_cost = result.cost;
+  result.method = method;
   return result;
 }
 
-StatusOr<OptimizedPlan> FinishPlan(const SearchState& state,
-                                   Candidate entry) {
+// The plan's estimates are its root's annotations.
+StatusOr<OptimizedPlan> FinishPlan(std::unique_ptr<PlanNode> root) {
   OptimizedPlan plan;
-  JOINEST_DCHECK_GE(entry.cost, 0.0) << "negative plan cost";
-  JOINEST_CHECK_CARDINALITY(entry.rows) << "final plan cardinality";
-  plan.estimated_cost = entry.cost;
-  plan.estimated_rows = entry.rows;
-  plan.join_order = PlanLeafOrder(*entry.plan);
-  plan.intermediate_estimates = PlanIntermediateEstimates(*entry.plan);
-  plan.root = std::move(entry.plan);
+  JOINEST_DCHECK_GE(root->estimated_cost, 0.0) << "negative plan cost";
+  JOINEST_CHECK_CARDINALITY(root->estimated_rows) << "final plan cardinality";
+  plan.estimated_cost = root->estimated_cost;
+  plan.estimated_rows = root->estimated_rows;
+  plan.join_order = PlanLeafOrder(*root);
+  plan.intermediate_estimates = PlanIntermediateEstimates(*root);
+  plan.root = std::move(root);
   return plan;
 }
 
-// Selinger-style DP over table subsets, left-deep plans only.
+// Materialises the left-deep plan of a feasible order: the one plan every
+// left-deep enumerator builds, for its winner.
+StatusOr<OptimizedPlan> BuildPlanForOrder(const SearchState& state,
+                                          const std::vector<int>& order) {
+  std::unique_ptr<PlanNode> plan = MakeAnnotatedScan(state, order[0]);
+  uint64_t mask = uint64_t{1} << order[0];
+  for (size_t i = 1; i < order.size(); ++i) {
+    const int t = order[i];
+    const Step step = Extend(state, mask, plan->estimated_rows,
+                             plan->estimated_cost, t);
+    JOINEST_CHECK(step.valid) << "order became infeasible";
+    plan = MakeJoinNode(step.method, std::move(plan),
+                        MakeAnnotatedScan(state, t),
+                        state.analyzed->EligiblePredicates(mask, t));
+    plan->estimated_rows = step.rows;
+    plan->estimated_cost = step.cost;
+    mask |= uint64_t{1} << t;
+  }
+  return FinishPlan(std::move(plan));
+}
+
+// Selinger-style DP over table subsets, left-deep plans only. Each subset
+// keeps its best (cost, rows) and the table joined last; the winning order
+// is read back from the full set.
 StatusOr<OptimizedPlan> OptimizeDp(const SearchState& state) {
   const int n = state.spec->num_tables();
-  std::vector<Candidate> dp(uint64_t{1} << n);
+  struct Entry {
+    bool valid = false;
+    double cost = 0;
+    double rows = 0;
+    int last = -1;
+  };
+  std::vector<Entry> dp(uint64_t{1} << n);
   for (int t = 0; t < n; ++t) {
-    Candidate& entry = dp[uint64_t{1} << t];
-    entry.valid = true;
-    entry.rows = state.scans[t].est_rows;
-    entry.cost = state.scans[t].scan_cost;
-    entry.plan = MakeAnnotatedScan(state, t);
+    dp[uint64_t{1} << t] =
+        Entry{true, state.scans[t].scan_cost, state.scans[t].est_rows, t};
   }
   const uint64_t full = (uint64_t{1} << n) - 1;
   for (uint64_t mask = 1; mask <= full; ++mask) {
-    const Candidate& entry = dp[mask];
+    const Entry& entry = dp[mask];
     if (!entry.valid) continue;
     // Prefer connected extensions; allow cartesian only if this composite
     // has none (disconnected join graph).
-    std::vector<int> candidates;
+    uint64_t candidates = 0;
     for (int t = 0; t < n; ++t) {
       if ((mask >> t) & 1) continue;
       if (!state.options->avoid_cartesian ||
           state.analyzed->HasEligiblePredicate(mask, t)) {
-        candidates.push_back(t);
+        candidates |= uint64_t{1} << t;
       }
     }
-    if (candidates.empty()) {
-      for (int t = 0; t < n; ++t) {
-        if (!((mask >> t) & 1)) candidates.push_back(t);
+    if (candidates == 0) candidates = full & ~mask;
+    for (; candidates != 0; candidates &= candidates - 1) {
+      const int t = std::countr_zero(candidates);
+      const Step step = Extend(state, mask, entry.rows, entry.cost, t);
+      if (!step.valid) continue;
+      Entry& slot = dp[mask | (uint64_t{1} << t)];
+      if (!slot.valid || step.cost < slot.cost) {
+        slot = Entry{true, step.cost, step.rows, t};
       }
-    }
-    for (int t : candidates) {
-      Candidate extended = Extend(state, mask, entry, t);
-      if (!extended.valid) continue;
-      Candidate& slot = dp[mask | (uint64_t{1} << t)];
-      if (!slot.valid || extended.cost < slot.cost) slot = std::move(extended);
     }
   }
-  Candidate& final_entry = dp[full];
-  if (!final_entry.valid) {
+  if (!dp[full].valid) {
     return Internal("dynamic programming found no complete plan");
   }
-  return FinishPlan(state, std::move(final_entry));
+  std::vector<int> order(static_cast<size_t>(n));
+  uint64_t mask = full;
+  for (int i = n - 1; i >= 0; --i) {
+    const int last = dp[mask].last;
+    order[static_cast<size_t>(i)] = last;
+    mask &= ~(uint64_t{1} << last);
+  }
+  return BuildPlanForOrder(state, order);
 }
 
 // Bushy DP (DPsub): for every table subset, consider every split into two
-// disjoint composites. O(3^n) candidate splits.
+// disjoint composites. O(3^n) candidate splits. Each subset keeps its best
+// (cost, rows) with the outer half and method that won; the tree is built
+// once from the full set.
+struct BushyEntry {
+  bool valid = false;
+  double cost = 0;
+  double rows = 0;
+  uint64_t outer = 0;  // Zero for a single table.
+  JoinMethod method = JoinMethod::kNestedLoop;
+};
+
+std::unique_ptr<PlanNode> BuildBushyPlan(const SearchState& state,
+                                         const std::vector<BushyEntry>& dp,
+                                         uint64_t mask) {
+  const BushyEntry& entry = dp[mask];
+  if (entry.outer == 0) return MakeAnnotatedScan(state, std::countr_zero(mask));
+  const uint64_t inner = mask ^ entry.outer;
+  auto node = MakeJoinNode(
+      entry.method, BuildBushyPlan(state, dp, entry.outer),
+      BuildBushyPlan(state, dp, inner),
+      state.analyzed->EligiblePredicatesBetween(entry.outer, inner));
+  node->estimated_rows = entry.rows;
+  node->estimated_cost = entry.cost;
+  return node;
+}
+
 StatusOr<OptimizedPlan> OptimizeDpBushy(const SearchState& state) {
   const int n = state.spec->num_tables();
-  std::vector<Candidate> dp(uint64_t{1} << n);
+  std::vector<BushyEntry> dp(uint64_t{1} << n);
   for (int t = 0; t < n; ++t) {
-    Candidate& entry = dp[uint64_t{1} << t];
+    BushyEntry& entry = dp[uint64_t{1} << t];
     entry.valid = true;
     entry.rows = state.scans[t].est_rows;
     entry.cost = state.scans[t].scan_cost;
-    entry.plan = MakeAnnotatedScan(state, t);
   }
   const uint64_t full = (uint64_t{1} << n) - 1;
   for (uint64_t mask = 3; mask <= full; ++mask) {
@@ -190,100 +244,54 @@ StatusOr<OptimizedPlan> OptimizeDpBushy(const SearchState& state) {
       for (uint64_t outer = (mask - 1) & mask; outer != 0;
            outer = (outer - 1) & mask) {
         const uint64_t inner = mask ^ outer;
-        const Candidate& outer_entry = dp[outer];
-        const Candidate& inner_entry = dp[inner];
+        const BushyEntry& outer_entry = dp[outer];
+        const BushyEntry& inner_entry = dp[inner];
         if (!outer_entry.valid || !inner_entry.valid) continue;
-        std::vector<Predicate> eligible =
-            state.analyzed->EligiblePredicatesBetween(outer, inner);
-        if (eligible.empty() && !allow_cartesian &&
+        const bool connected = state.analyzed->MasksConnected(outer, inner);
+        if (!connected && !allow_cartesian &&
             state.options->avoid_cartesian) {
           continue;
         }
         const double out_rows = state.analyzed->JoinComposites(
             outer, outer_entry.rows, inner, inner_entry.rows);
         // Index joins need the inner to be a bare base-table scan.
-        const bool inner_is_scan =
-            inner_entry.plan->kind == PlanNode::Kind::kScan;
         const double inner_raw =
-            inner_is_scan
-                ? state.scans[inner_entry.plan->table_index].raw_rows
+            (inner & (inner - 1)) == 0
+                ? state.scans[std::countr_zero(inner)].raw_rows
                 : -1.0;
         const auto [step_cost, method] = BestJoinMethodGeneric(
             state, outer_entry.rows, inner_entry.rows, inner_entry.cost,
-            inner_raw, !eligible.empty(), out_rows);
+            inner_raw, connected, out_rows);
         if (!std::isfinite(step_cost)) continue;
         const double total = outer_entry.cost + step_cost;
-        Candidate& slot = dp[mask];
+        BushyEntry& slot = dp[mask];
         if (!slot.valid || total < slot.cost) {
-          slot.valid = true;
-          slot.cost = total;
-          slot.rows = out_rows;
-          slot.plan =
-              MakeJoinNode(method, outer_entry.plan->Clone(),
-                           inner_entry.plan->Clone(), std::move(eligible));
-          slot.plan->estimated_rows = out_rows;
-          slot.plan->estimated_cost = total;
+          slot = BushyEntry{true, total, out_rows, outer, method};
         }
       }
     }
   }
-  Candidate& final_entry = dp[full];
-  if (!final_entry.valid) {
+  if (!dp[full].valid) {
     return Internal("bushy dynamic programming found no complete plan");
   }
-  return FinishPlan(state, std::move(final_entry));
+  return FinishPlan(BuildBushyPlan(state, dp, full));
 }
 
 // ---- Randomized enumerators (II / SA) over left-deep join orders.
 
-// Cost/rows of one fixed left-deep order, without materialising plan nodes
-// (the randomized inner loops evaluate thousands of orders).
-struct OrderCost {
-  bool valid = false;
-  double cost = 0;
-  double rows = 0;
-};
-
-OrderCost CostOfOrder(const SearchState& state,
-                      const std::vector<int>& order) {
-  OrderCost result;
+// Cost/rows of one fixed left-deep order; invalid if some step has no
+// applicable join method.
+Step CostOfOrder(const SearchState& state, const std::vector<int>& order) {
+  Step result;
   uint64_t mask = uint64_t{1} << order[0];
-  double rows = state.scans[order[0]].est_rows;
-  double cost = state.scans[order[0]].scan_cost;
-  for (size_t i = 1; i < order.size(); ++i) {
-    const int t = order[i];
-    const double out_rows = state.analyzed->JoinCardinality(mask, rows, t);
-    const bool has_keys = state.analyzed->HasEligiblePredicate(mask, t);
-    const auto [step_cost, method] =
-        BestJoinMethod(state, t, rows, out_rows, has_keys);
-    (void)method;
-    if (!std::isfinite(step_cost)) return result;
-    cost += step_cost;
-    rows = out_rows;
-    mask |= uint64_t{1} << t;
-  }
   result.valid = true;
-  result.cost = cost;
-  result.rows = rows;
-  return result;
-}
-
-// Materialises the plan for a fixed order (used once, on the winner).
-Candidate BuildPlanForOrder(const SearchState& state,
-                            const std::vector<int>& order) {
-  Candidate entry;
-  entry.valid = true;
-  entry.rows = state.scans[order[0]].est_rows;
-  entry.cost = state.scans[order[0]].scan_cost;
-  entry.plan = MakeAnnotatedScan(state, order[0]);
-  uint64_t mask = uint64_t{1} << order[0];
-  for (size_t i = 1; i < order.size(); ++i) {
-    Candidate extended = Extend(state, mask, entry, order[i]);
-    JOINEST_CHECK(extended.valid) << "order became infeasible";
-    entry = std::move(extended);
+  result.rows = state.scans[order[0]].est_rows;
+  result.cost = state.scans[order[0]].scan_cost;
+  for (size_t i = 1; i < order.size() && result.valid; ++i) {
+    result = Extend(state, mask, result.rows, result.cost, order[i]);
     mask |= uint64_t{1} << order[i];
   }
-  return entry;
+  return result;
 }
 
 // Iterative Improvement: random restarts, each descending by random swap
@@ -301,14 +309,14 @@ StatusOr<OptimizedPlan> OptimizeIterativeImprovement(
     for (int i = n - 1; i > 0; --i) {
       std::swap(order[i], order[rng.NextBounded(i + 1)]);
     }
-    OrderCost current = CostOfOrder(state, order);
+    Step current = CostOfOrder(state, order);
     if (!current.valid) continue;
     for (int move = 0; move < knobs.max_moves; ++move) {
       const int a = static_cast<int>(rng.NextBounded(n));
       const int b = static_cast<int>(rng.NextBounded(n));
       if (a == b) continue;
       std::swap(order[a], order[b]);
-      const OrderCost proposal = CostOfOrder(state, order);
+      const Step proposal = CostOfOrder(state, order);
       if (proposal.valid && proposal.cost < current.cost) {
         current = proposal;  // Downhill move: keep.
       } else {
@@ -323,7 +331,7 @@ StatusOr<OptimizedPlan> OptimizeIterativeImprovement(
   if (best_order.empty()) {
     return Internal("iterative improvement found no feasible order");
   }
-  return FinishPlan(state, BuildPlanForOrder(state, best_order));
+  return BuildPlanForOrder(state, best_order);
 }
 
 // Simulated annealing with a geometric cooling schedule.
@@ -336,7 +344,7 @@ StatusOr<OptimizedPlan> OptimizeSimulatedAnnealing(const SearchState& state) {
   for (int i = n - 1; i > 0; --i) {
     std::swap(order[i], order[rng.NextBounded(i + 1)]);
   }
-  OrderCost current = CostOfOrder(state, order);
+  Step current = CostOfOrder(state, order);
   // A fully random start may be infeasible only if some method set forbids
   // it; retry a few shuffles, then fall back to the identity order.
   for (int attempt = 0; !current.valid && attempt < 8; ++attempt) {
@@ -360,7 +368,7 @@ StatusOr<OptimizedPlan> OptimizeSimulatedAnnealing(const SearchState& state) {
     const int b = static_cast<int>(rng.NextBounded(n));
     if (a == b) continue;
     std::swap(order[a], order[b]);
-    const OrderCost proposal = CostOfOrder(state, order);
+    const Step proposal = CostOfOrder(state, order);
     bool accept = false;
     if (proposal.valid) {
       const double delta = proposal.cost - current.cost;
@@ -379,7 +387,7 @@ StatusOr<OptimizedPlan> OptimizeSimulatedAnnealing(const SearchState& state) {
     }
     temperature *= knobs.cooling;
   }
-  return FinishPlan(state, BuildPlanForOrder(state, best_order));
+  return BuildPlanForOrder(state, best_order);
 }
 
 // Greedy minimum-result-size enumerator: O(n^2) plans considered.
@@ -391,16 +399,13 @@ StatusOr<OptimizedPlan> OptimizeGreedy(const SearchState& state) {
   for (int t = 1; t < n; ++t) {
     if (state.scans[t].est_rows < state.scans[seed].est_rows) seed = t;
   }
-  Candidate current;
-  current.valid = true;
-  current.rows = state.scans[seed].est_rows;
-  current.cost = state.scans[seed].scan_cost;
-  current.plan = MakeAnnotatedScan(state, seed);
+  std::vector<int> order = {seed};
+  Step current{true, state.scans[seed].scan_cost, state.scans[seed].est_rows};
   uint64_t mask = uint64_t{1} << seed;
 
   for (int step = 1; step < n; ++step) {
     int best_t = -1;
-    Candidate best;
+    Step best;
     bool best_connected = false;
     for (int t = 0; t < n; ++t) {
       if ((mask >> t) & 1) continue;
@@ -408,7 +413,8 @@ StatusOr<OptimizedPlan> OptimizeGreedy(const SearchState& state) {
       if (state.options->avoid_cartesian && best_connected && !connected) {
         continue;
       }
-      Candidate extended = Extend(state, mask, current, t);
+      const Step extended =
+          Extend(state, mask, current.rows, current.cost, t);
       if (!extended.valid) continue;
       const bool better =
           best_t < 0 ||
@@ -418,15 +424,16 @@ StatusOr<OptimizedPlan> OptimizeGreedy(const SearchState& state) {
             (extended.rows == best.rows && extended.cost < best.cost)));
       if (better) {
         best_t = t;
-        best = std::move(extended);
+        best = extended;
         best_connected = connected;
       }
     }
     if (best_t < 0) return Internal("greedy enumeration stuck");
-    current = std::move(best);
+    current = best;
+    order.push_back(best_t);
     mask |= uint64_t{1} << best_t;
   }
-  return FinishPlan(state, std::move(current));
+  return BuildPlanForOrder(state, order);
 }
 
 }  // namespace
@@ -465,14 +472,7 @@ StatusOr<OptimizedPlan> OptimizeQuery(const Catalog& catalog,
                               static_cast<int>(scan.filter.size()));
   }
 
-  if (n == 1) {
-    Candidate single;
-    single.valid = true;
-    single.rows = state.scans[0].est_rows;
-    single.cost = state.scans[0].scan_cost;
-    single.plan = MakeAnnotatedScan(state, 0);
-    return FinishPlan(state, std::move(single));
-  }
+  if (n == 1) return FinishPlan(MakeAnnotatedScan(state, 0));
 
   switch (options.enumerator) {
     case OptimizerOptions::Enumerator::kGreedy:

@@ -6,6 +6,14 @@
 // The estimation algorithm is pluggable (EstimationOptions / presets): run
 // the same optimizer under Rule M, Rule SS or Algorithm ELS and watch the
 // chosen plans diverge — that is the paper's §8 experiment.
+//
+// Every enumerator searches over numbers and builds one plan tree, for the
+// winner. The left-deep DP keeps (cost, rows, last table) per table subset,
+// greedy and the randomized enumerators keep a join order, and all of them
+// materialise the winning order the same way. The bushy DP keeps (cost,
+// rows, outer half, method) per subset and builds its tree from the full
+// set. Each candidate join costs one AnalyzedQuery::JoinCardinality /
+// JoinComposites call, which reads the analysis's precomputed join edges.
 
 #ifndef JOINEST_OPTIMIZER_OPTIMIZER_H_
 #define JOINEST_OPTIMIZER_OPTIMIZER_H_

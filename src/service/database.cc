@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <numeric>
 #include <utility>
 
 #include "common/check.h"
@@ -112,6 +113,18 @@ void PushFeaturesIntoEstimation(const EstimatorFeatures& features,
   estimation.histogram_join_selectivity = features.histogram_join_selectivity;
 }
 
+// EstimationOptionsDigest with the rule (and the representative pick it
+// may use) left out. AnalyzedQuery::Create reads the rule only for a metric
+// label, so analyses whose digests agree here agree on every estimate taken
+// under an explicit rule.
+uint64_t DigestApartFromRule(EstimationOptions options) {
+  // lint:allow(estimation-options-pokes) — normalises a copy for comparison.
+  options.rule = SelectivityRule::kLargest;
+  // lint:allow(estimation-options-pokes) — normalises a copy for comparison.
+  options.representative = RepresentativePick::kLargest;
+  return EstimationOptionsDigest(options);
+}
+
 }  // namespace
 
 Session::Options& Session::Options::set_preset(AlgorithmPreset preset) {
@@ -152,11 +165,6 @@ Session::Options& Session::Options::set_capture_trace(bool capture) {
 Session::Options& Session::Options::set_with_true_cardinalities(
     bool with_true) {
   with_true_cardinalities_ = with_true;
-  return *this;
-}
-
-Session::Options& Session::Options::set_predicate_transfer(bool enabled) {
-  features_.runtime_selectivities = enabled;
   return *this;
 }
 
@@ -329,7 +337,7 @@ Status CheckPrepared(const PreparedQuery& prepared) {
 
 EstimationOptions Session::EffectiveEstimation() const {
   EstimationOptions estimation = options_.estimation();
-  if (options_.predicate_transfer()) {
+  if (options_.features().runtime_selectivities) {
     // lint:allow(estimation-options-pokes) — the facade's injection point.
     estimation.runtime_selectivities = database_->runtime_selectivities_;
   }
@@ -354,7 +362,8 @@ OptimizerOptions Session::EffectiveOptimizer() const {
 
 StatusOr<std::shared_ptr<const PtResult>> Session::MaybeRunPredicateTransfer(
     const PreparedQuery& prepared) const {
-  if (!options_.predicate_transfer() || prepared.spec.num_tables() < 2) {
+  if (!options_.features().runtime_selectivities ||
+      prepared.spec.num_tables() < 2) {
     return std::shared_ptr<const PtResult>();
   }
   JOINEST_ASSIGN_OR_RETURN(
@@ -453,21 +462,25 @@ StatusOr<EstimateResult> Session::EstimateImpl(const PreparedQuery& prepared,
   payload->groups = payload->analyzed.EstimateGroupCount();
 
   // The paper's comparison rules, computed while everything is hot; a
-  // cache hit then answers the whole §8 row at once.
-  static constexpr struct {
-    const char* name;
-    AlgorithmPreset preset;
-  } kRules[] = {{"LS", AlgorithmPreset::kELS},
-                {"M", AlgorithmPreset::kSM},
-                {"SS", AlgorithmPreset::kSSS}};
-  for (const auto& rule : kRules) {
-    JOINEST_ASSIGN_OR_RETURN(
-        AnalyzedQuery variant,
-        AnalyzedQuery::Create(catalog, prepared.spec,
-                              PresetOptions(rule.preset)));
-    payload->per_rule.push_back(
-        EstimateResult::RuleEstimate{rule.name, variant.EstimateFullJoin()});
-  }
+  // cache hit then answers the whole §8 row at once. The headline analysis
+  // answers the rows of the preset it matches apart from the rule.
+  static const uint64_t kElsDigest =
+      DigestApartFromRule(PresetOptions(AlgorithmPreset::kELS));
+  static const uint64_t kStandardDigest =
+      DigestApartFromRule(PresetOptions(AlgorithmPreset::kSM));
+  const uint64_t headline_digest = DigestApartFromRule(estimation);
+  const AnalyzedQuery* headline = &payload->analyzed;
+  std::vector<int> order(static_cast<size_t>(prepared.spec.num_tables()));
+  std::iota(order.begin(), order.end(), 0);
+  JOINEST_ASSIGN_OR_RETURN(
+      const PaperRuleEstimates rules,
+      EstimatePaperRules(catalog, prepared.spec, order,
+                         headline_digest == kElsDigest ? headline : nullptr,
+                         headline_digest == kStandardDigest ? headline
+                                                            : nullptr));
+  payload->per_rule = {{"LS", rules.ls.back()},
+                       {"M", rules.m.back()},
+                       {"SS", rules.ss.back()}};
 
   if (options_.use_cache()) database_->cache().Insert(key, payload);
 

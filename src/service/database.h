@@ -210,15 +210,6 @@ class Session {
     // ExplainAnalyze: run the counting sub-queries that provide exact
     // per-join-level cardinalities (expensive on big data).
     Options& set_with_true_cardinalities(bool with_true);
-    // DEPRECATED shim for features().runtime_selectivities — predicate
-    // transfer (src/pt/): Execute/ExplainAnalyze run a Bloom-filter
-    // semi-join reduction before the plan, scans are restricted to
-    // surviving rows, and the observed pass rates feed the database's
-    // RuntimeSelectivityStore, which Estimate/Optimize then consult.
-    // Default off — the paper-faithful pipeline. New code:
-    // set_features(EstimatorFeatures{.runtime_selectivities = true}).
-    Options& set_predicate_transfer(bool enabled);
-
     const EstimationOptions& estimation() const {
       return optimizer_.estimation;
     }
@@ -227,8 +218,6 @@ class Session {
     bool use_cache() const { return use_cache_; }
     bool capture_trace() const { return capture_trace_; }
     bool with_true_cardinalities() const { return with_true_cardinalities_; }
-    // DEPRECATED alias of features().runtime_selectivities.
-    bool predicate_transfer() const { return features_.runtime_selectivities; }
     bool feedback() const { return features_.feedback; }
 
     // Checks every knob combination that can be rejected without a query:
@@ -430,8 +419,8 @@ class Database {
 
   // Observed predicate-transfer selectivities, shared by every session of
   // this database (keyed by catalog table name, so observations transfer
-  // across queries). Estimation consults it only in sessions with
-  // set_predicate_transfer(true).
+  // across queries). Estimation consults it only in sessions whose
+  // features() have runtime_selectivities on.
   RuntimeSelectivityStore& runtime_selectivities() const {
     return *runtime_selectivities_;
   }

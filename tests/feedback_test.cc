@@ -374,14 +374,15 @@ TEST(EstimatorFeaturesApi, SessionOptionsKeepBothViewsInSync) {
   options.set_estimation(estimation);
   EXPECT_FALSE(options.features().transitive_closure);
 
-  // The deprecated predicate-transfer shim reads/writes the feature set.
-  options.set_predicate_transfer(true);
+  // Predicate transfer is a feature like any other: set_features turns it
+  // on and pushes the feature set's paper knobs back in.
+  options.set_features(EstimatorFeatures{.runtime_selectivities = true});
   EXPECT_TRUE(options.features().runtime_selectivities);
-  EXPECT_TRUE(options.predicate_transfer());
+  EXPECT_TRUE(options.estimation().transitive_closure);
   EstimatorFeatures off = options.features();
   off.runtime_selectivities = false;
   options.set_features(off);
-  EXPECT_FALSE(options.predicate_transfer());
+  EXPECT_FALSE(options.features().runtime_selectivities);
 }
 
 TEST(EstimatorFeaturesApi, CreateSessionValidatesFeatures) {

@@ -1,8 +1,12 @@
 // Tests for optimizer/: cost model shape, DP and greedy enumeration, method
-// selection, cartesian avoidance, and the §8 plan-choice phenomena.
+// selection, cartesian avoidance, plans materialised faithfully from the
+// search, and the §8 plan-choice phenomena.
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <map>
+#include <numeric>
 
 #include "estimator/presets.h"
 #include "executor/execute.h"
@@ -513,6 +517,339 @@ TEST_F(Section8PlanTest, ELSPlanFasterThanMisledPlans) {
   const double els = run(AlgorithmPreset::kELS);
   const double sm = run(AlgorithmPreset::kSM);
   EXPECT_LT(els * 2, sm);
+}
+
+// ------------------------------------- Plans materialised from the search
+
+// Generated chain/star/cycle/clique queries of 3-8 tables, single- and
+// multi-class; in the multi-class ones some join steps cross two or three
+// equivalence classes.
+std::vector<GeneratedWorkload> SearchWorkloads() {
+  using Shape = WorkloadOptions::Shape;
+  std::vector<GeneratedWorkload> workloads;
+  uint64_t seed = 11;
+  for (Shape shape : {Shape::kChain, Shape::kStar, Shape::kCycle,
+                      Shape::kClique}) {
+    for (int n = 3; n <= 8; ++n) {
+      for (bool multi_class : {false, true}) {
+        workloads.push_back(ShapeWorkload(shape, n, multi_class, seed++));
+      }
+    }
+  }
+  return workloads;
+}
+
+// The join nodes of a left-deep plan, bottom-up.
+std::vector<const PlanNode*> LeftDeepJoins(const PlanNode& root) {
+  std::vector<const PlanNode*> joins;
+  for (const PlanNode* node = &root; node->kind == PlanNode::Kind::kJoin;
+       node = node->left.get()) {
+    joins.push_back(node);
+  }
+  std::reverse(joins.begin(), joins.end());
+  return joins;
+}
+
+double RawRows(const Catalog& catalog, const QuerySpec& spec, int t) {
+  return catalog.stats(spec.tables[t].catalog_id).row_count;
+}
+
+// Every applicable method costs at least what the chosen one does.
+void ExpectCheapestMethod(const OptimizerOptions& options,
+                          const PlanNode& node, double inner_raw_rows,
+                          bool has_keys) {
+  const PlanNode& outer = *node.left;
+  const PlanNode& inner = *node.right;
+  const double chosen =
+      JoinStepCost(options.cost, node.method, outer.estimated_rows,
+                   inner.estimated_rows, inner.estimated_cost,
+                   inner_raw_rows, node.estimated_rows);
+  for (JoinMethod method : options.methods) {
+    if (!has_keys && method != JoinMethod::kNestedLoop &&
+        method != JoinMethod::kBlockNestedLoop) {
+      continue;
+    }
+    if (method == JoinMethod::kIndexNestedLoop && inner_raw_rows < 0) {
+      continue;
+    }
+    EXPECT_LE(chosen,
+              JoinStepCost(options.cost, method, outer.estimated_rows,
+                           inner.estimated_rows, inner.estimated_cost,
+                           inner_raw_rows, node.estimated_rows));
+  }
+}
+
+// A scan carries the estimator's base cardinality and its scan cost.
+void ExpectAnnotatedScan(const Catalog& catalog, const QuerySpec& spec,
+                         const AnalyzedQuery& analyzed,
+                         const OptimizerOptions& options,
+                         const PlanNode& scan) {
+  ASSERT_EQ(scan.kind, PlanNode::Kind::kScan);
+  const int t = scan.table_index;
+  EXPECT_EQ(scan.estimated_rows, analyzed.BaseCardinality(t));
+  EXPECT_EQ(scan.estimated_cost,
+            ScanCost(options.cost, RawRows(catalog, spec, t),
+                     static_cast<int>(scan.filter.size())));
+}
+
+TEST(PlanMaterialisationTest, LeftDeepNodesMatchTheEstimatorBitForBit) {
+  for (const GeneratedWorkload& w : SearchWorkloads()) {
+    const QuerySpec& spec = w.spec;
+    for (AlgorithmPreset preset : AllPresets()) {
+      for (auto enumerator : {OptimizerOptions::Enumerator::kDynamicProgramming,
+                              OptimizerOptions::Enumerator::kGreedy}) {
+        SCOPED_TRACE(spec.ToString(w.catalog) + " under " +
+                     PresetName(preset));
+        OptimizerOptions options;
+        options.estimation = PresetOptions(preset);
+        options.enumerator = enumerator;
+        auto plan = OptimizeQuery(w.catalog, spec, options);
+        ASSERT_TRUE(plan.ok()) << plan.status();
+        auto analyzed =
+            AnalyzedQuery::Create(w.catalog, spec, options.estimation);
+        ASSERT_TRUE(analyzed.ok()) << analyzed.status();
+
+        const std::vector<int>& order = plan->join_order;
+        const std::vector<double> sizes = analyzed->EstimateOrder(order);
+        const std::vector<const PlanNode*> joins = LeftDeepJoins(*plan->root);
+        ASSERT_EQ(joins.size() + 1, order.size());
+        EXPECT_EQ(plan->intermediate_estimates, sizes);
+        ExpectAnnotatedScan(w.catalog, spec, *analyzed, options,
+                            *joins[0]->left);
+        uint64_t prefix = uint64_t{1} << order[0];
+        for (size_t i = 0; i < joins.size(); ++i) {
+          const PlanNode& node = *joins[i];
+          const int t = order[i + 1];
+          ExpectAnnotatedScan(w.catalog, spec, *analyzed, options,
+                              *node.right);
+          EXPECT_EQ(node.right->table_index, t);
+          EXPECT_EQ(node.estimated_rows, sizes[i]);
+          // The running cost: the prefix's cost plus this step's.
+          EXPECT_EQ(node.estimated_cost,
+                    node.left->estimated_cost +
+                        JoinStepCost(options.cost, node.method,
+                                     node.left->estimated_rows,
+                                     node.right->estimated_rows,
+                                     node.right->estimated_cost,
+                                     RawRows(w.catalog, spec, t),
+                                     node.estimated_rows));
+          EXPECT_EQ(node.join_predicates,
+                    analyzed->EligiblePredicates(prefix, t));
+          ExpectCheapestMethod(options, node, RawRows(w.catalog, spec, t),
+                               !node.join_predicates.empty());
+          prefix |= uint64_t{1} << t;
+        }
+        EXPECT_EQ(plan->estimated_rows, plan->root->estimated_rows);
+        EXPECT_EQ(plan->estimated_cost, plan->root->estimated_cost);
+      }
+    }
+  }
+}
+
+// Checks one bushy subtree; returns its table mask.
+uint64_t ExpectBushyNode(const Catalog& catalog, const QuerySpec& spec,
+                         const AnalyzedQuery& analyzed,
+                         const OptimizerOptions& options,
+                         const PlanNode& node) {
+  if (node.kind == PlanNode::Kind::kScan) {
+    ExpectAnnotatedScan(catalog, spec, analyzed, options, node);
+    return uint64_t{1} << node.table_index;
+  }
+  const uint64_t left =
+      ExpectBushyNode(catalog, spec, analyzed, options, *node.left);
+  const uint64_t right =
+      ExpectBushyNode(catalog, spec, analyzed, options, *node.right);
+  EXPECT_EQ(node.estimated_rows,
+            analyzed.JoinComposites(left, node.left->estimated_rows, right,
+                                    node.right->estimated_rows));
+  EXPECT_EQ(node.join_predicates,
+            analyzed.EligiblePredicatesBetween(left, right));
+  const double inner_raw =
+      node.right->kind == PlanNode::Kind::kScan
+          ? RawRows(catalog, spec, node.right->table_index)
+          : -1.0;
+  EXPECT_EQ(node.estimated_cost,
+            node.left->estimated_cost +
+                JoinStepCost(options.cost, node.method,
+                             node.left->estimated_rows,
+                             node.right->estimated_rows,
+                             node.right->estimated_cost, inner_raw,
+                             node.estimated_rows));
+  ExpectCheapestMethod(options, node, inner_raw,
+                       !node.join_predicates.empty());
+  return left | right;
+}
+
+TEST(PlanMaterialisationTest, BushyNodesMatchJoinCompositesBitForBit) {
+  for (const GeneratedWorkload& w : SearchWorkloads()) {
+    for (AlgorithmPreset preset :
+         {AlgorithmPreset::kELS, AlgorithmPreset::kSM}) {
+      SCOPED_TRACE(w.spec.ToString(w.catalog) + " under " +
+                   PresetName(preset));
+      OptimizerOptions options;
+      options.estimation = PresetOptions(preset);
+      options.allow_bushy = true;
+      auto plan = OptimizeQuery(w.catalog, w.spec, options);
+      ASSERT_TRUE(plan.ok()) << plan.status();
+      auto analyzed =
+          AnalyzedQuery::Create(w.catalog, w.spec, options.estimation);
+      ASSERT_TRUE(analyzed.ok()) << analyzed.status();
+      const uint64_t mask =
+          ExpectBushyNode(w.catalog, w.spec, *analyzed, options, *plan->root);
+      EXPECT_EQ(mask, (uint64_t{1} << w.spec.num_tables()) - 1);
+      EXPECT_EQ(plan->estimated_cost, plan->root->estimated_cost);
+    }
+  }
+}
+
+// The cheapest left-deep order by brute force, priced from ScanCost and
+// JoinStepCost alone. An order may take a cartesian step only when no
+// remaining table joins the prefix.
+double BruteForceLeftDeepCost(const Catalog& catalog, const QuerySpec& spec,
+                              const AnalyzedQuery& analyzed,
+                              const OptimizerOptions& options) {
+  const int n = spec.num_tables();
+  std::vector<double> scan_cost(n);
+  for (int t = 0; t < n; ++t) {
+    int filters = 0;
+    for (const Predicate& p : analyzed.predicates()) {
+      if (p.kind != Predicate::Kind::kJoin && p.left.table == t) ++filters;
+    }
+    scan_cost[t] = ScanCost(options.cost, RawRows(catalog, spec, t), filters);
+  }
+  std::vector<int> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  double best = std::numeric_limits<double>::infinity();
+  do {
+    uint64_t mask = uint64_t{1} << order[0];
+    double rows = analyzed.BaseCardinality(order[0]);
+    double cost = scan_cost[order[0]];
+    bool allowed = true;
+    for (int i = 1; i < n && allowed; ++i) {
+      const int t = order[i];
+      const bool connected = analyzed.HasEligiblePredicate(mask, t);
+      for (int j = i + 1; j < n && !connected; ++j) {
+        if (analyzed.HasEligiblePredicate(mask, order[j])) allowed = false;
+      }
+      const double out = analyzed.JoinCardinality(mask, rows, t);
+      double step = std::numeric_limits<double>::infinity();
+      for (JoinMethod method : options.methods) {
+        if (!connected && method != JoinMethod::kNestedLoop &&
+            method != JoinMethod::kBlockNestedLoop) {
+          continue;
+        }
+        step = std::min(step, JoinStepCost(options.cost, method, rows,
+                                           analyzed.BaseCardinality(t),
+                                           scan_cost[t],
+                                           RawRows(catalog, spec, t), out));
+      }
+      cost += step;
+      rows = out;
+      mask |= uint64_t{1} << t;
+    }
+    if (allowed) best = std::min(best, cost);
+  } while (std::next_permutation(order.begin(), order.end()));
+  return best;
+}
+
+TEST(PlanMaterialisationTest, LeftDeepDpMatchesBruteForceUnderEls) {
+  int checked = 0;
+  for (const GeneratedWorkload& w : SearchWorkloads()) {
+    if (w.spec.num_tables() > 6) continue;
+    SCOPED_TRACE(w.spec.ToString(w.catalog));
+    OptimizerOptions options;
+    options.estimation = PresetOptions(AlgorithmPreset::kELS);
+    auto plan = OptimizeQuery(w.catalog, w.spec, options);
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    auto analyzed =
+        AnalyzedQuery::Create(w.catalog, w.spec, options.estimation);
+    ASSERT_TRUE(analyzed.ok()) << analyzed.status();
+    const double brute =
+        BruteForceLeftDeepCost(w.catalog, w.spec, *analyzed, options);
+    EXPECT_NEAR(plan->estimated_cost, brute, 1e-9 * brute);
+    ++checked;
+  }
+  EXPECT_EQ(checked, 32);
+}
+
+// Joining C to {A, B} crosses three equivalence classes, two edges each.
+// Each rule's estimate must be the product written out here: Rule M over
+// every crossing edge in predicates() order; the per-class rules one
+// factor per class, multiplied in reverse order of each class's first
+// crossing edge.
+TEST(PlanMaterialisationTest, ThreeClassStepMultipliesInDocumentedOrder) {
+  Catalog catalog;
+  AddStatsOnlyTable(catalog, "A", 1000, {37, 71, 113});
+  AddStatsOnlyTable(catalog, "B", 800, {53, 97, 29});
+  AddStatsOnlyTable(catalog, "C", 900, {23, 109, 61});
+  QuerySpec spec = MakeCountSpec(catalog, 3);
+  for (int column : {1, 2, 0}) {
+    spec.predicates.push_back(
+        Predicate::Join(ColumnRef{0, column}, ColumnRef{2, column}));
+    spec.predicates.push_back(
+        Predicate::Join(ColumnRef{1, column}, ColumnRef{2, column}));
+  }
+  const uint64_t ab = 0b011;
+  const uint64_t c = 0b100;
+  const double ab_rows = 1000.0;
+  const double c_rows = 678.25;
+  for (AlgorithmPreset preset :
+       {AlgorithmPreset::kSM, AlgorithmPreset::kSSS, AlgorithmPreset::kELS,
+        AlgorithmPreset::kRepresentativeSmall,
+        AlgorithmPreset::kRepresentativeLarge}) {
+    SCOPED_TRACE(PresetName(preset));
+    const EstimationOptions options = PresetOptions(preset);
+    auto analyzed = AnalyzedQuery::Create(catalog, spec, options);
+    ASSERT_TRUE(analyzed.ok()) << analyzed.status();
+    // Per class: the crossing edges' S_J, and every member's S_J.
+    std::vector<int> first_seen;
+    std::map<int, std::vector<double>> crossing, members;
+    double product_m = ab_rows * c_rows;
+    for (const Predicate& p : analyzed->predicates()) {
+      if (p.kind != Predicate::Kind::kJoin) continue;
+      const int cls = analyzed->classes().ClassOf(p.left);
+      const double sel = analyzed->JoinSelectivity(p);
+      members[cls].push_back(sel);
+      const uint64_t l = uint64_t{1} << p.left.table;
+      const uint64_t r = uint64_t{1} << p.right.table;
+      if (!((ab & l) && (c & r)) && !((ab & r) && (c & l))) continue;
+      if (crossing[cls].empty()) first_seen.push_back(cls);
+      crossing[cls].push_back(sel);
+      product_m *= sel;
+    }
+    ASSERT_EQ(first_seen.size(), 3u);
+    auto factor = [&](int cls) {
+      const std::vector<double>& sels = crossing[cls];
+      const std::vector<double>& all = members[cls];
+      switch (options.rule) {
+        case SelectivityRule::kSmallest:
+          return *std::min_element(sels.begin(), sels.end());
+        case SelectivityRule::kLargest:
+          return *std::max_element(sels.begin(), sels.end());
+        case SelectivityRule::kRepresentative:
+          return options.representative == RepresentativePick::kSmallest
+                     ? *std::min_element(all.begin(), all.end())
+                     : *std::max_element(all.begin(), all.end());
+        case SelectivityRule::kMultiplicative:
+          break;
+      }
+      return 0.0;
+    };
+    double expected = product_m;
+    double forward = ab_rows * c_rows;
+    if (options.rule != SelectivityRule::kMultiplicative) {
+      expected = ab_rows * c_rows;
+      for (auto it = first_seen.rbegin(); it != first_seen.rend(); ++it) {
+        expected *= factor(*it);
+      }
+      for (int cls : first_seen) forward *= factor(cls);
+    }
+    EXPECT_EQ(analyzed->JoinComposites(ab, ab_rows, c, c_rows), expected);
+    if (preset == AlgorithmPreset::kELS) {
+      // The data tells the two orders apart, so the check above pins one.
+      EXPECT_NE(forward, expected);
+    }
+  }
 }
 
 }  // namespace

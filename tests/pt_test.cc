@@ -256,10 +256,11 @@ TEST(PtParityTest, ServiceResultsIdentical) {
   }
   const Session plain =
       db.CreateSession(Session::Options().set_use_cache(false)).value();
-  const Session transfer = db.CreateSession(Session::Options()
-                                                .set_use_cache(false)
-                                                .set_predicate_transfer(true))
-                               .value();
+  const Session transfer =
+      db.CreateSession(
+            Session::Options().set_use_cache(false).set_features(
+                EstimatorFeatures{.runtime_selectivities = true}))
+          .value();
   const std::vector<std::string> queries = {
       "SELECT COUNT(*) FROM S, M WHERE S.s = M.m",
       "SELECT COUNT(*) FROM S, M, B WHERE S.s = M.m AND M.m = B.b",
@@ -291,10 +292,12 @@ TEST(PtParityTest, ExplainAnalyzeCarriesPassRates) {
     Catalog staged = PaperCatalog();
     ASSERT_TRUE(db.ImportTables(std::move(staged)).ok());
   }
-  const Session session = db.CreateSession(Session::Options()
-                                               .set_predicate_transfer(true)
-                                               .set_capture_trace(false))
-                              .value();
+  const Session session =
+      db.CreateSession(
+            Session::Options()
+                .set_features(EstimatorFeatures{.runtime_selectivities = true})
+                .set_capture_trace(false))
+          .value();
   auto report = session.ExplainAnalyze(
       "SELECT COUNT(*) FROM S, M, B WHERE S.s = M.m AND M.m = B.b "
       "AND S.s < 100");
@@ -416,7 +419,8 @@ TEST(RuntimeSelectivityTest, ExecuteFeedsLaterEstimates) {
   const std::string sql = "SELECT COUNT(*) FROM R, T WHERE R.a = T.b";
   const Session plain = db.CreateSession().value();
   const Session transfer =
-      db.CreateSession(Session::Options().set_predicate_transfer(true))
+      db.CreateSession(Session::Options().set_features(
+                           EstimatorFeatures{.runtime_selectivities = true}))
           .value();
 
   auto before = transfer.Estimate(sql);

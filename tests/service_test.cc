@@ -163,6 +163,132 @@ TEST(Cache, HitsAreBitIdenticalToTheColdPath) {
   EXPECT_GE(stats.misses, 1);
 }
 
+// Analyses built so far, over every rule label.
+int64_t AnalysesSoFar() {
+  int64_t total = 0;
+  for (const char* rule : {"M", "SS", "LS", "REP"}) {
+    total += MetricsRegistry::Global()
+                 .GetCounter("estimator_queries_total",
+                             "Queries analysed for estimation",
+                             {{"rule", rule}})
+                 .Value();
+  }
+  return total;
+}
+
+// A cold Estimate answers the LS/M/SS rows from two analyses, one of which
+// is the headline analysis when the session's options match that rule's
+// preset apart from the rule. Every row must still equal a fresh analysis
+// under the rule's preset, bit for bit, and rows() a fresh headline
+// analysis.
+TEST(PerRuleRows, EqualFreshAnalysesBitForBit) {
+  using Shape = WorkloadOptions::Shape;
+  struct Case {
+    Session::Options options;
+    int64_t analyses;  // Built by one cold Estimate.
+  };
+  std::vector<Case> cases = {
+      {Session::Options().set_preset(AlgorithmPreset::kSMNoPtc), 3},
+      {Session::Options().set_preset(AlgorithmPreset::kSM), 2},
+      {Session::Options().set_preset(AlgorithmPreset::kSSS), 2},
+      {Session::Options().set_preset(AlgorithmPreset::kELS), 2},
+      {Session::Options().set_preset(AlgorithmPreset::kRepresentativeSmall),
+       2},
+      {Session::Options().set_preset(AlgorithmPreset::kRepresentativeLarge),
+       2},
+      // Runtime selectivities make the headline match no preset.
+      {Session::Options()
+           .set_preset(AlgorithmPreset::kELS)
+           .set_features(EstimatorFeatures{.runtime_selectivities = true}),
+       3},
+  };
+  const AlgorithmPreset kRulePresets[] = {
+      AlgorithmPreset::kELS, AlgorithmPreset::kSM, AlgorithmPreset::kSSS};
+  const char* const kRuleNames[] = {"LS", "M", "SS"};
+  uint64_t seed = 3;
+  for (Shape shape :
+       {Shape::kChain, Shape::kStar, Shape::kCycle, Shape::kClique}) {
+    for (bool multi_class : {false, true}) {
+      GeneratedWorkload w = ShapeWorkload(shape, 5, multi_class, seed++);
+      const std::string sql = w.spec.ToString(w.catalog);
+      SCOPED_TRACE(sql);
+      auto db = Database::Open();
+      ASSERT_TRUE(db.ok()) << db.status();
+      ASSERT_TRUE((*db)->ImportTables(std::move(w.catalog)).ok());
+      RuntimeSelectivityStore& store = (*db)->runtime_selectivities();
+      store.RecordTableSurvival("T1", 0.5);
+      store.RecordColumnPassRate("T2", 0, 0.25);
+      for (const Case& c : cases) {
+        const Session session = MakeSession(
+            **db, Session::Options(c.options).set_use_cache(false));
+        auto prepared = session.Prepare(sql);
+        ASSERT_TRUE(prepared.ok()) << prepared.status();
+        const int64_t before = AnalysesSoFar();
+        auto estimate = session.Estimate(*prepared);
+        ASSERT_TRUE(estimate.ok()) << estimate.status();
+        EXPECT_EQ(AnalysesSoFar() - before, c.analyses)
+            << c.options.features().ToString();
+
+        const Catalog& catalog = prepared->snapshot->catalog();
+        ASSERT_EQ(estimate->per_rule().size(), 3u);
+        for (size_t r = 0; r < 3; ++r) {
+          auto fresh = AnalyzedQuery::Create(catalog, prepared->spec,
+                                             PresetOptions(kRulePresets[r]));
+          ASSERT_TRUE(fresh.ok()) << fresh.status();
+          EXPECT_EQ(estimate->per_rule()[r].rule, kRuleNames[r]);
+          EXPECT_EQ(estimate->per_rule()[r].rows, fresh->EstimateFullJoin())
+              << kRuleNames[r];
+        }
+        EstimationOptions headline = c.options.estimation();
+        if (c.options.features().runtime_selectivities) {
+          // The database owns the store; alias it without ownership.
+          headline.runtime_selectivities =
+              std::shared_ptr<const RuntimeSelectivityStore>(
+                  std::shared_ptr<void>(), &store);
+        }
+        auto fresh = AnalyzedQuery::Create(catalog, prepared->spec, headline);
+        ASSERT_TRUE(fresh.ok()) << fresh.status();
+        EXPECT_EQ(estimate->rows(), fresh->EstimateFullJoin());
+      }
+    }
+  }
+}
+
+// EXPLAIN ANALYZE's per-level rows come from the same two analyses.
+TEST(PerRuleRows, ExplainAnalyzeLevelsEqualFreshAnalyses) {
+  auto db = OpenExample1();
+  const Session session = MakeSession(
+      *db, Session::Options().set_use_cache(false).set_capture_trace(false));
+  auto prepared = session.Prepare(kJoinSql);
+  ASSERT_TRUE(prepared.ok()) << prepared.status();
+  const int64_t before = AnalysesSoFar();
+  auto report = session.ExplainAnalyze(*prepared);
+  ASSERT_TRUE(report.ok()) << report.status();
+  // One for Optimize, two for the per-level rows.
+  EXPECT_EQ(AnalysesSoFar() - before, 3);
+
+  const Catalog& catalog = prepared->snapshot->catalog();
+  auto els = AnalyzedQuery::Create(catalog, prepared->spec,
+                                   PresetOptions(AlgorithmPreset::kELS));
+  auto sm = AnalyzedQuery::Create(catalog, prepared->spec,
+                                  PresetOptions(AlgorithmPreset::kSM));
+  auto sss = AnalyzedQuery::Create(catalog, prepared->spec,
+                                   PresetOptions(AlgorithmPreset::kSSS));
+  ASSERT_TRUE(els.ok() && sm.ok() && sss.ok());
+  auto planned = session.Optimize(*prepared);
+  ASSERT_TRUE(planned.ok()) << planned.status();
+  const std::vector<int> order = planned->join_order();
+  const std::vector<double> ls = els->EstimateOrder(order);
+  const std::vector<double> m = sm->EstimateOrder(order);
+  const std::vector<double> ss = sss->EstimateOrder(order);
+  ASSERT_EQ(report->join_levels.size(), ls.size());
+  for (size_t i = 0; i < ls.size(); ++i) {
+    EXPECT_EQ(report->join_levels[i].est_ls, ls[i]);
+    EXPECT_EQ(report->join_levels[i].est_m, m[i]);
+    EXPECT_EQ(report->join_levels[i].est_ss, ss[i]);
+  }
+}
+
 TEST(Cache, PlansAreSharedOnHit) {
   auto db = OpenExample1();
   const Session session = MakeSession(*db);

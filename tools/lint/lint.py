@@ -9,7 +9,7 @@ tools/run_static_analysis.sh.
 
 Usage:
   lint.py                      check the default roots (src/ bench/
-                               examples/ include/)
+                               examples/ include/ perfbench/)
   lint.py --changed            only files touched vs HEAD (plus untracked);
                                the fast pre-commit loop
   lint.py PATH...              check exactly these files (fixture mode:
@@ -49,7 +49,7 @@ BASELINE_PATH = REPO / "tools" / "lint" / "lint_baseline.txt"
 
 # Roots scanned by default; checkers narrow further (e.g. raw-mutex is
 # src/-only because tests and benches simulate external clients).
-DEFAULT_ROOTS = ("src", "bench", "examples", "include")
+DEFAULT_ROOTS = ("src", "bench", "examples", "include", "perfbench")
 SOURCE_SUFFIXES = (".h", ".cc")
 
 ALLOW_RE = re.compile(r"lint:allow\(([a-z0-9_,\- ]+)\)")
