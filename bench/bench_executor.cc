@@ -8,6 +8,9 @@
 //                   per-probe key vector allocation), driven row at a time;
 //   tuple         — the flat-hash-table join, driven row at a time;
 //   batch         — the batch driver with type-specialized kernels;
+//   count         — Operator::Count on the same tree: the top hash join
+//                   adds its match-span sizes instead of emitting rows
+//                   (what a COUNT(*) plan runs);
 //   batch_recorder — batch plus the flight-recorder capture the service
 //                   layer performs per query (one QueryRecord per run into
 //                   an enabled recorder): the recorder-on overhead probe,
@@ -239,6 +242,13 @@ int64_t DrainBatchCount(Operator& op) {
   return count;
 }
 
+int64_t DriveCount(Operator& op) {
+  op.Open();
+  const int64_t count = op.Count();
+  op.Close();
+  return count;
+}
+
 // ------------------------------------------------------------ Harness
 
 struct ModeResult {
@@ -311,6 +321,10 @@ int main(int argc, char** argv) {
   results.push_back(TimeMode("batch", repeats, f.total_rows, [&] {
     const auto tree = MakeFlatTree(f);
     return DrainBatchCount(*tree);
+  }));
+  results.push_back(TimeMode("count", repeats, f.total_rows, [&] {
+    const auto tree = MakeFlatTree(f);
+    return DriveCount(*tree);
   }));
   // The recorder-on path: same batch drive plus the one QueryRecord capture
   // the service layer performs per executed query. Sequence numbers keep

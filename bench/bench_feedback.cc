@@ -159,9 +159,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Full scale is bounded by the ground-truth computation: the Zipf-skewed
-  // chain's true join sizes grow superlinearly in scale, and the accuracy
-  // passes run EXPLAIN ANALYZE (exact prefix counting) over the whole mix
+  // Full scale is bounded by plan execution: a COUNT(*) plan's top join
+  // counts its matches, but every join below it still emits its rows, and
+  // the Zipf-skewed chain's intermediate sizes grow superlinearly in
+  // scale. The accuracy passes run EXPLAIN ANALYZE over the whole mix
   // twice.
   const int64_t scale = smoke ? 20000 : 40000;
   const int repeats = smoke ? 3 : 5;

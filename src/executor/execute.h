@@ -44,7 +44,9 @@ struct ExecutionResult {
 
 // Compiles and runs `plan`, topping it with the query's projection or
 // COUNT(*). The root is driven batch-at-a-time; joins and scans stream,
-// and nothing is retained beyond counts. A non-null `selections` restricts
+// and nothing is retained beyond counts. Under a plain COUNT(*) the plan's
+// top join counts its matches instead of emitting them
+// (Operator::Count). A non-null `selections` restricts
 // base-table scans to pre-computed row-id lists (the predicate-transfer
 // path); since the lists may only omit rows that cannot join, results are
 // bit-identical with and without them.

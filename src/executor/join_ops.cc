@@ -342,26 +342,45 @@ bool HashJoinOperator::NextBatchImpl(RowBatch& batch) {
         }
       }
     } else {
-      if (!left_->NextBatch(input_)) {
-        input_valid_ = false;
-        break;
-      }
-      input_valid_ = true;
+      input_valid_ = RefillInput();
+      if (!input_valid_) break;
       input_pos_ = 0;
-      if (use_fast_probe_) {
-        // Gather the batch's keys into a contiguous array and warm each
-        // key's hash slot, so the per-row probe below starts from cache.
-        const size_t kpos = static_cast<size_t>(probe_positions_[0]);
-        probe_keys_.resize(static_cast<size_t>(input_.size()));
-        for (int i = 0; i < input_.size(); ++i) {
-          const int64_t key = input_.row(i)[kpos].int64_unchecked();
-          probe_keys_[static_cast<size_t>(i)] = key;
-          table_->PrefetchFastInt64(key);
-        }
-      }
     }
   }
   return !batch.empty();
+}
+
+bool HashJoinOperator::RefillInput() {
+  if (!left_->NextBatch(input_)) return false;
+  if (use_fast_probe_) {
+    // Gather the batch's keys into a contiguous array and warm each key's
+    // hash slot, so the per-row probe that follows starts from cache.
+    const size_t kpos = static_cast<size_t>(probe_positions_[0]);
+    probe_keys_.resize(static_cast<size_t>(input_.size()));
+    for (int i = 0; i < input_.size(); ++i) {
+      const int64_t key = input_.row(i)[kpos].int64_unchecked();
+      probe_keys_[static_cast<size_t>(i)] = key;
+      table_->PrefetchFastInt64(key);
+    }
+  }
+  return true;
+}
+
+// Same probes as the batch path, in the same order; each match span adds
+// its size instead of its rows.
+int64_t HashJoinOperator::CountImpl() {
+  int64_t count = 0;
+  while (RefillInput()) {
+    for (int i = 0; i < input_.size(); ++i) {
+      const JoinHashTable::Span matches =
+          use_fast_probe_
+              ? table_->ProbeFastInt64(probe_keys_[static_cast<size_t>(i)])
+              : table_->Probe(input_.row(i), probe_positions_, scratch_);
+      count += static_cast<int64_t>(matches.size);
+    }
+  }
+  rows_produced_ += count;
+  return count;
 }
 
 void HashJoinOperator::CloseImpl() {
@@ -522,9 +541,10 @@ void IndexNestedLoopJoinOperator::OpenImpl() {
   probe_cursor_ = 0;
 }
 
-bool IndexNestedLoopJoinOperator::InnerRowPasses(int64_t inner_row) const {
+bool IndexNestedLoopJoinOperator::InnerRowPasses(const Row& outer,
+                                                 int64_t inner_row) const {
   for (const auto& [outer_pos, inner_col] : residual_keys_) {
-    if (!(outer_row_[outer_pos] == inner_table_.at(inner_row, inner_col))) {
+    if (!(outer[outer_pos] == inner_table_.at(inner_row, inner_col))) {
       return false;
     }
   }
@@ -553,7 +573,7 @@ bool IndexNestedLoopJoinOperator::NextImpl(Row& row) {
     if (probe_ != nullptr) {
       while (probe_cursor_ < probe_->size()) {
         const int64_t inner_row = (*probe_)[probe_cursor_++];
-        if (InnerRowPasses(inner_row)) {
+        if (InnerRowPasses(outer_row_, inner_row)) {
           EmitJoined(row, inner_row);
           ++rows_produced_;
           return true;
@@ -565,6 +585,29 @@ bool IndexNestedLoopJoinOperator::NextImpl(Row& row) {
     probe_ = &index_->Lookup(outer_row_[outer_key_pos_]);
     probe_cursor_ = 0;
   }
+}
+
+int64_t IndexNestedLoopJoinOperator::CountImpl() {
+  // Without residual keys or inner predicates every index match joins.
+  const bool all_match = residual_keys_.empty() && inner_predicates_.empty();
+  RowBatch batch;
+  int64_t count = 0;
+  while (outer_->NextBatch(batch)) {
+    for (int i = 0; i < batch.size(); ++i) {
+      const Row& outer = batch.row(i);
+      const std::vector<int64_t>& matches =
+          index_->Lookup(outer[outer_key_pos_]);
+      if (all_match) {
+        count += static_cast<int64_t>(matches.size());
+        continue;
+      }
+      for (int64_t inner_row : matches) {
+        if (InnerRowPasses(outer, inner_row)) ++count;
+      }
+    }
+  }
+  rows_produced_ += count;
+  return count;
 }
 
 void IndexNestedLoopJoinOperator::CloseImpl() {

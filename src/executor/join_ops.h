@@ -95,7 +95,8 @@ class BlockNestedLoopJoinOperator : public Operator {
 // build side is a JoinHashTable (flat open addressing, contiguous payload
 // spans, single-int64 fast path) instead of the former
 // unordered_map<vector<Value>, vector<Row>>; probes allocate nothing. The
-// batch path probes a whole left batch per call.
+// batch path probes a whole left batch per call; Count probes the same
+// way and adds each match span's size instead of emitting its rows.
 class HashJoinOperator : public Operator {
  public:
   HashJoinOperator(std::unique_ptr<Operator> left,
@@ -121,9 +122,14 @@ class HashJoinOperator : public Operator {
   void OpenImpl() override;
   bool NextImpl(Row& row) override;
   bool NextBatchImpl(RowBatch& batch) override;
+  int64_t CountImpl() override;
   void CloseImpl() override;
 
  private:
+  // Refills input_ from the left child; on the fast probe, gathers the
+  // batch's keys into probe_keys_ and prefetches their hash slots.
+  bool RefillInput();
+
   std::unique_ptr<Operator> left_;
   std::unique_ptr<Operator> right_;
   std::vector<int> build_positions_;  // Key columns in the right layout.
@@ -195,7 +201,8 @@ class SortMergeJoinOperator : public Operator {
 // Index nested loops: the inner side is a base table; a hash index over the
 // first key column is built on Open, outer rows probe it, and the remaining
 // key pairs plus the inner table's local predicates are applied as
-// residuals.
+// residuals. Count drives the outer batch-at-a-time and adds each probe's
+// match list size (or, with residuals, the matches that pass them).
 class IndexNestedLoopJoinOperator : public Operator {
  public:
   // `inner_predicates` are local predicates on the inner table (pushed
@@ -211,10 +218,11 @@ class IndexNestedLoopJoinOperator : public Operator {
  protected:
   void OpenImpl() override;
   bool NextImpl(Row& row) override;
+  int64_t CountImpl() override;
   void CloseImpl() override;
 
  private:
-  bool InnerRowPasses(int64_t inner_row) const;
+  bool InnerRowPasses(const Row& outer, int64_t inner_row) const;
   void EmitJoined(Row& out, int64_t inner_row) const;
 
   std::unique_ptr<Operator> outer_;

@@ -78,6 +78,11 @@ bool Operator::NextBatch(RowBatch& batch) {
   return more;
 }
 
+int64_t Operator::Count() {
+  TimerScope timer(this);
+  return CountImpl();
+}
+
 void Operator::Close() {
   TimerScope timer(this);
   CloseImpl();
@@ -93,6 +98,19 @@ bool Operator::NextBatchImpl(RowBatch& batch) {
     }
   }
   return !batch.empty();
+}
+
+// Calls NextBatchImpl rather than NextBatch: the Count wrapper already
+// times this operator, and a nested wrapper would time it twice.
+int64_t Operator::CountImpl() {
+  RowBatch batch;
+  int64_t count = 0;
+  while (NextBatchImpl(batch)) {
+    ++batches_;
+    batch_rows_ += batch.size();
+    count += batch.size();
+  }
+  return count;
 }
 
 OperatorStats SnapshotOperatorStats(const Operator& op) {

@@ -5,15 +5,20 @@
 // vector of ColumnRef in output order. Operators resolve the columns their
 // predicates touch to positions once, at construction.
 //
-// Callers drive either interface:
+// Callers drive one of three interfaces:
 //  * Next(Row&)            — one row at a time (the original tuple loop);
 //  * NextBatch(RowBatch&)  — up to a batch of rows at a time. Operators
 //    without a native batch implementation inherit an adapter that fills
 //    the batch from NextImpl, so the two paths always agree; scans,
 //    filters and hash joins override it with vectorized versions.
+//  * Count()               — the number of rows the operator would produce,
+//    without producing them where it can. The default drains the batch
+//    path; hash and index-nested-loop joins override it to sum their match
+//    counts instead of building the joined rows (what COUNT(*) needs).
 //
 // The public entry points are non-virtual wrappers that feed
-// rows_produced() and accumulate wall-clock into the operator — both
+// rows_produced() (a counting operator credits the rows it would have
+// emitted) and accumulate wall-clock into the operator — both
 // inclusive (children's wrapper time counted, EXPLAIN ANALYZE style) and
 // exclusive (self time, children subtracted via a per-thread parent chain).
 // The batch wrapper additionally tracks batch counts and rows so fill
@@ -47,8 +52,11 @@ class Operator {
   bool Next(Row& row);
   // Refills `batch` with up to batch.capacity() rows; returns false when
   // the batch comes back empty (input exhausted). Callers should stick to
-  // one of Next/NextBatch per Open — both advance the same cursor.
+  // one of Next/NextBatch/Count per Open — all advance the same cursor.
   bool NextBatch(RowBatch& batch);
+  // Exhausts the operator and returns how many rows it produced, crediting
+  // them to rows_produced() exactly as a drain would.
+  int64_t Count();
   void Close();
 
   const std::vector<ColumnRef>& layout() const { return layout_; }
@@ -65,9 +73,10 @@ class Operator {
   // an operator tree sum to the root's inclusive time.
   double self_seconds() const { return seconds_ - child_seconds_; }
 
-  // Batch-path statistics: NextBatch calls that returned rows, and the
-  // rows they returned. fill = batch_rows / (batches * capacity) is the
-  // vectorization fill rate.
+  // Batch-path statistics: batches that returned rows (through NextBatch
+  // or the default Count drain), and the rows they returned. fill =
+  // batch_rows / (batches * capacity) is the vectorization fill rate. A
+  // join that counts without emitting returns no batches.
   int64_t batches() const { return batches_; }
   int64_t batch_rows() const { return batch_rows_; }
 
@@ -81,6 +90,8 @@ class Operator {
   virtual bool NextImpl(Row& row) = 0;
   // Default adapter: drains NextImpl into the batch.
   virtual bool NextBatchImpl(RowBatch& batch);
+  // Default: drains NextBatchImpl, keeping the batch statistics.
+  virtual int64_t CountImpl();
   virtual void CloseImpl() = 0;
 
   std::vector<ColumnRef> layout_;

@@ -210,8 +210,7 @@ void CountAggOperator::OpenImpl() {
 
 bool CountAggOperator::NextImpl(Row& row) {
   if (done_) return false;
-  int64_t count = 0;
-  while (child_->NextBatch(scratch_)) count += scratch_.size();
+  const int64_t count = child_->Count();
   row.clear();
   row.push_back(Value(count));
   done_ = true;

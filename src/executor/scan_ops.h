@@ -1,9 +1,10 @@
 // Leaf and unary operators: sequential scan, filter, projection, COUNT(*).
 //
 // SeqScan and Filter implement the batch interface natively (column-to-slot
-// copies and in-place compaction); CountAgg and GroupCount drain their
-// child batch-at-a-time, so a plan topped with COUNT(*) runs the vectorized
-// path end to end.
+// copies and in-place compaction). CountAgg asks its child for
+// Operator::Count, so a hash or index-nested-loop join under COUNT(*) sums
+// its matches instead of emitting them; GroupCount drains its child
+// batch-at-a-time.
 
 #ifndef JOINEST_EXECUTOR_SCAN_OPS_H_
 #define JOINEST_EXECUTOR_SCAN_OPS_H_
@@ -155,7 +156,7 @@ class ProjectOperator : public Operator {
   bool has_duplicate_positions_ = false;
 };
 
-// Consumes the child and emits one row holding COUNT(*).
+// Counts the child (Operator::Count) and emits one row holding COUNT(*).
 class CountAggOperator : public Operator {
  public:
   explicit CountAggOperator(std::unique_ptr<Operator> child);
@@ -169,7 +170,6 @@ class CountAggOperator : public Operator {
 
  private:
   std::unique_ptr<Operator> child_;
-  RowBatch scratch_;
   bool done_ = false;
 };
 

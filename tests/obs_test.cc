@@ -397,6 +397,57 @@ TEST(ExplainAnalyzeTest, PaperQueryReportsExactEstimates) {
             std::string::npos);
 }
 
+// Under COUNT(*) the plan's top join counts its matches instead of emitting
+// them: its EXPLAIN ANALYZE row still reports the rows it would have
+// emitted, but no batches, so the fill column reads "-".
+TEST(ExplainAnalyzeTest, CountingJoinReportsRowsWithoutBatches) {
+  Catalog catalog;
+  ASSERT_TRUE(BuildPaperDataset(catalog, PaperDatasetOptions()).ok());
+  auto query = ParseQuery(catalog,
+                          "SELECT COUNT(*) FROM S, M, B, G WHERE S.s = M.m "
+                          "AND M.m = B.b AND B.b = G.g AND S.s < 100");
+  ASSERT_TRUE(query.ok()) << query.status();
+  ExplainAnalyzeOptions options;
+  options.estimation = PresetOptions(AlgorithmPreset::kELS);
+  options.with_true_cardinalities = false;
+  auto report = ExplainAnalyzeQuery(catalog, *query, options);
+  ASSERT_TRUE(report.ok()) << report.status();
+
+  // operators[0] is the CountAgg; operators[1] is the plan's top join.
+  ASSERT_GE(report->operators.size(), 2u);
+  const ExplainAnalyzeReport::OperatorRow& join = report->operators[1];
+  ASSERT_EQ(join.depth, 1);
+  ASSERT_TRUE(join.label.rfind("HashJoin", 0) == 0 ||
+              join.label.rfind("IndexNLJoin", 0) == 0)
+      << join.label;
+  ASSERT_TRUE(join.has_actual);
+  EXPECT_EQ(join.actual_rows, report->count);
+  EXPECT_EQ(join.actual_rows, 100);
+  EXPECT_EQ(join.batches, 0);
+  EXPECT_GT(join.inclusive_seconds, 0.0);
+
+  // Text cells: | operator | est | act | incl | self | batches | fill |.
+  std::istringstream text(report->FormatText());
+  bool found = false;
+  for (std::string line; std::getline(text, line);) {
+    std::vector<std::string> cells;
+    std::istringstream fields(line);
+    for (std::string cell; std::getline(fields, cell, '|');) {
+      const size_t begin = cell.find_first_not_of(' ');
+      const size_t end = cell.find_last_not_of(' ');
+      cells.push_back(begin == std::string::npos
+                          ? ""
+                          : cell.substr(begin, end - begin + 1));
+    }
+    if (cells.size() != 8 || cells[1] != join.label) continue;
+    found = true;
+    EXPECT_EQ(cells[3], "100") << line;
+    EXPECT_EQ(cells[6], "0") << line;
+    EXPECT_EQ(cells[7], "-") << line;
+  }
+  EXPECT_TRUE(found) << report->FormatText();
+}
+
 // The X-macro table in obs/metric_names.h is the telemetry contract: the
 // runtime view must agree with it, and the production family names must be
 // declared. (The full both-directions check — every Get* literal declared,

@@ -1,10 +1,12 @@
 // Cross-method and cross-path parity: every join method, the batch driver,
-// and the factorized ground-truth count must produce identical results on
-// the same query. Counts are the repo's ground truth (TrueResultSize feeds
-// every estimator comparison), so parity here is load-bearing — a
-// divergence anywhere silently corrupts the paper reproduction.
+// the count drive, and the factorized ground-truth count must produce
+// identical results on the same query. Counts are the repo's ground truth
+// (TrueResultSize feeds every estimator comparison), so parity here is
+// load-bearing — a divergence anywhere silently corrupts the paper
+// reproduction.
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -194,10 +196,9 @@ Predicate Join(int lt, int lc, int rt, int rc) {
   return Predicate::Join(ColumnRef{lt, lc}, ColumnRef{rt, rc});
 }
 
-// A cycle through three classes has no join tree: the count falls back to
-// running the canonical plan.
-TEST(TrueCountTest, MultiClassTriangleFallsBackToThePlan) {
-  Catalog catalog;
+// R.b = S.b AND S.c = T.c AND T.a = R.a: a cycle through three classes,
+// which has no join tree. The canonical plan's top join carries two keys.
+QuerySpec MultiClassTriangle(Catalog& catalog) {
   JOINEST_CHECK(catalog.AddTable("R", IntTable({"a", "b"},
                                                {{1, 1, 2, 3, 3, 4},
                                                 {1, 2, 2, 3, 1, 4}}))
@@ -212,6 +213,13 @@ TEST(TrueCountTest, MultiClassTriangleFallsBackToThePlan) {
                     .ok());
   QuerySpec spec = MakeCountSpec(catalog, 3);
   spec.predicates = {Join(0, 1, 1, 0), Join(1, 1, 2, 0), Join(2, 1, 0, 0)};
+  return spec;
+}
+
+// Without a join tree the count falls back to running the canonical plan.
+TEST(TrueCountTest, MultiClassTriangleFallsBackToThePlan) {
+  Catalog catalog;
+  const QuerySpec spec = MultiClassTriangle(catalog);
   EXPECT_GT(ExpectTrueCountMatchesPlan(catalog, spec, "triangle"), 0);
 }
 
@@ -458,6 +466,169 @@ TEST(KernelMixedKeyParityTest, MixedKeyJoinStaysCorrect) {
   QuerySpec spec = MakeCountSpec(catalog, 2);
   spec.predicates.push_back(Predicate::Join(ColumnRef{0, 0}, ColumnRef{1, 0}));
   ExpectKernelParity(catalog, spec, "mixed-type join key");
+}
+
+// ------------------------------------------------------- Count drive
+//
+// Operator::Count lets a hash or index-nested-loop join add up its match
+// counts instead of emitting rows; every other operator counts by
+// draining its batch path. The count drive must agree with both emit
+// drives on the total and, because EXPLAIN ANALYZE and feedback read them,
+// on every operator's rows_produced(). Each drive compiles its own tree:
+// rows_produced() accumulates across re-opens.
+
+struct CompiledTree {
+  std::unique_ptr<Operator> root;
+  std::vector<Operator*> registry;
+};
+
+CompiledTree CompileWithMethod(const Catalog& catalog, const QuerySpec& spec,
+                               JoinMethod method) {
+  std::unique_ptr<PlanNode> plan = CanonicalSafePlan(spec);
+  SetJoinMethod(plan.get(), method);
+  CompiledTree tree;
+  auto root = CompilePlan(catalog, spec, *plan, &tree.registry);
+  JOINEST_CHECK(root.ok()) << root.status();
+  tree.root = std::move(*root);
+  return tree;
+}
+
+int64_t DriveCount(Operator& op) {
+  op.Open();
+  const int64_t count = op.Count();
+  op.Close();
+  return count;
+}
+
+std::vector<int64_t> RowsProduced(const std::vector<Operator*>& registry) {
+  std::vector<int64_t> rows;
+  for (const Operator* op : registry) rows.push_back(op->rows_produced());
+  return rows;
+}
+
+// Checks the three drives under every join method; returns the count.
+int64_t ExpectCountParity(const Catalog& catalog, const QuerySpec& spec,
+                          const std::string& what) {
+  int64_t expected = -1;
+  for (JoinMethod method :
+       {JoinMethod::kHash, JoinMethod::kIndexNestedLoop,
+        JoinMethod::kNestedLoop, JoinMethod::kBlockNestedLoop,
+        JoinMethod::kSortMerge}) {
+    const std::string label = what + ", " + JoinMethodName(method);
+    const CompiledTree counted = CompileWithMethod(catalog, spec, method);
+    const CompiledTree batched = CompileWithMethod(catalog, spec, method);
+    const CompiledTree tupled = CompileWithMethod(catalog, spec, method);
+    const int64_t count = DriveCount(*counted.root);
+    EXPECT_EQ(count, DrainBatch(*batched.root).rows) << label;
+    EXPECT_EQ(count, DrainTuple(*tupled.root).rows) << label;
+    EXPECT_EQ(RowsProduced(counted.registry), RowsProduced(batched.registry))
+        << label;
+    EXPECT_EQ(counted.root->rows_produced(), count) << label;
+    // A counting join sums its matches and so returns no batches; a
+    // draining one keeps the batch statistics of the batch drive.
+    if (method == JoinMethod::kHash ||
+        method == JoinMethod::kIndexNestedLoop) {
+      EXPECT_EQ(counted.root->batches(), 0) << label;
+    } else {
+      EXPECT_EQ(counted.root->batches(), batched.root->batches()) << label;
+      EXPECT_EQ(counted.root->batch_rows(), count) << label;
+    }
+    if (expected < 0) expected = count;
+    EXPECT_EQ(count, expected) << label;
+  }
+  return expected;
+}
+
+TEST(CountParityTest, CountMatchesEmitDrivesOnGeneratedWorkloads) {
+  for (const ParityCase& c : ParityCases()) {
+    const GeneratedWorkload w = MakeWorkload(c);
+    EXPECT_GT(ExpectCountParity(w.catalog, w.spec,
+                                "shape " +
+                                    std::to_string(static_cast<int>(c.shape)) +
+                                    " seed " + std::to_string(c.seed)),
+              0);
+  }
+}
+
+// An int64 key against a double key declines the fast probe: the hash join
+// counts through the generic canonical-key probe.
+TEST(CountParityTest, Int64AgainstDoubleKeyTakesTheGenericProbe) {
+  Catalog catalog;
+  JOINEST_CHECK(
+      catalog
+          .AddTable("I", IntTable({"a"}, {{1, 2, 3, 5, -7, 4000000000, 3}}))
+          .ok());
+  JOINEST_CHECK(
+      catalog
+          .AddTable("D", Table::FromColumns(
+                             Schema({{"b", TypeKind::kDouble}}),
+                             {ToValueColumn(std::vector<double>{
+                                 1.0, 2.5, 3.0, 5.0, -7.0, 1e19,
+                                 4000000000.0, 0.5, 3.0})}))
+          .ok());
+  QuerySpec spec = MakeCountSpec(catalog, 2);
+  spec.predicates = {Join(0, 0, 1, 0)};
+  // 1, 5, -7 and 4000000000 meet one twin each; the two 3s meet two.
+  EXPECT_EQ(ExpectCountParity(catalog, spec, "int64/double"), 8);
+  // Probing from the double side builds (and indexes) the int64 side.
+  QuerySpec flipped;
+  flipped.count_star = true;
+  JOINEST_CHECK(flipped.AddTable(catalog, "D").ok());
+  JOINEST_CHECK(flipped.AddTable(catalog, "I").ok());
+  flipped.predicates = {Join(0, 0, 1, 0)};
+  EXPECT_EQ(ExpectCountParity(catalog, flipped, "double/int64"), 8);
+}
+
+// Two key pairs: the hash join takes the generic multi-column key, and the
+// index join probes on the first pair and checks the second as a residual.
+TEST(CountParityTest, TwoKeyJoinChecksTheResidualKey) {
+  Catalog catalog;
+  JOINEST_CHECK(
+      catalog
+          .AddTable("A", IntTable({"x", "y"},
+                                  {{1, 1, 1, 2, 2, 3}, {1, 2, 2, 1, 5, 3}}))
+          .ok());
+  JOINEST_CHECK(
+      catalog
+          .AddTable("B", IntTable({"x", "y"},
+                                  {{1, 1, 2, 2, 3, 4}, {2, 3, 1, 1, 4, 4}}))
+          .ok());
+  QuerySpec spec = MakeCountSpec(catalog, 2);
+  spec.predicates = {Join(0, 0, 1, 0), Join(0, 1, 1, 1)};
+  // (1,2) twice meets one B row; (2,1) meets two.
+  EXPECT_EQ(ExpectCountParity(catalog, spec, "two keys"), 4);
+}
+
+// A local predicate on the index join's inner table is re-checked per
+// match, so the count must not add the whole match list.
+TEST(CountParityTest, IndexJoinChecksTheInnerPredicate) {
+  Catalog catalog;
+  JOINEST_CHECK(
+      catalog.AddTable("A", IntTable({"k"}, {{1, 1, 2, 3, 4}})).ok());
+  JOINEST_CHECK(catalog
+                    .AddTable("B", IntTable({"k", "v"},
+                                            {{1, 1, 1, 2, 2, 3},
+                                             {10, 20, 30, 10, 40, 50}}))
+                    .ok());
+  QuerySpec spec = MakeCountSpec(catalog, 2);
+  spec.predicates = {Join(0, 0, 1, 0),
+                     Predicate::LocalConst(ColumnRef{1, 1}, CompareOp::kLt,
+                                           Value(int64_t{35}))};
+  // Key 1: two A rows x three B rows; key 2: one x one; key 3's v fails.
+  EXPECT_EQ(ExpectCountParity(catalog, spec, "inner predicate"), 7);
+}
+
+// TrueResultSize's fallback runs the canonical plan, whose top hash join
+// counts: cross-check it against tuple nested loops, which drain.
+TEST(CountParityTest, MultiClassTriangleTruthMatchesNestedLoops) {
+  Catalog catalog;
+  const QuerySpec spec = MultiClassTriangle(catalog);
+  const int64_t count = ExpectCountParity(catalog, spec, "triangle");
+  EXPECT_GT(count, 0);
+  auto truth = TrueResultSize(catalog, spec);
+  ASSERT_TRUE(truth.ok()) << truth.status();
+  EXPECT_EQ(*truth, count);
+  EXPECT_EQ(*truth, CountWithMethod(catalog, spec, JoinMethod::kNestedLoop));
 }
 
 // ------------------------------------------------- Mixed-type join keys
