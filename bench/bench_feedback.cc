@@ -51,14 +51,6 @@
 namespace joinest {
 namespace {
 
-// q-error with the customary floor at 1 row (obs/explain_analyze.h uses the
-// same convention).
-double QError(double estimated, double actual) {
-  const double est = std::max(estimated, 1.0);
-  const double act = std::max(actual, 1.0);
-  return std::max(est / act, act / est);
-}
-
 double Percentile95(std::vector<double> values) {
   JOINEST_CHECK(!values.empty());
   std::sort(values.begin(), values.end());
@@ -217,7 +209,7 @@ int main(int argc, char** argv) {
     std::vector<double> qerrors(kNumQueries);
     for (int q = 0; q < kNumQueries; ++q) {
       const EstimateResult estimate = fb_session.Estimate(prepared[q]).value();
-      qerrors[q] = QError(estimate.rows(), truth[q]);
+      qerrors[q] = QErrorValue(estimate.rows(), truth[q]);
     }
     p95[pass] = Percentile95(qerrors);
     std::printf("pass %d: p95 q-error %.3f (store: %lld observations)\n",

@@ -1,11 +1,10 @@
 // Batch-at-a-time row container for the vectorized execution path.
 //
 // A RowBatch owns a fixed pool of Row slots that are reused across refills:
-// after the first few batches the steady state allocates nothing, which is
-// where batch execution wins over the tuple loop (one virtual call and one
-// clock read per ~1024 rows instead of per row). Rows are row-major — the
-// operators' Row layout is unchanged, so the tuple and batch paths share
-// all predicate/key resolution logic and produce bit-identical results.
+// after the first few batches the steady state allocates nothing, and an
+// operator pays one virtual call and two clock reads per ~1024 rows instead
+// of per row. Rows are row-major: a slot is a Row in the operator's layout,
+// and producers overwrite a claimed slot in place.
 
 #ifndef JOINEST_EXECUTOR_BATCH_H_
 #define JOINEST_EXECUTOR_BATCH_H_
@@ -49,13 +48,6 @@ class RowBatch {
   Row& AppendSlot() {
     JOINEST_DCHECK_LT(size_, capacity_) << "batch overflow";
     return rows_[size_++];
-  }
-
-  // Undoes the last AppendSlot (used when a producer learns, after claiming
-  // the slot, that its input is exhausted).
-  void PopSlot() {
-    JOINEST_DCHECK_GT(size_, 0) << "PopSlot on an empty batch";
-    --size_;
   }
 
   // Logical reset; row storage is retained for reuse.

@@ -28,17 +28,11 @@ StatusOr<std::unique_ptr<Operator>> CompilePlan(
 
   if (node.kind == PlanNode::Kind::kScan) {
     const Table& table = catalog.table(spec.tables[node.table_index].catalog_id);
-    const std::vector<int64_t>* selected =
-        selections != nullptr ? selections->ForTable(node.table_index)
-                              : nullptr;
-    std::unique_ptr<Operator> op;
-    if (selected != nullptr) {
-      op = track(std::make_unique<SelectionScanOperator>(
-          table, node.table_index,
-          selections->row_ids[static_cast<size_t>(node.table_index)]));
-    } else {
-      op = track(std::make_unique<SeqScanOperator>(table, node.table_index));
-    }
+    std::unique_ptr<Operator> op = track(std::make_unique<SeqScanOperator>(
+        table, node.table_index,
+        selections != nullptr && selections->ForTable(node.table_index)
+            ? selections->row_ids[static_cast<size_t>(node.table_index)]
+            : nullptr));
     if (!node.filter.empty()) {
       auto filter =
           std::make_unique<FilterOperator>(std::move(op), node.filter);

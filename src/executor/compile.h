@@ -39,8 +39,8 @@ struct PlanNodeOperator {
 // scan node (the index is built over that base table).
 //
 // If `selections` is non-null, a scan node whose table has a row-id
-// selection compiles to a SelectionScanOperator over those rows instead of
-// a full SeqScan (predicate transfer's pre-filtered path). An
+// selection compiles to a SeqScanOperator over just those rows (predicate
+// transfer's pre-filtered path; it reports itself as SelectionScan). An
 // index-nested-loop join's absorbed inner scan ignores selections — the
 // index probes by key, so unselected rows cost nothing there.
 StatusOr<std::unique_ptr<Operator>> CompilePlan(

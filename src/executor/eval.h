@@ -17,9 +17,8 @@ bool EvalCompare(const Value& left, CompareOp op, const Value& right);
 
 // Evaluates a conjunction of local predicates over one row, with operand
 // positions already resolved against the row's layout (left_pos / right_pos
-// parallel to predicates; right_pos is -1 for column-vs-constant). Shared
-// by the tuple filter and the batch filter's generic remainder so the two
-// paths agree bit for bit.
+// parallel to predicates; right_pos is -1 for column-vs-constant). The
+// filter's generic remainder: the predicates no typed kernel accepted.
 bool EvalPredicatesRow(const Row& row, const std::vector<Predicate>& predicates,
                        const std::vector<int>& left_pos,
                        const std::vector<int>& right_pos);

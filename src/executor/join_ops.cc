@@ -48,22 +48,30 @@ bool KeysMatch(const Row& left, const Row& right,
   return true;
 }
 
-void ConcatRows(Row& out, const Row& left, const Row& right) {
-  out.clear();
-  out.reserve(left.size() + right.size());
-  out.insert(out.end(), left.begin(), left.end());
-  out.insert(out.end(), right.begin(), right.end());
-}
-
-// Specialized-path concatenation into a pooled slot: element-wise
-// copy-assign into resized storage, so a reused slot keeps its values'
-// capacity (strings especially) instead of destroying and reconstructing
-// them the way clear+insert does.
+// Writes left ++ right into a pooled slot: element-wise copy-assign into
+// resized storage, so a reused slot keeps its values' capacity (strings
+// especially) instead of destroying and reconstructing them.
 void ConcatInto(Row& out, const Row& left, const Row& right) {
   out.resize(left.size() + right.size());
   size_t j = 0;
   for (const Value& v : left) out[j++] = v;
   for (const Value& v : right) out[j++] = v;
+}
+
+// Opens `op`, moves every row it produces into `out`, and closes it.
+// Moving steals each slot's storage; the child re-fills moved-from slots on
+// the next refill, so this only trades the per-value copy for one
+// allocation the copy would have paid anyway.
+void DrainInto(Operator& op, std::vector<Row>& out) {
+  op.Open();
+  out.clear();
+  RowBatch batch;
+  while (op.NextBatch(batch)) {
+    for (int i = 0; i < batch.size(); ++i) {
+      out.push_back(std::move(batch.row(i)));
+    }
+  }
+  op.Close();
 }
 
 }  // namespace
@@ -80,30 +88,43 @@ NestedLoopJoinOperator::NestedLoopJoinOperator(
 
 void NestedLoopJoinOperator::OpenImpl() {
   left_->Open();
-  outer_valid_ = false;
+  outer_.Clear();
+  outer_pos_ = 0;
+  inner_.Clear();
+  inner_pos_ = 0;
   inner_open_ = false;
 }
 
-bool NestedLoopJoinOperator::NextImpl(Row& row) {
-  Row inner;
-  while (true) {
-    if (!outer_valid_) {
-      if (!left_->Next(outer_row_)) return false;
-      outer_valid_ = true;
+// Per outer row: re-open the inner side and drain it batch by batch,
+// emitting the matches; a full caller batch leaves both cursors where they
+// are, mid-inner-batch.
+bool NestedLoopJoinOperator::NextBatchImpl(RowBatch& batch) {
+  batch.Clear();
+  while (!batch.full()) {
+    if (inner_pos_ < inner_.size()) {
+      const Row& outer = outer_.row(outer_pos_);
+      while (inner_pos_ < inner_.size() && !batch.full()) {
+        const Row& inner = inner_.row(inner_pos_++);
+        if (KeysMatch(outer, inner, keys_)) {
+          ConcatInto(batch.AppendSlot(), outer, inner);
+          ++rows_produced_;
+        }
+      }
+    } else if (inner_open_) {
+      inner_pos_ = 0;
+      if (right_->NextBatch(inner_)) continue;
+      right_->Close();
+      inner_open_ = false;
+      ++outer_pos_;
+    } else if (outer_pos_ < outer_.size()) {
       right_->Open();  // Full inner re-scan per outer row.
       inner_open_ = true;
+    } else {
+      if (!left_->NextBatch(outer_)) break;
+      outer_pos_ = 0;
     }
-    while (right_->Next(inner)) {
-      if (KeysMatch(outer_row_, inner, keys_)) {
-        ConcatRows(row, outer_row_, inner);
-        ++rows_produced_;
-        return true;
-      }
-    }
-    right_->Close();
-    inner_open_ = false;
-    outer_valid_ = false;
   }
+  return !batch.empty();
 }
 
 void NestedLoopJoinOperator::CloseImpl() {
@@ -126,32 +147,33 @@ BlockNestedLoopJoinOperator::BlockNestedLoopJoinOperator(
 
 void BlockNestedLoopJoinOperator::OpenImpl() {
   left_->Open();
-  right_->Open();
-  inner_.clear();
-  Row row;
-  while (right_->Next(row)) inner_.push_back(row);
-  right_->Close();
-  outer_valid_ = false;
+  DrainInto(*right_, inner_);
+  outer_.Clear();
+  outer_pos_ = 0;
   inner_cursor_ = 0;
 }
 
-bool BlockNestedLoopJoinOperator::NextImpl(Row& row) {
-  while (true) {
-    if (!outer_valid_) {
-      if (!left_->Next(outer_row_)) return false;
-      outer_valid_ = true;
-      inner_cursor_ = 0;
-    }
-    while (inner_cursor_ < inner_.size()) {
-      const Row& inner = inner_[inner_cursor_++];
-      if (KeysMatch(outer_row_, inner, keys_)) {
-        ConcatRows(row, outer_row_, inner);
-        ++rows_produced_;
-        return true;
+bool BlockNestedLoopJoinOperator::NextBatchImpl(RowBatch& batch) {
+  batch.Clear();
+  while (!batch.full()) {
+    if (outer_pos_ < outer_.size()) {
+      const Row& outer = outer_.row(outer_pos_);
+      while (inner_cursor_ < inner_.size() && !batch.full()) {
+        const Row& inner = inner_[inner_cursor_++];
+        if (KeysMatch(outer, inner, keys_)) {
+          ConcatInto(batch.AppendSlot(), outer, inner);
+          ++rows_produced_;
+        }
       }
+      if (inner_cursor_ < inner_.size()) break;  // Resume mid-inner.
+      ++outer_pos_;
+      inner_cursor_ = 0;
+    } else {
+      if (!left_->NextBatch(outer_)) break;
+      outer_pos_ = 0;
     }
-    outer_valid_ = false;
   }
+  return !batch.empty();
 }
 
 void BlockNestedLoopJoinOperator::CloseImpl() {
@@ -201,18 +223,8 @@ void HashJoinOperator::Specialize(const std::vector<TypeKind>& left_types,
 
 void HashJoinOperator::OpenImpl() {
   left_->Open();
-  right_->Open();
   std::vector<Row> build_rows;
-  RowBatch batch;
-  while (right_->NextBatch(batch)) {
-    for (int i = 0; i < batch.size(); ++i) {
-      // Moving steals the slot's storage; the child re-fills moved-from
-      // slots on the next refill, so this only trades the per-value copy
-      // for one allocation the copy would have paid anyway.
-      build_rows.push_back(std::move(batch.row(i)));
-    }
-  }
-  right_->Close();
+  DrainInto(*right_, build_rows);
   {
     Span span("HashJoin::build");
     table_ = std::make_unique<JoinHashTable>(std::move(build_rows),
@@ -238,42 +250,27 @@ void HashJoinOperator::OpenImpl() {
   // The table only takes its int64 fast path when every build key actually
   // is int64; with a schema-proven int64 key the two always agree, but the
   // kernel re-checks so a declined fast path degrades instead of breaking.
+  // Likewise a declined int payload falls back to the generic emit loop.
   use_fast_probe_ = int64_key_ && table_->fast_path();
   if (all_int64_) table_->BuildIntPayload();
   use_int_payload_ = all_int64_ && table_->has_int_payload();
-  matches_ = JoinHashTable::Span{};
-  match_cursor_ = 0;
   input_valid_ = false;
   input_pos_ = 0;
-  batch_matches_ = JoinHashTable::Span{};
-  batch_match_cursor_ = 0;
+  matches_ = JoinHashTable::Span{};
+  match_cursor_ = 0;
 }
 
-bool HashJoinOperator::NextImpl(Row& row) {
-  while (true) {
-    if (match_cursor_ < matches_.size) {
-      ConcatRows(row, outer_row_, table_->row(matches_.data[match_cursor_++]));
-      ++rows_produced_;
-      return true;
-    }
-    if (!left_->Next(outer_row_)) return false;
-    matches_ = table_->Probe(outer_row_, probe_positions_, scratch_);
-    match_cursor_ = 0;
-  }
-}
-
-// Batch probe: per input row, probe once and emit as many of its matches as
-// fit, resuming mid-span on the next call. The kernel probe and emit loops
+// Per input row, probe once and emit as many of its matches as fit,
+// resuming mid-span on the next call. The kernel probe and emit loops
 // replace the generic ones where Specialize proved the key and row types;
 // other shapes probe through JoinHashTable::Probe and copy rows with
-// ConcatInto. Same probe order and span walk as the tuple path, so the
-// emitted multiset is bit-identical.
+// ConcatInto.
 bool HashJoinOperator::NextBatchImpl(RowBatch& batch) {
   batch.Clear();
   const size_t out_width =
       static_cast<size_t>(left_width_) + static_cast<size_t>(right_width_);
   while (!batch.full()) {
-    if (batch_match_cursor_ < batch_matches_.size) {
+    if (match_cursor_ < matches_.size) {
       if (use_int_payload_) {
         // Matches of one span are consecutive matrix rows: the inner side
         // reads sequential int64s instead of dereferencing per-row heap
@@ -285,56 +282,38 @@ bool HashJoinOperator::NextBatchImpl(RowBatch& batch) {
             slot[static_cast<size_t>(c)].StoreInt64(
                 outer_ints_[static_cast<size_t>(c)]);
           }
-          const int64_t* inner = table_->int_payload_row(
-              batch_match_pos_ + batch_match_cursor_++);
+          const int64_t* inner =
+              table_->int_payload_row(match_pos_ + match_cursor_++);
           for (int c = 0; c < right_width_; ++c) {
             slot[static_cast<size_t>(left_width_ + c)].StoreInt64(inner[c]);
           }
           ++rows_produced_;
-        } while (!batch.full() && batch_match_cursor_ < batch_matches_.size);
-      } else if (all_int64_) {
-        do {
-          Row& slot = batch.AppendSlot();
-          slot.resize(out_width);
-          for (int c = 0; c < left_width_; ++c) {
-            slot[static_cast<size_t>(c)].StoreInt64(
-                outer_ints_[static_cast<size_t>(c)]);
-          }
-          const Row& inner =
-              table_->row(batch_matches_.data[batch_match_cursor_++]);
-          for (int c = 0; c < right_width_; ++c) {
-            slot[static_cast<size_t>(left_width_ + c)].StoreInt64(
-                inner[static_cast<size_t>(c)].int64_unchecked());
-          }
-          ++rows_produced_;
-        } while (!batch.full() && batch_match_cursor_ < batch_matches_.size);
+        } while (!batch.full() && match_cursor_ < matches_.size);
       } else {
         const Row& outer = input_.row(input_pos_);
         do {
           ConcatInto(batch.AppendSlot(), outer,
-                     table_->row(batch_matches_.data[batch_match_cursor_++]));
+                     table_->row(matches_.data[match_cursor_++]));
           ++rows_produced_;
-        } while (!batch.full() && batch_match_cursor_ < batch_matches_.size);
+        } while (!batch.full() && match_cursor_ < matches_.size);
       }
-      if (batch_match_cursor_ < batch_matches_.size) break;
+      if (match_cursor_ < matches_.size) break;
       ++input_pos_;
     } else if (input_valid_ && input_pos_ < input_.size()) {
       const Row& outer = input_.row(input_pos_);
       if (use_fast_probe_) {
-        batch_matches_ = table_->ProbeFastInt64(
+        matches_ = table_->ProbeFastInt64(
             probe_keys_[static_cast<size_t>(input_pos_)]);
       } else {
-        batch_matches_ = table_->Probe(outer, probe_positions_, scratch_);
+        matches_ = table_->Probe(outer, probe_positions_, scratch_);
       }
-      batch_match_cursor_ = 0;
-      if (batch_matches_.empty()) {
+      match_cursor_ = 0;
+      if (matches_.empty()) {
         ++input_pos_;
         continue;
       }
       if (use_int_payload_) {
-        batch_match_pos_ = table_->PayloadPos(batch_matches_);
-      }
-      if (all_int64_) {
+        match_pos_ = table_->PayloadPos(matches_);
         outer_ints_.resize(static_cast<size_t>(left_width_));
         for (int c = 0; c < left_width_; ++c) {
           outer_ints_[static_cast<size_t>(c)] =
@@ -416,15 +395,8 @@ int CompareKeys(const Row& left, const Row& right,
 }  // namespace
 
 void SortMergeJoinOperator::OpenImpl() {
-  auto drain = [](Operator& op, std::vector<Row>& out) {
-    op.Open();
-    out.clear();
-    Row row;
-    while (op.Next(row)) out.push_back(row);
-    op.Close();
-  };
-  drain(*left_, left_rows_);
-  drain(*right_, right_rows_);
+  DrainInto(*left_, left_rows_);
+  DrainInto(*right_, right_rows_);
   std::sort(left_rows_.begin(), left_rows_.end(),
             [this](const Row& a, const Row& b) {
               for (const JoinKey& k : keys_) {
@@ -445,24 +417,25 @@ void SortMergeJoinOperator::OpenImpl() {
   in_group_ = false;
 }
 
-bool SortMergeJoinOperator::NextImpl(Row& row) {
-  while (true) {
+bool SortMergeJoinOperator::NextBatchImpl(RowBatch& batch) {
+  batch.Clear();
+  while (!batch.full()) {
     if (in_group_) {
       if (lcur_ < lg_) {
-        ConcatRows(row, left_rows_[lcur_], right_rows_[rcur_]);
+        ConcatInto(batch.AppendSlot(), left_rows_[lcur_], right_rows_[rcur_]);
         ++rows_produced_;
         if (++rcur_ >= rg_) {
           rcur_ = ri_;
           ++lcur_;
         }
-        return true;
+        continue;
       }
       // Group exhausted; move past it.
       li_ = lg_;
       ri_ = rg_;
       in_group_ = false;
     }
-    if (li_ >= left_rows_.size() || ri_ >= right_rows_.size()) return false;
+    if (li_ >= left_rows_.size() || ri_ >= right_rows_.size()) break;
     const int cmp = CompareKeys(left_rows_[li_], right_rows_[ri_], keys_);
     if (cmp < 0) {
       ++li_;
@@ -487,6 +460,7 @@ bool SortMergeJoinOperator::NextImpl(Row& row) {
     rcur_ = ri_;
     in_group_ = true;
   }
+  return !batch.empty();
 }
 
 void SortMergeJoinOperator::CloseImpl() {
@@ -537,8 +511,9 @@ IndexNestedLoopJoinOperator::IndexNestedLoopJoinOperator(
 void IndexNestedLoopJoinOperator::OpenImpl() {
   outer_->Open();
   index_ = std::make_unique<HashIndex>(inner_table_, inner_key_col_);
-  probe_ = nullptr;
-  probe_cursor_ = 0;
+  input_.Clear();
+  input_pos_ = 0;
+  match_cursor_ = 0;
 }
 
 bool IndexNestedLoopJoinOperator::InnerRowPasses(const Row& outer,
@@ -558,54 +533,60 @@ bool IndexNestedLoopJoinOperator::InnerRowPasses(const Row& outer,
   return true;
 }
 
-void IndexNestedLoopJoinOperator::EmitJoined(Row& out,
-                                             int64_t inner_row) const {
-  out.clear();
-  out.reserve(outer_row_.size() + inner_table_.num_columns());
-  out.insert(out.end(), outer_row_.begin(), outer_row_.end());
-  for (int c = 0; c < inner_table_.num_columns(); ++c) {
-    out.push_back(inner_table_.at(inner_row, c));
+template <typename OnRow>
+void IndexNestedLoopJoinOperator::ForEachOuterRow(OnRow&& on_row) {
+  while (true) {
+    if (input_pos_ < input_.size()) {
+      const Row& outer = input_.row(input_pos_);
+      if (!on_row(outer, index_->Lookup(outer[outer_key_pos_]))) return;
+      ++input_pos_;
+    } else {
+      if (!outer_->NextBatch(input_)) return;
+      input_pos_ = 0;
+    }
   }
 }
 
-bool IndexNestedLoopJoinOperator::NextImpl(Row& row) {
-  while (true) {
-    if (probe_ != nullptr) {
-      while (probe_cursor_ < probe_->size()) {
-        const int64_t inner_row = (*probe_)[probe_cursor_++];
-        if (InnerRowPasses(outer_row_, inner_row)) {
-          EmitJoined(row, inner_row);
-          ++rows_produced_;
-          return true;
-        }
+bool IndexNestedLoopJoinOperator::NextBatchImpl(RowBatch& batch) {
+  batch.Clear();
+  const size_t inner_width = static_cast<size_t>(inner_table_.num_columns());
+  ForEachOuterRow([&](const Row& outer,
+                      const std::vector<int64_t>& matches) {
+    while (true) {
+      if (batch.full()) return false;  // Resume at this row and match.
+      if (match_cursor_ == matches.size()) break;
+      const int64_t inner_row = matches[match_cursor_++];
+      if (!InnerRowPasses(outer, inner_row)) continue;
+      Row& slot = batch.AppendSlot();
+      slot.resize(outer.size() + inner_width);
+      size_t j = 0;
+      for (const Value& v : outer) slot[j++] = v;
+      for (size_t c = 0; c < inner_width; ++c) {
+        slot[j++] = inner_table_.at(inner_row, static_cast<int>(c));
       }
-      probe_ = nullptr;
+      ++rows_produced_;
     }
-    if (!outer_->Next(outer_row_)) return false;
-    probe_ = &index_->Lookup(outer_row_[outer_key_pos_]);
-    probe_cursor_ = 0;
-  }
+    match_cursor_ = 0;
+    return true;
+  });
+  return !batch.empty();
 }
 
 int64_t IndexNestedLoopJoinOperator::CountImpl() {
   // Without residual keys or inner predicates every index match joins.
   const bool all_match = residual_keys_.empty() && inner_predicates_.empty();
-  RowBatch batch;
   int64_t count = 0;
-  while (outer_->NextBatch(batch)) {
-    for (int i = 0; i < batch.size(); ++i) {
-      const Row& outer = batch.row(i);
-      const std::vector<int64_t>& matches =
-          index_->Lookup(outer[outer_key_pos_]);
-      if (all_match) {
-        count += static_cast<int64_t>(matches.size());
-        continue;
-      }
+  ForEachOuterRow([&](const Row& outer,
+                      const std::vector<int64_t>& matches) {
+    if (all_match) {
+      count += static_cast<int64_t>(matches.size());
+    } else {
       for (int64_t inner_row : matches) {
         if (InnerRowPasses(outer, inner_row)) ++count;
       }
     }
-  }
+    return true;
+  });
   rows_produced_ += count;
   return count;
 }

@@ -36,12 +36,14 @@ std::vector<JoinKey> ResolveJoinKeys(const std::vector<ColumnRef>& left,
                                      const std::vector<ColumnRef>& right,
                                      const std::vector<Predicate>& predicates);
 
-// Naive tuple nested loops: the right (inner) input is re-opened and fully
+// Naive nested loops: the right (inner) input is re-opened and fully
 // re-scanned for every outer row — the classic method whose true cost is
 // |outer| × scan(inner). This is exactly the join a misled optimizer
 // believes is free when it estimates |outer| ≈ 0, which is how the §8
 // experiment's bad plans lose: a hundred real outer rows each re-scan a
-// 100k-row table the optimizer thought would never be touched.
+// 100k-row table the optimizer thought would never be touched. Both sides
+// are pulled a batch at a time; the inner's batch is a member, so a rescan
+// refills pooled slots and allocates nothing.
 class NestedLoopJoinOperator : public Operator {
  public:
   NestedLoopJoinOperator(std::unique_ptr<Operator> left,
@@ -52,21 +54,25 @@ class NestedLoopJoinOperator : public Operator {
 
  protected:
   void OpenImpl() override;
-  bool NextImpl(Row& row) override;
+  bool NextBatchImpl(RowBatch& batch) override;
   void CloseImpl() override;
 
  private:
   std::unique_ptr<Operator> left_;
   std::unique_ptr<Operator> right_;
   std::vector<JoinKey> keys_;
-  Row outer_row_;
-  bool outer_valid_ = false;
+  // The outer batch and the row of it being joined.
+  RowBatch outer_;
+  int outer_pos_ = 0;
+  // The inner side's current batch for that row, and the next inner row.
+  RowBatch inner_;
+  int inner_pos_ = 0;
   bool inner_open_ = false;
 };
 
 // Block nested loops: the inner input is materialised ONCE on Open and the
 // in-memory copy is scanned per outer row. Same asymptotic comparisons as
-// tuple NLJ, but the inner's production cost (scans, filters, sub-joins) is
+// naive NLJ, but the inner's production cost (scans, filters, sub-joins) is
 // paid once — the fix modern engines apply to the naive method.
 class BlockNestedLoopJoinOperator : public Operator {
  public:
@@ -78,7 +84,7 @@ class BlockNestedLoopJoinOperator : public Operator {
 
  protected:
   void OpenImpl() override;
-  bool NextImpl(Row& row) override;
+  bool NextBatchImpl(RowBatch& batch) override;
   void CloseImpl() override;
 
  private:
@@ -86,8 +92,9 @@ class BlockNestedLoopJoinOperator : public Operator {
   std::unique_ptr<Operator> right_;
   std::vector<JoinKey> keys_;
   std::vector<Row> inner_;
-  Row outer_row_;
-  bool outer_valid_ = false;
+  // The outer batch, the row of it being joined, and the next inner row.
+  RowBatch outer_;
+  int outer_pos_ = 0;
   size_t inner_cursor_ = 0;
 };
 
@@ -109,10 +116,10 @@ class HashJoinOperator : public Operator {
   // column types (schema-proven at CompilePlan time): a single int64 key
   // pair probes through JoinHashTable::ProbeFastInt64 — no per-row
   // canonicalisation or contract checks — and an all-int64 output layout
-  // emits through native stores into resized slots. Shapes the kernels
-  // decline (multi-column or mixed-type keys, string columns), and joins
-  // never specialized, keep the generic Probe/ConcatInto loops. The tuple
-  // path stays generic on purpose: it is the parity oracle.
+  // emits from the table's contiguous int64 payload through native stores.
+  // Shapes the kernels decline (multi-column or mixed-type keys, string
+  // columns), and joins never specialized, keep the generic
+  // Probe/ConcatInto loops.
   void Specialize(const std::vector<TypeKind>& left_types,
                   const std::vector<TypeKind>& right_types);
 
@@ -120,7 +127,6 @@ class HashJoinOperator : public Operator {
 
  protected:
   void OpenImpl() override;
-  bool NextImpl(Row& row) override;
   bool NextBatchImpl(RowBatch& batch) override;
   int64_t CountImpl() override;
   void CloseImpl() override;
@@ -147,31 +153,28 @@ class HashJoinOperator : public Operator {
   bool use_int_payload_ = false;
   int left_width_ = 0;
   int right_width_ = 0;
-  // Outer row's values as native ints for the emit loop; cached once per
-  // probed row (a match span can stretch across emitted batches).
+  // Outer row's values as native ints for the int-payload emit loop;
+  // cached once per probed row (a match span can stretch across emitted
+  // batches).
   std::vector<int64_t> outer_ints_;
   // Fast-probe keys of the current input batch, gathered (and their hash
   // slots prefetched) once per refill.
   std::vector<int64_t> probe_keys_;
 
-  // Tuple-path probe state.
-  Row outer_row_;
-  JoinHashTable::Span matches_;
-  size_t match_cursor_ = 0;
-
-  // Batch-path probe state: position within the current input batch and
-  // within that row's match span.
+  // Probe state: position within the current input batch and within that
+  // row's match span.
   RowBatch input_;
   int input_pos_ = 0;
-  JoinHashTable::Span batch_matches_;
-  size_t batch_match_cursor_ = 0;
-  // Payload position of batch_matches_'s first match (int-payload emit).
-  size_t batch_match_pos_ = 0;
+  JoinHashTable::Span matches_;
+  size_t match_cursor_ = 0;
+  // Payload position of matches_'s first match (int-payload emit).
+  size_t match_pos_ = 0;
   bool input_valid_ = false;
 };
 
 // Sort-merge join: both inputs are materialised, sorted by their key
-// columns, and merged; equal-key groups produce their cross product.
+// columns, and merged; equal-key groups produce their cross product, which
+// resumes mid-group when the caller's batch fills.
 class SortMergeJoinOperator : public Operator {
  public:
   SortMergeJoinOperator(std::unique_ptr<Operator> left,
@@ -182,7 +185,7 @@ class SortMergeJoinOperator : public Operator {
 
  protected:
   void OpenImpl() override;
-  bool NextImpl(Row& row) override;
+  bool NextBatchImpl(RowBatch& batch) override;
   void CloseImpl() override;
 
  private:
@@ -201,8 +204,10 @@ class SortMergeJoinOperator : public Operator {
 // Index nested loops: the inner side is a base table; a hash index over the
 // first key column is built on Open, outer rows probe it, and the remaining
 // key pairs plus the inner table's local predicates are applied as
-// residuals. Count drives the outer batch-at-a-time and adds each probe's
-// match list size (or, with residuals, the matches that pass them).
+// residuals. The outer is pulled a batch at a time by one loop that both
+// drives share: NextBatch emits each passing match (resuming mid-match-list
+// when the caller's batch fills), Count adds the match list's size (or,
+// with residuals, the matches that pass them).
 class IndexNestedLoopJoinOperator : public Operator {
  public:
   // `inner_predicates` are local predicates on the inner table (pushed
@@ -217,13 +222,18 @@ class IndexNestedLoopJoinOperator : public Operator {
 
  protected:
   void OpenImpl() override;
-  bool NextImpl(Row& row) override;
+  bool NextBatchImpl(RowBatch& batch) override;
   int64_t CountImpl() override;
   void CloseImpl() override;
 
  private:
+  // Hands each outer row, from the current position on, to
+  // `on_row(outer, matches)` with its index matches. on_row returns true
+  // once it is done with the row; false stops the walk on that row, which
+  // the next call hands over again.
+  template <typename OnRow>
+  void ForEachOuterRow(OnRow&& on_row);
   bool InnerRowPasses(const Row& outer, int64_t inner_row) const;
-  void EmitJoined(Row& out, int64_t inner_row) const;
 
   std::unique_ptr<Operator> outer_;
   const Table& inner_table_;
@@ -237,9 +247,11 @@ class IndexNestedLoopJoinOperator : public Operator {
   std::vector<std::pair<int, int>> residual_keys_;  // (outer pos, inner col)
 
   std::unique_ptr<HashIndex> index_;
-  Row outer_row_;
-  const std::vector<int64_t>* probe_ = nullptr;
-  size_t probe_cursor_ = 0;
+  // The outer batch, the row of it being probed, and the next of that
+  // row's matches to check.
+  RowBatch input_;
+  int input_pos_ = 0;
+  size_t match_cursor_ = 0;
 };
 
 }  // namespace joinest

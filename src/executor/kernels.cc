@@ -38,6 +38,35 @@ bool IsNumeric(TypeKind kind) {
   return kind == TypeKind::kInt64 || kind == TypeKind::kDouble;
 }
 
+// FillBatchColumnwise's per-column loops; `row_of(i)` is slot i's table row.
+template <typename RowOf>
+void FillColumns(const Table& table, int64_t count, RowOf row_of,
+                 const std::vector<Row*>& slots) {
+  for (int c = 0; c < table.num_columns(); ++c) {
+    const Value* src = table.column(c).data();
+    const size_t col = static_cast<size_t>(c);
+    switch (table.schema().column(c).type) {
+      case TypeKind::kInt64:
+        for (int64_t i = 0; i < count; ++i) {
+          (*slots[static_cast<size_t>(i)])[col].StoreInt64(
+              src[row_of(i)].int64_unchecked());
+        }
+        break;
+      case TypeKind::kDouble:
+        for (int64_t i = 0; i < count; ++i) {
+          (*slots[static_cast<size_t>(i)])[col].StoreDouble(
+              src[row_of(i)].double_unchecked());
+        }
+        break;
+      case TypeKind::kString:
+        for (int64_t i = 0; i < count; ++i) {
+          (*slots[static_cast<size_t>(i)])[col] = src[row_of(i)];
+        }
+        break;
+    }
+  }
+}
+
 }  // namespace
 
 const char* FilterKernelName(FilterKernel kernel) {
@@ -180,38 +209,22 @@ void EvalCompiledPredicates(const RowBatch& batch,
   }
 }
 
-void FillBatchColumnwise(const Table& table, int64_t begin, int64_t count,
-                         RowBatch& batch, std::vector<Row*>& slots) {
-  const int num_columns = table.num_columns();
+void FillBatchColumnwise(const Table& table, const int64_t* row_ids,
+                         int64_t begin, int64_t count, RowBatch& batch,
+                         std::vector<Row*>& slots) {
   slots.clear();
   slots.reserve(static_cast<size_t>(count));
   for (int64_t i = 0; i < count; ++i) {
     Row& slot = batch.AppendSlot();
-    slot.resize(static_cast<size_t>(num_columns));
+    slot.resize(static_cast<size_t>(table.num_columns()));
     slots.push_back(&slot);
   }
-  for (int c = 0; c < num_columns; ++c) {
-    const std::vector<Value>& column = table.column(c);
-    const Value* src = column.data() + begin;
-    switch (table.schema().column(c).type) {
-      case TypeKind::kInt64:
-        for (int64_t i = 0; i < count; ++i) {
-          (*slots[static_cast<size_t>(i)])[static_cast<size_t>(c)].StoreInt64(
-              src[i].int64_unchecked());
-        }
-        break;
-      case TypeKind::kDouble:
-        for (int64_t i = 0; i < count; ++i) {
-          (*slots[static_cast<size_t>(i)])[static_cast<size_t>(c)].StoreDouble(
-              src[i].double_unchecked());
-        }
-        break;
-      case TypeKind::kString:
-        for (int64_t i = 0; i < count; ++i) {
-          (*slots[static_cast<size_t>(i)])[static_cast<size_t>(c)] = src[i];
-        }
-        break;
-    }
+  if (row_ids == nullptr) {
+    FillColumns(table, count, [begin](int64_t i) { return begin + i; },
+                slots);
+  } else {
+    const int64_t* ids = row_ids + begin;
+    FillColumns(table, count, [ids](int64_t i) { return ids[i]; }, slots);
   }
 }
 

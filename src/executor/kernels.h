@@ -18,9 +18,8 @@
 //
 // CompilePlan always specializes. The generic Value loops remain only as
 // the fallback for shapes the kernels decline (mixed-type keys,
-// string-vs-numeric); the tuple path (Operator::Next) stays generic and is
-// the parity oracle tests/parity_test.cc compares the kernels against bit
-// for bit.
+// string-vs-numeric). tests/parity_test.cc checks the kernels bit for bit
+// against a brute-force enumeration over the base tables.
 //
 // Kernel selections are counted in executor_kernel_selected_total{type=}.
 
@@ -86,15 +85,17 @@ void EvalCompiledPredicates(const RowBatch& batch,
                             const std::vector<CompiledPredicate>& predicates,
                             std::vector<char>& keep);
 
-// Column-wise batch fill for specialized scans: claims `count` slots from
-// `batch` and fills them one source column at a time — int64 and double
-// columns store natively through the unchecked accessors (one tight loop
-// per column, hot source column resident in cache), string columns
-// copy-assign. `slots` is caller-owned scratch for the claimed slot
-// pointers, reused across batches. Bit-identical to Table::CopyRowInto per
-// row.
-void FillBatchColumnwise(const Table& table, int64_t begin, int64_t count,
-                         RowBatch& batch, std::vector<Row*>& slots);
+// Column-wise batch fill for scans: claims `count` slots from `batch` and
+// fills them one source column at a time — int64 and double columns store
+// natively through the unchecked accessors (one tight loop per column, hot
+// source column resident in cache), string columns copy-assign. Slot i
+// holds table row `row_ids[begin + i]` when `row_ids` is non-null (a sorted
+// row-id selection), else row `begin + i`. `slots` is caller-owned scratch
+// for the claimed slot pointers, reused across batches. Bit-identical to
+// Table::CopyRowInto per row.
+void FillBatchColumnwise(const Table& table, const int64_t* row_ids,
+                         int64_t begin, int64_t count, RowBatch& batch,
+                         std::vector<Row*>& slots);
 
 // Per-position column types of an operator layout. Every ColumnRef must
 // point at a base-table column (true for all operators below the

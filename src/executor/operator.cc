@@ -53,7 +53,7 @@ int FindInLayout(const std::vector<ColumnRef>& layout, ColumnRef column) {
 void Operator::Open() {
   TimerScope timer(this);
   // Open is where the expensive one-off work happens (hash builds, inner
-  // materialisation), so it gets a span; Next-level spans would swamp the
+  // materialisation), so it gets a span; per-batch spans would swamp the
   // ring. Interning allocates, hence the active-session guard.
   if (TraceSession* session = TraceSession::Active()) {
     Span span(session->Intern(name() + "::Open"));
@@ -61,11 +61,6 @@ void Operator::Open() {
     return;
   }
   OpenImpl();
-}
-
-bool Operator::Next(Row& row) {
-  TimerScope timer(this);
-  return NextImpl(row);
 }
 
 bool Operator::NextBatch(RowBatch& batch) {
@@ -86,18 +81,6 @@ int64_t Operator::Count() {
 void Operator::Close() {
   TimerScope timer(this);
   CloseImpl();
-}
-
-bool Operator::NextBatchImpl(RowBatch& batch) {
-  batch.Clear();
-  while (!batch.full()) {
-    Row& slot = batch.AppendSlot();
-    if (!NextImpl(slot)) {
-      batch.PopSlot();
-      break;
-    }
-  }
-  return !batch.empty();
 }
 
 // Calls NextBatchImpl rather than NextBatch: the Count wrapper already

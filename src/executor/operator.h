@@ -1,16 +1,15 @@
-// Operator interface: Volcano-style (Open/Next/Close) plus a batch path.
+// Operator interface: Open/NextBatch/Count/Close over row batches.
 //
 // A row flowing between operators is a flat std::vector<Value>; which query
 // column each position holds is described by the operator's layout — a
 // vector of ColumnRef in output order. Operators resolve the columns their
 // predicates touch to positions once, at construction.
 //
-// Callers drive one of three interfaces:
-//  * Next(Row&)            — one row at a time (the original tuple loop);
-//  * NextBatch(RowBatch&)  — up to a batch of rows at a time. Operators
-//    without a native batch implementation inherit an adapter that fills
-//    the batch from NextImpl, so the two paths always agree; scans,
-//    filters and hash joins override it with vectorized versions.
+// Callers drive one of two interfaces:
+//  * NextBatch(RowBatch&)  — up to a batch of rows at a time. Every
+//    operator implements it natively and pulls its children with NextBatch,
+//    resuming mid-input (a probe's match list, an outer row's inner batch,
+//    a sort-merge group) when the caller's batch fills.
 //  * Count()               — the number of rows the operator would produce,
 //    without producing them where it can. The default drains the batch
 //    path; hash and index-nested-loop joins override it to sum their match
@@ -48,11 +47,9 @@ class Operator {
 
   // Prepares for iteration. May be called again after Close (rescan).
   void Open();
-  // Produces the next row into `row`; returns false when exhausted.
-  bool Next(Row& row);
   // Refills `batch` with up to batch.capacity() rows; returns false when
   // the batch comes back empty (input exhausted). Callers should stick to
-  // one of Next/NextBatch/Count per Open — all advance the same cursor.
+  // one of NextBatch/Count per Open — both advance the same cursor.
   bool NextBatch(RowBatch& batch);
   // Exhausts the operator and returns how many rows it produced, crediting
   // them to rows_produced() exactly as a drain would.
@@ -66,7 +63,7 @@ class Operator {
   virtual std::string name() const = 0;
   int64_t rows_produced() const { return rows_produced_; }
   // Inclusive wall-clock: this operator's wrapper time, children included
-  // (a parent's Next drives its children inside NextImpl).
+  // (a parent drives its children inside its own NextBatchImpl).
   double seconds() const { return seconds_; }
   // Exclusive (self) wall-clock: inclusive time minus the wrapper time of
   // the children driven while this operator was on top. The self times of
@@ -87,9 +84,7 @@ class Operator {
 
  protected:
   virtual void OpenImpl() = 0;
-  virtual bool NextImpl(Row& row) = 0;
-  // Default adapter: drains NextImpl into the batch.
-  virtual bool NextBatchImpl(RowBatch& batch);
+  virtual bool NextBatchImpl(RowBatch& batch) = 0;
   // Default: drains NextBatchImpl, keeping the batch statistics.
   virtual int64_t CountImpl();
   virtual void CloseImpl() = 0;

@@ -8,8 +8,14 @@
 
 namespace joinest {
 
-SeqScanOperator::SeqScanOperator(const Table& table, int table_index)
-    : table_(table) {
+SeqScanOperator::SeqScanOperator(
+    const Table& table, int table_index,
+    std::shared_ptr<const std::vector<int64_t>> row_ids)
+    : table_(table), row_ids_(std::move(row_ids)) {
+  if (row_ids_ != nullptr && !row_ids_->empty()) {
+    JOINEST_CHECK_GE(row_ids_->front(), 0);
+    JOINEST_CHECK_LT(row_ids_->back(), table.num_rows());
+  }
   for (int c = 0; c < table.num_columns(); ++c) {
     layout_.push_back(ColumnRef{table_index, c});
   }
@@ -18,63 +24,20 @@ SeqScanOperator::SeqScanOperator(const Table& table, int table_index)
 
 void SeqScanOperator::OpenImpl() { cursor_ = 0; }
 
-bool SeqScanOperator::NextImpl(Row& row) {
-  if (cursor_ >= table_.num_rows()) return false;
-  table_.CopyRowInto(cursor_, row);
-  ++cursor_;
-  ++rows_produced_;
-  return true;
-}
-
 bool SeqScanOperator::NextBatchImpl(RowBatch& batch) {
   batch.Clear();
-  const int64_t take =
-      std::min<int64_t>(batch.capacity(), table_.num_rows() - cursor_);
-  FillBatchColumnwise(table_, cursor_, take, batch, slots_);
+  const int64_t total = row_ids_ != nullptr
+                            ? static_cast<int64_t>(row_ids_->size())
+                            : table_.num_rows();
+  const int64_t take = std::min<int64_t>(batch.capacity(), total - cursor_);
+  FillBatchColumnwise(table_, row_ids_ != nullptr ? row_ids_->data() : nullptr,
+                      cursor_, take, batch, slots_);
   cursor_ += take;
   rows_produced_ += take;
   return !batch.empty();
 }
 
 void SeqScanOperator::CloseImpl() {}
-
-SelectionScanOperator::SelectionScanOperator(
-    const Table& table, int table_index,
-    std::shared_ptr<const std::vector<int64_t>> row_ids)
-    : table_(table), row_ids_(std::move(row_ids)) {
-  JOINEST_CHECK(row_ids_ != nullptr);
-  if (!row_ids_->empty()) {
-    JOINEST_CHECK_GE(row_ids_->front(), 0);
-    JOINEST_CHECK_LT(row_ids_->back(), table.num_rows());
-  }
-  for (int c = 0; c < table.num_columns(); ++c) {
-    layout_.push_back(ColumnRef{table_index, c});
-  }
-}
-
-void SelectionScanOperator::OpenImpl() { cursor_ = 0; }
-
-bool SelectionScanOperator::NextImpl(Row& row) {
-  if (cursor_ >= row_ids_->size()) return false;
-  table_.CopyRowInto((*row_ids_)[cursor_], row);
-  ++cursor_;
-  ++rows_produced_;
-  return true;
-}
-
-bool SelectionScanOperator::NextBatchImpl(RowBatch& batch) {
-  batch.Clear();
-  const size_t take = std::min<size_t>(
-      static_cast<size_t>(batch.capacity()), row_ids_->size() - cursor_);
-  for (size_t i = 0; i < take; ++i) {
-    table_.CopyRowInto((*row_ids_)[cursor_ + i], batch.AppendSlot());
-  }
-  cursor_ += take;
-  rows_produced_ += static_cast<int64_t>(take);
-  return !batch.empty();
-}
-
-void SelectionScanOperator::CloseImpl() {}
 
 FilterOperator::FilterOperator(std::unique_ptr<Operator> child,
                                std::vector<Predicate> predicates)
@@ -120,16 +83,6 @@ void FilterOperator::Specialize(const std::vector<TypeKind>& child_types) {
 }
 
 void FilterOperator::OpenImpl() { child_->Open(); }
-
-bool FilterOperator::NextImpl(Row& row) {
-  while (child_->Next(row)) {
-    if (EvalPredicatesRow(row, predicates_, left_pos_, right_pos_)) {
-      ++rows_produced_;
-      return true;
-    }
-  }
-  return false;
-}
 
 bool FilterOperator::NextBatchImpl(RowBatch& batch) {
   // The filter's layout equals the child's, so the child fills the caller's
@@ -178,22 +131,36 @@ ProjectOperator::ProjectOperator(std::unique_ptr<Operator> child,
   }
 }
 
-void ProjectOperator::OpenImpl() { child_->Open(); }
+void ProjectOperator::OpenImpl() {
+  child_->Open();
+  input_.Clear();
+  input_pos_ = 0;
+}
 
-bool ProjectOperator::NextImpl(Row& row) {
-  Row input;
-  if (!child_->Next(input)) return false;
-  row.clear();
-  row.reserve(positions_.size());
-  if (has_duplicate_positions_) {
-    // A duplicated projection (SELECT S.a, S.a) must copy: moving would
-    // leave the second occurrence a moved-from Value.
-    for (int pos : positions_) row.push_back(input[pos]);
-  } else {
-    for (int pos : positions_) row.push_back(std::move(input[pos]));
+bool ProjectOperator::NextBatchImpl(RowBatch& batch) {
+  batch.Clear();
+  while (!batch.full()) {
+    if (input_pos_ >= input_.size()) {
+      if (!child_->NextBatch(input_)) break;
+      input_pos_ = 0;
+    }
+    Row& input = input_.row(input_pos_++);
+    Row& row = batch.AppendSlot();
+    row.resize(positions_.size());
+    if (has_duplicate_positions_) {
+      // A duplicated projection (SELECT S.a, S.a) must copy: moving would
+      // leave the second occurrence a moved-from Value.
+      for (size_t i = 0; i < positions_.size(); ++i) {
+        row[i] = input[positions_[i]];
+      }
+    } else {
+      for (size_t i = 0; i < positions_.size(); ++i) {
+        row[i] = std::move(input[positions_[i]]);
+      }
+    }
   }
-  ++rows_produced_;
-  return true;
+  rows_produced_ += batch.size();
+  return !batch.empty();
 }
 
 void ProjectOperator::CloseImpl() { child_->Close(); }
@@ -208,9 +175,11 @@ void CountAggOperator::OpenImpl() {
   done_ = false;
 }
 
-bool CountAggOperator::NextImpl(Row& row) {
+bool CountAggOperator::NextBatchImpl(RowBatch& batch) {
+  batch.Clear();
   if (done_) return false;
   const int64_t count = child_->Count();
+  Row& row = batch.AppendSlot();
   row.clear();
   row.push_back(Value(count));
   done_ = true;
@@ -241,7 +210,7 @@ void GroupCountOperator::OpenImpl() {
   cursor_ = 0;
 }
 
-bool GroupCountOperator::NextImpl(Row& row) {
+bool GroupCountOperator::NextBatchImpl(RowBatch& batch) {
   if (!aggregated_) {
     struct KeyHash {
       size_t operator()(const Row& key) const {
@@ -271,10 +240,12 @@ bool GroupCountOperator::NextImpl(Row& row) {
     }
     aggregated_ = true;
   }
-  if (cursor_ >= results_.size()) return false;
-  row = results_[cursor_++];
-  ++rows_produced_;
-  return true;
+  batch.Clear();
+  while (!batch.full() && cursor_ < results_.size()) {
+    batch.AppendSlot() = std::move(results_[cursor_++]);
+  }
+  rows_produced_ += batch.size();
+  return !batch.empty();
 }
 
 void GroupCountOperator::CloseImpl() {

@@ -1,10 +1,11 @@
 // Leaf and unary operators: sequential scan, filter, projection, COUNT(*).
 //
-// SeqScan and Filter implement the batch interface natively (column-to-slot
-// copies and in-place compaction). CountAgg asks its child for
-// Operator::Count, so a hash or index-nested-loop join under COUNT(*) sums
-// its matches instead of emitting them; GroupCount drains its child
-// batch-at-a-time.
+// Every operator here fills batches natively: the scan copies column-wise,
+// the filter compacts its child's batch in place, Project copies positions
+// out of a child batch, and GroupCount aggregates its child batch by batch
+// before emitting the groups. CountAgg asks its child for Operator::Count,
+// so a hash or index-nested-loop join under COUNT(*) sums its matches
+// instead of emitting them.
 
 #ifndef JOINEST_EXECUTOR_SCAN_OPS_H_
 #define JOINEST_EXECUTOR_SCAN_OPS_H_
@@ -40,54 +41,37 @@ struct ScanSelections {
   }
 };
 
-// Scans all rows of a base table. Output layout: ColumnRef{table_index, c}
-// for every column c. The batch path fills column-wise through the kernel
-// fill (the column types are schema-proven, so the per-cell variant
-// dispatch of CopyRowInto is unnecessary).
+// Scans a base table: all rows, or only an explicit sorted list of row ids
+// — the scan the predicate-transfer reducer asks for once it has narrowed a
+// table to the rows that can survive the semi-joins. Output layout:
+// ColumnRef{table_index, c} for every column c, either way, so the
+// operators above are oblivious to the selection. Batches fill column-wise
+// through the kernel fill (the column types are schema-proven, so the
+// per-cell variant dispatch of CopyRowInto is unnecessary).
 class SeqScanOperator : public Operator {
  public:
-  // `table` must outlive the operator.
-  SeqScanOperator(const Table& table, int table_index);
+  // `table` must outlive the operator. A non-null `row_ids` must be sorted
+  // and within [0, table.num_rows()).
+  SeqScanOperator(const Table& table, int table_index,
+                  std::shared_ptr<const std::vector<int64_t>> row_ids =
+                      nullptr);
 
-  std::string name() const override { return "SeqScan"; }
+  std::string name() const override {
+    return row_ids_ != nullptr ? "SelectionScan" : "SeqScan";
+  }
 
   bool specialized() const override { return true; }
 
  protected:
   void OpenImpl() override;
-  bool NextImpl(Row& row) override;
   bool NextBatchImpl(RowBatch& batch) override;
   void CloseImpl() override;
 
  private:
   const Table& table_;
+  std::shared_ptr<const std::vector<int64_t>> row_ids_;  // Null: all rows.
   int64_t cursor_ = 0;
   std::vector<Row*> slots_;  // Kernel-fill scratch, reused per batch.
-};
-
-// Scans an explicit sorted list of row ids of a base table — the scan the
-// predicate-transfer reducer swaps in for a SeqScan once it has narrowed a
-// table to the rows that can survive the semi-joins. Output layout matches
-// SeqScanOperator's, so the operators above are oblivious to the swap.
-class SelectionScanOperator : public Operator {
- public:
-  // `table` must outlive the operator; `row_ids` must be sorted and within
-  // [0, table.num_rows()).
-  SelectionScanOperator(const Table& table, int table_index,
-                        std::shared_ptr<const std::vector<int64_t>> row_ids);
-
-  std::string name() const override { return "SelectionScan"; }
-
- protected:
-  void OpenImpl() override;
-  bool NextImpl(Row& row) override;
-  bool NextBatchImpl(RowBatch& batch) override;
-  void CloseImpl() override;
-
- private:
-  const Table& table_;
-  std::shared_ptr<const std::vector<int64_t>> row_ids_;
-  size_t cursor_ = 0;
 };
 
 // Filters child rows by a conjunction of local predicates (kLocalConst or
@@ -104,16 +88,13 @@ class FilterOperator : public Operator {
   // Lowers the predicate list against the child layout's column types:
   // predicates whose operand types fit a typed kernel run column-at-a-time
   // through EvalCompiledPredicates; any remainder stays on the generic row
-  // path (until then, all of them). The tuple path (NextImpl) is left
-  // generic on purpose — it is the parity oracle the batch kernels are
-  // tested against. Called once at CompilePlan time.
+  // path (until then, all of them). Called once at CompilePlan time.
   void Specialize(const std::vector<TypeKind>& child_types);
 
   bool specialized() const override { return specialized_; }
 
  protected:
   void OpenImpl() override;
-  bool NextImpl(Row& row) override;
   bool NextBatchImpl(RowBatch& batch) override;
   void CloseImpl() override;
 
@@ -124,9 +105,9 @@ class FilterOperator : public Operator {
   // (for col-col) right position.
   std::vector<int> left_pos_;
   std::vector<int> right_pos_;
-  std::vector<char> keep_;  // Batch-path selection vector, reused.
-  // Batch-path state: the predicates Specialize compiled to kernels plus
-  // the generic remainder with its resolved positions.
+  std::vector<char> keep_;  // Selection vector, reused per batch.
+  // The predicates Specialize compiled to kernels plus the generic
+  // remainder with its resolved positions.
   bool specialized_ = false;
   std::vector<CompiledPredicate> compiled_;
   std::vector<Predicate> generic_predicates_;
@@ -144,7 +125,7 @@ class ProjectOperator : public Operator {
 
  protected:
   void OpenImpl() override;
-  bool NextImpl(Row& row) override;
+  bool NextBatchImpl(RowBatch& batch) override;
   void CloseImpl() override;
 
  private:
@@ -154,6 +135,10 @@ class ProjectOperator : public Operator {
   // SELECT S.a, S.a); the move fast path would leave later occurrences
   // reading a moved-from Value.
   bool has_duplicate_positions_ = false;
+  // The child's current batch and the next of its rows to project; a
+  // caller's batch smaller than the child's resumes mid-input.
+  RowBatch input_;
+  int input_pos_ = 0;
 };
 
 // Counts the child (Operator::Count) and emits one row holding COUNT(*).
@@ -165,7 +150,7 @@ class CountAggOperator : public Operator {
 
  protected:
   void OpenImpl() override;
-  bool NextImpl(Row& row) override;
+  bool NextBatchImpl(RowBatch& batch) override;
   void CloseImpl() override;
 
  private:
@@ -174,8 +159,9 @@ class CountAggOperator : public Operator {
 };
 
 // Hash aggregation: GROUP BY <columns> with COUNT(*). Consumes the child on
-// the first Next, then emits one row per group — the group key values
-// followed by the group's count. Output order is unspecified.
+// the first NextBatch, then emits one row per group — the group key values
+// followed by the group's count — a batch at a time. Output order is
+// unspecified.
 class GroupCountOperator : public Operator {
  public:
   GroupCountOperator(std::unique_ptr<Operator> child,
@@ -185,7 +171,7 @@ class GroupCountOperator : public Operator {
 
  protected:
   void OpenImpl() override;
-  bool NextImpl(Row& row) override;
+  bool NextBatchImpl(RowBatch& batch) override;
   void CloseImpl() override;
 
  private:

@@ -1,7 +1,5 @@
 #include "storage/index.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 
 namespace joinest {
@@ -17,50 +15,6 @@ HashIndex::HashIndex(const Table& table, int column) : column_(column) {
 const std::vector<int64_t>& HashIndex::Lookup(const Value& value) const {
   const auto it = map_.find(value);
   return it == map_.end() ? empty_ : it->second;
-}
-
-SortedIndex::SortedIndex(const Table& table, int column) : column_(column) {
-  const std::vector<Value>& data = table.column(column);
-  entries_.reserve(data.size());
-  for (int64_t row = 0; row < table.num_rows(); ++row) {
-    entries_.push_back({data[row], row});
-  }
-  std::sort(entries_.begin(), entries_.end(),
-            [](const Entry& a, const Entry& b) { return a.value < b.value; });
-}
-
-std::vector<int64_t> SortedIndex::Lookup(const Value& value) const {
-  return RangeLookup(value, /*lo_inclusive=*/true, value,
-                     /*hi_inclusive=*/true);
-}
-
-std::vector<int64_t> SortedIndex::RangeLookup(const std::optional<Value>& lo,
-                                              bool lo_inclusive,
-                                              const std::optional<Value>& hi,
-                                              bool hi_inclusive) const {
-  auto value_less = [](const Entry& e, const Value& v) { return e.value < v; };
-  auto value_less_eq = [](const Entry& e, const Value& v) {
-    return e.value <= v;
-  };
-  auto begin = entries_.begin();
-  auto end = entries_.end();
-  if (lo.has_value()) {
-    begin = lo_inclusive
-                ? std::lower_bound(entries_.begin(), entries_.end(), *lo,
-                                   value_less)
-                : std::lower_bound(entries_.begin(), entries_.end(), *lo,
-                                   value_less_eq);
-  }
-  if (hi.has_value()) {
-    end = hi_inclusive ? std::lower_bound(begin, entries_.end(), *hi,
-                                          value_less_eq)
-                       : std::lower_bound(begin, entries_.end(), *hi,
-                                          value_less);
-  }
-  std::vector<int64_t> rows;
-  rows.reserve(end - begin);
-  for (auto it = begin; it != end; ++it) rows.push_back(it->row);
-  return rows;
 }
 
 }  // namespace joinest

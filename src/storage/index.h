@@ -1,17 +1,13 @@
-// Secondary indexes over a single table column.
+// Secondary index over a single table column.
 //
 // The optimizer's access-path selection (Selinger [13]) chooses between a
 // sequential scan and an index lookup; the executor's IndexNestedLoopJoin
-// probes these structures. Two flavours:
-//  * HashIndex   — equality lookups, O(1) expected;
-//  * SortedIndex — equality and range lookups over a sorted (value, row)
-//    array, O(log n) + output.
+// probes a HashIndex: equality lookups, O(1) expected.
 
 #ifndef JOINEST_STORAGE_INDEX_H_
 #define JOINEST_STORAGE_INDEX_H_
 
 #include <cstdint>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -33,31 +29,6 @@ class HashIndex {
   int column_;
   std::unordered_map<Value, std::vector<int64_t>, ValueHash> map_;
   std::vector<int64_t> empty_;
-};
-
-class SortedIndex {
- public:
-  SortedIndex(const Table& table, int column);
-
-  // Row ids whose indexed column equals `value`.
-  std::vector<int64_t> Lookup(const Value& value) const;
-
-  // Row ids with value in [lo, hi] (either bound optional; inclusivity per
-  // flag). Rows are returned in value order.
-  std::vector<int64_t> RangeLookup(const std::optional<Value>& lo,
-                                   bool lo_inclusive,
-                                   const std::optional<Value>& hi,
-                                   bool hi_inclusive) const;
-
-  int column() const { return column_; }
-
- private:
-  struct Entry {
-    Value value;
-    int64_t row;
-  };
-  int column_;
-  std::vector<Entry> entries_;  // Sorted by value.
 };
 
 }  // namespace joinest

@@ -1,6 +1,8 @@
-// Cross-method and cross-path parity: every join method, the batch driver,
-// the count drive, and the factorized ground-truth count must produce
-// identical results on the same query. Counts are the repo's ground truth
+// Cross-method and cross-path parity: every join method, the batch drive
+// at any batch capacity, the count drive, and the factorized ground-truth
+// count must produce identical results on the same query, and the same
+// results as a brute-force enumeration over the base tables
+// (EnumerateJoin, tests/test_util.h). Counts are the repo's ground truth
 // (TrueResultSize feeds every estimator comparison), so parity here is
 // load-bearing — a divergence anywhere silently corrupts the paper
 // reproduction.
@@ -12,7 +14,6 @@
 
 #include "executor/compile.h"
 #include "executor/execute.h"
-#include "executor/hash_table.h"
 #include "executor/plan.h"
 #include "gtest/gtest.h"
 #include "storage/table.h"
@@ -39,45 +40,6 @@ int64_t CountWithMethod(const Catalog& catalog, const QuerySpec& spec,
   auto result = ExecutePlan(catalog, spec, *plan);
   JOINEST_CHECK(result.ok()) << result.status();
   return result->count;
-}
-
-uint64_t HashRow(const Row& row) {
-  uint64_t h = 0xcbf29ce484222325ull;
-  for (const Value& v : row) {
-    h = HashUint64(h ^ static_cast<uint64_t>(v.Hash()));
-  }
-  return h;
-}
-
-struct DrainResult {
-  int64_t rows = 0;
-  uint64_t checksum = 0;  // Order-insensitive sum of row hashes.
-};
-
-DrainResult DrainTuple(Operator& op) {
-  DrainResult out;
-  op.Open();
-  Row row;
-  while (op.Next(row)) {
-    ++out.rows;
-    out.checksum += HashRow(row);
-  }
-  op.Close();
-  return out;
-}
-
-DrainResult DrainBatch(Operator& op) {
-  DrainResult out;
-  op.Open();
-  RowBatch batch;
-  while (op.NextBatch(batch)) {
-    out.rows += batch.size();
-    for (int i = 0; i < batch.size(); ++i) {
-      out.checksum += HashRow(batch.row(i));
-    }
-  }
-  op.Close();
-  return out;
 }
 
 struct ParityCase {
@@ -108,8 +70,8 @@ GeneratedWorkload MakeWorkload(const ParityCase& c) {
   options.single_class = c.single_class;
   options.add_local_predicate = c.local_predicate;
   options.seed = c.seed;
-  // Small enough that tuple nested loops stay fast, large enough that the
-  // batch path spans several batches.
+  // Small enough that nested loops and the brute-force enumeration stay
+  // fast, large enough that the batch path spans several batches.
   options.min_rows = 80;
   options.max_rows = 200;
   options.min_distinct = 10;
@@ -156,18 +118,20 @@ TEST(CanonicalPlanTest, KeyedJoinsAreHashJoins) {
 // ------------------------------------------------ Ground-truth counting
 //
 // TrueResultSize counts without enumerating (a factorized COUNT(*) over a
-// join tree, or the canonical plan when there is none). Ground truth is
-// defined as the canonical safe plan's COUNT(*), so the two must agree.
+// join tree, or the canonical plan when there is none). It must agree with
+// both the canonical safe plan's COUNT(*) and the brute-force enumeration.
 
-// Checks TrueResultSize against canonical-plan execution (its keyed joins
-// are hash joins already); returns the count.
+// Checks TrueResultSize against the enumeration and against canonical-plan
+// execution (its keyed joins are hash joins already); returns the count.
 int64_t ExpectTrueCountMatchesPlan(const Catalog& catalog,
                                    const QuerySpec& spec,
                                    const std::string& what) {
   auto count = TrueResultSize(catalog, spec);
   EXPECT_TRUE(count.ok()) << what << ": " << count.status();
-  const int64_t expected = CountWithMethod(catalog, spec, JoinMethod::kHash);
+  const int64_t expected = EnumerateJoin(catalog, spec, {}).rows;
   EXPECT_EQ(count.ok() ? *count : -1, expected) << what;
+  EXPECT_EQ(CountWithMethod(catalog, spec, JoinMethod::kHash), expected)
+      << what;
   return expected;
 }
 
@@ -335,22 +299,25 @@ TEST(TrueCountTest, CountBeyondInt64IsOutOfRange) {
 // --------------------------------------------- Specialized batch kernels
 //
 // CompilePlan lowers schema-provable filters, scans and hash joins onto
-// typed kernels (executor/kernels.h). The tuple driver stays generic and is
-// the parity oracle: the batch drive of the same compiled plan must produce
-// the same row count AND the same multiset of rows.
+// typed kernels (executor/kernels.h). The batch drive of the compiled plan
+// must produce the same row count AND the same multiset of rows as the
+// brute-force enumeration, whatever the root's batch capacity: 1 and 3
+// make every operator stop and resume mid-output (mid-span, mid-batch).
 
 void ExpectKernelParity(const Catalog& catalog, const QuerySpec& spec,
                         const char* what) {
   const std::unique_ptr<PlanNode> plan = CanonicalSafePlan(spec);
   auto root = CompilePlan(catalog, spec, *plan);
   JOINEST_CHECK(root.ok()) << root.status();
-  const DrainResult tuple = DrainTuple(**root);
-  const DrainResult batch = DrainBatch(**root);  // Re-opens the tree.
-  EXPECT_EQ(batch.rows, tuple.rows) << what;
-  EXPECT_EQ(batch.checksum, tuple.checksum) << what;
+  const ResultSummary expected =
+      EnumerateJoin(catalog, spec, (*root)->layout());
+  for (int capacity : {1, 3, kDefaultBatchRows}) {
+    EXPECT_EQ(DrainBatches(**root, capacity), expected)  // Re-opens.
+        << what << ", capacity " << capacity;
+  }
 }
 
-TEST(KernelParityTest, SpecializedBatchMatchesTupleOnGeneratedWorkloads) {
+TEST(KernelParityTest, SpecializedBatchMatchesEnumerationOnGeneratedWorkloads) {
   for (const ParityCase& c : ParityCases()) {
     const GeneratedWorkload w = MakeWorkload(c);
     ExpectKernelParity(w.catalog, w.spec, "generated workload");
@@ -444,8 +411,8 @@ TEST_F(KernelMixedTypeTest, ConjunctionAcrossKernelsAgrees) {
 }
 
 // String payloads force the generic emit path; an int64-only projection of
-// the same join takes the all-int64 emit kernel. Both must match the tuple
-// driver.
+// the same join takes the all-int64 emit kernel. Both must match the
+// enumeration.
 TEST_F(KernelMixedTypeTest, JoinEmitKernelsAgree) {
   ExpectKernelParity(catalog_, SpecWith({}), "string payload join");
 }
@@ -472,10 +439,11 @@ TEST(KernelMixedKeyParityTest, MixedKeyJoinStaysCorrect) {
 //
 // Operator::Count lets a hash or index-nested-loop join add up its match
 // counts instead of emitting rows; every other operator counts by
-// draining its batch path. The count drive must agree with both emit
-// drives on the total and, because EXPLAIN ANALYZE and feedback read them,
-// on every operator's rows_produced(). Each drive compiles its own tree:
-// rows_produced() accumulates across re-opens.
+// draining its batch path. The count drive must agree with the batch drive
+// and the brute-force enumeration on the total and, because EXPLAIN
+// ANALYZE and feedback read them, with the batch drive on every operator's
+// rows_produced(). Each drive compiles its own tree: rows_produced()
+// accumulates across re-opens.
 
 struct CompiledTree {
   std::unique_ptr<Operator> root;
@@ -506,10 +474,11 @@ std::vector<int64_t> RowsProduced(const std::vector<Operator*>& registry) {
   return rows;
 }
 
-// Checks the three drives under every join method; returns the count.
+// Checks both drives under every join method against the enumeration;
+// returns the count.
 int64_t ExpectCountParity(const Catalog& catalog, const QuerySpec& spec,
                           const std::string& what) {
-  int64_t expected = -1;
+  const int64_t expected = EnumerateJoin(catalog, spec, {}).rows;
   for (JoinMethod method :
        {JoinMethod::kHash, JoinMethod::kIndexNestedLoop,
         JoinMethod::kNestedLoop, JoinMethod::kBlockNestedLoop,
@@ -517,10 +486,9 @@ int64_t ExpectCountParity(const Catalog& catalog, const QuerySpec& spec,
     const std::string label = what + ", " + JoinMethodName(method);
     const CompiledTree counted = CompileWithMethod(catalog, spec, method);
     const CompiledTree batched = CompileWithMethod(catalog, spec, method);
-    const CompiledTree tupled = CompileWithMethod(catalog, spec, method);
     const int64_t count = DriveCount(*counted.root);
-    EXPECT_EQ(count, DrainBatch(*batched.root).rows) << label;
-    EXPECT_EQ(count, DrainTuple(*tupled.root).rows) << label;
+    EXPECT_EQ(count, expected) << label;
+    EXPECT_EQ(count, DrainBatches(*batched.root).rows) << label;
     EXPECT_EQ(RowsProduced(counted.registry), RowsProduced(batched.registry))
         << label;
     EXPECT_EQ(counted.root->rows_produced(), count) << label;
@@ -533,8 +501,6 @@ int64_t ExpectCountParity(const Catalog& catalog, const QuerySpec& spec,
       EXPECT_EQ(counted.root->batches(), batched.root->batches()) << label;
       EXPECT_EQ(counted.root->batch_rows(), count) << label;
     }
-    if (expected < 0) expected = count;
-    EXPECT_EQ(count, expected) << label;
   }
   return expected;
 }
@@ -619,7 +585,8 @@ TEST(CountParityTest, IndexJoinChecksTheInnerPredicate) {
 }
 
 // TrueResultSize's fallback runs the canonical plan, whose top hash join
-// counts: cross-check it against tuple nested loops, which drain.
+// counts: cross-check it against the enumeration and nested loops, which
+// drain.
 TEST(CountParityTest, MultiClassTriangleTruthMatchesNestedLoops) {
   Catalog catalog;
   const QuerySpec spec = MultiClassTriangle(catalog);

@@ -459,13 +459,16 @@ TEST(ScanRegressionTest, ProjectDuplicateColumn) {
   ProjectOperator project(std::move(scan),
                           {ColumnRef{0, 0}, ColumnRef{0, 0}});
   project.Open();
-  Row row;
+  RowBatch batch;
   int64_t i = 0;
-  while (project.Next(row)) {
-    ASSERT_EQ(row.size(), 2u);
-    EXPECT_EQ(row[0], Value(int64_t{i * 7}));
-    EXPECT_EQ(row[1], Value(int64_t{i * 7}));
-    ++i;
+  while (project.NextBatch(batch)) {
+    for (int r = 0; r < batch.size(); ++r) {
+      const Row& row = batch.row(r);
+      ASSERT_EQ(row.size(), 2u);
+      EXPECT_EQ(row[0], Value(int64_t{i * 7}));
+      EXPECT_EQ(row[1], Value(int64_t{i * 7}));
+      ++i;
+    }
   }
   project.Close();
   EXPECT_EQ(i, 5);
@@ -477,14 +480,14 @@ TEST(ScanRegressionTest, SelectionScanEmptyAndShortBatches) {
   Table table = Table::FromColumns(Schema({{"a", TypeKind::kInt64}}), {col});
 
   {
-    // Empty selection: no rows, no crash, batch path included.
-    SelectionScanOperator scan(
-        table, 0, std::make_shared<const std::vector<int64_t>>());
+    // Empty selection: no rows, no crash, count drive included.
+    SeqScanOperator scan(table, 0,
+                         std::make_shared<const std::vector<int64_t>>());
+    EXPECT_EQ(scan.name(), "SelectionScan");
     scan.Open();
-    Row row;
-    EXPECT_FALSE(scan.Next(row));
+    EXPECT_EQ(scan.Count(), 0);
     scan.Close();
-    SelectionScanOperator batch_scan(
+    SeqScanOperator batch_scan(
         table, 0, std::make_shared<const std::vector<int64_t>>());
     batch_scan.Open();
     RowBatch batch;
@@ -495,7 +498,7 @@ TEST(ScanRegressionTest, SelectionScanEmptyAndShortBatches) {
     // 1500 selected rows: one full batch (1024) + one short batch (476).
     std::vector<int64_t> ids;
     for (int64_t i = 0; i < 3000; i += 2) ids.push_back(i);
-    SelectionScanOperator scan(
+    SeqScanOperator scan(
         table, 0,
         std::make_shared<const std::vector<int64_t>>(std::move(ids)));
     scan.Open();

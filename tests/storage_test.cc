@@ -355,47 +355,6 @@ TEST(HashIndexTest, RowIdsPointToMatchingRows) {
   }
 }
 
-TEST(SortedIndexTest, EqualityLookup) {
-  Table table = SmallIndexTable();
-  SortedIndex index(table, 0);
-  EXPECT_EQ(index.Lookup(Value(int64_t{5})).size(), 3u);
-  EXPECT_TRUE(index.Lookup(Value(int64_t{2})).empty());
-}
-
-TEST(SortedIndexTest, RangeLookupInclusive) {
-  Table table = SmallIndexTable();
-  SortedIndex index(table, 0);
-  const auto rows = index.RangeLookup(Value(int64_t{3}), true,
-                                      Value(int64_t{5}), true);
-  EXPECT_EQ(rows.size(), 5u);  // Two 3s and three 5s.
-}
-
-TEST(SortedIndexTest, RangeLookupExclusiveBounds) {
-  Table table = SmallIndexTable();
-  SortedIndex index(table, 0);
-  EXPECT_EQ(index.RangeLookup(Value(int64_t{3}), false, Value(int64_t{5}),
-                              false)
-                .size(),
-            0u);  // Nothing strictly between 3 and 5.
-  EXPECT_EQ(index.RangeLookup(Value(int64_t{1}), false, Value(int64_t{5}),
-                              false)
-                .size(),
-            2u);  // The 3s.
-}
-
-TEST(SortedIndexTest, OpenEndedRanges) {
-  Table table = SmallIndexTable();
-  SortedIndex index(table, 0);
-  EXPECT_EQ(index.RangeLookup(std::nullopt, true, Value(int64_t{3}), true)
-                .size(),
-            3u);  // 1 and the two 3s.
-  EXPECT_EQ(index.RangeLookup(Value(int64_t{3}), true, std::nullopt, true)
-                .size(),
-            5u);
-  EXPECT_EQ(index.RangeLookup(std::nullopt, true, std::nullopt, true).size(),
-            6u);
-}
-
 // ---------------------------------------------------------------- Datasets
 
 TEST(DatasetsTest, PaperDatasetCardinalities) {

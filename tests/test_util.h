@@ -5,12 +5,14 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/logging.h"
 #include "common/random.h"
+#include "executor/operator.h"
 #include "query/query_spec.h"
 #include "stats/column_stats.h"
 #include "storage/catalog.h"
@@ -123,6 +125,136 @@ inline GeneratedWorkload ShapeWorkload(WorkloadOptions::Shape shape, int n,
       Predicate::LocalConst(ColumnRef{0, 0}, CompareOp::kLt, Value(bound)));
   JOINEST_CHECK(w.spec.Validate(w.catalog).ok());
   return w;
+}
+
+// ------------------------------------------------ Result-set oracle
+//
+// A result set is summarised by its row count and an order-insensitive
+// checksum: the sum of per-row hashes. Value::Hash hashes equal values
+// equally across int64 and double, so the checksum compares multisets of
+// rows under the engine's numeric equality.
+
+struct ResultSummary {
+  int64_t rows = 0;
+  uint64_t checksum = 0;
+
+  bool operator==(const ResultSummary& other) const {
+    return rows == other.rows && checksum == other.checksum;
+  }
+};
+
+inline std::ostream& operator<<(std::ostream& os, const ResultSummary& r) {
+  return os << r.rows << " rows, checksum " << r.checksum;
+}
+
+// Folds one cell into a running row hash (splitmix64 finalizer).
+inline uint64_t MixRowHash(uint64_t h, const Value& v) {
+  uint64_t x = h ^ static_cast<uint64_t>(v.Hash());
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+inline constexpr uint64_t kRowHashSeed = 0xcbf29ce484222325ull;
+
+inline uint64_t HashRow(const std::vector<Value>& row) {
+  uint64_t h = kRowHashSeed;
+  for (const Value& v : row) h = MixRowHash(h, v);
+  return h;
+}
+
+inline bool CompareValues(const Value& left, CompareOp op,
+                          const Value& right) {
+  switch (op) {
+    case CompareOp::kEq:
+      return left == right;
+    case CompareOp::kNe:
+      return left != right;
+    case CompareOp::kLt:
+      return left < right;
+    case CompareOp::kLe:
+      return left <= right;
+    case CompareOp::kGt:
+      return left > right;
+    case CompareOp::kGe:
+      return left >= right;
+  }
+  return false;
+}
+
+// Brute-force oracle for `spec`'s join: nested loops over the base tables
+// in spec order, each predicate checked with plain Value comparisons as
+// soon as every table it names is bound, and each match projected onto
+// `layout` (a base-table ColumnRef per output position; pass an operator's
+// layout to compare with its output, or {} to count only). It uses no
+// operator, hash table or plan, so it can judge all of them.
+inline ResultSummary EnumerateJoin(const Catalog& catalog,
+                                   const QuerySpec& spec,
+                                   const std::vector<ColumnRef>& layout) {
+  const int n = spec.num_tables();
+  std::vector<const Table*> tables;
+  for (const TableRef& ref : spec.tables) {
+    tables.push_back(&catalog.table(ref.catalog_id));
+  }
+  // ready[t]: the predicates whose last-bound table is t.
+  std::vector<std::vector<const Predicate*>> ready(static_cast<size_t>(n));
+  for (const Predicate& p : spec.predicates) {
+    int last = p.left.table;
+    if (p.kind != Predicate::Kind::kLocalConst) {
+      last = std::max(last, p.right.table);
+    }
+    ready[static_cast<size_t>(last)].push_back(&p);
+  }
+  std::vector<int64_t> bound(static_cast<size_t>(n), 0);
+  auto cell = [&](ColumnRef ref) -> const Value& {
+    return tables[static_cast<size_t>(ref.table)]->at(
+        bound[static_cast<size_t>(ref.table)], ref.column);
+  };
+  ResultSummary result;
+  // Binds table t to each of its rows in turn, then recurses into t + 1.
+  auto bind = [&](auto& self, int t) -> void {
+    if (t == n) {
+      uint64_t h = kRowHashSeed;
+      for (ColumnRef ref : layout) h = MixRowHash(h, cell(ref));
+      ++result.rows;
+      result.checksum += h;
+      return;
+    }
+    const size_t ti = static_cast<size_t>(t);
+    for (int64_t r = 0; r < tables[ti]->num_rows(); ++r) {
+      bound[ti] = r;
+      bool pass = true;
+      for (const Predicate* p : ready[ti]) {
+        const Value& right = p->kind == Predicate::Kind::kLocalConst
+                                 ? p->constant
+                                 : cell(p->right);
+        if (!CompareValues(cell(p->left), p->op, right)) {
+          pass = false;
+          break;
+        }
+      }
+      if (pass) self(self, t + 1);
+    }
+  };
+  bind(bind, 0);
+  return result;
+}
+
+// Opens `op`, drains it through batches of `capacity` rows, closes it, and
+// summarises what it produced.
+inline ResultSummary DrainBatches(Operator& op,
+                                  int capacity = kDefaultBatchRows) {
+  ResultSummary out;
+  op.Open();
+  RowBatch batch(capacity);
+  while (op.NextBatch(batch)) {
+    out.rows += batch.size();
+    for (int i = 0; i < batch.size(); ++i) {
+      out.checksum += HashRow(batch.row(i));
+    }
+  }
+  op.Close();
+  return out;
 }
 
 }  // namespace joinest
