@@ -8,7 +8,7 @@
 //                   build, per-probe key vector allocation). Operators have
 //                   one drive now, so it and its scans run through the
 //                   batch hooks; the mode keeps its name for the gate;
-//   batch         — the batch driver with type-specialized kernels;
+//   batch         — the batch driver over typed column-major batches;
 //   count         — Operator::Count on the same tree: the top hash join
 //                   adds its match-span sizes instead of emitting rows
 //                   (what a COUNT(*) plan runs);
@@ -63,17 +63,24 @@ namespace {
 // unordered_map<vector<Value>, vector<Row>>, probe side allocating a fresh
 // key vector per row, output rows rebuilt by clear + insert. Kept faithful
 // in the parts that matter for cost (container, allocations, hashing),
-// adapted only to the batch operator hooks.
+// adapted only to the batch operator hooks: its input cells are read back
+// as Values, and its output rows are stored back as cells.
 class SeedHashJoinOperator : public Operator {
  public:
+  using Row = std::vector<Value>;
+
   SeedHashJoinOperator(std::unique_ptr<Operator> left,
                        std::unique_ptr<Operator> right,
                        std::vector<Predicate> predicates)
       : left_(std::move(left)), right_(std::move(right)) {
     layout_ = left_->layout();
     for (const ColumnRef& ref : right_->layout()) layout_.push_back(ref);
-    keys_ = ResolveJoinKeys(left_->layout(), right_->layout(), predicates);
-    JOINEST_CHECK(!keys_.empty()) << "hash join requires at least one key";
+    types_ = left_->types();
+    for (TypeKind type : right_->types()) types_.push_back(type);
+    keys_ = ResolveJoinKeys(left_->layout(), left_->types(), right_->layout(),
+                            right_->types(), predicates);
+    JOINEST_CHECK(!keys_.left.positions.empty())
+        << "hash join requires at least one key";
   }
 
   std::string name() const override { return "SeedHashJoin"; }
@@ -86,10 +93,10 @@ class SeedHashJoinOperator : public Operator {
     RowBatch batch;
     while (right_->NextBatch(batch)) {
       for (int i = 0; i < batch.size(); ++i) {
-        const Row& row = batch.row(i);
+        const Row row = ReadRow(batch, right_->types(), i);
         std::vector<Value> key;
-        key.reserve(keys_.size());
-        for (const JoinKey& k : keys_) key.push_back(row[k.right_pos]);
+        key.reserve(keys_.right.positions.size());
+        for (int pos : keys_.right.positions) key.push_back(row[pos]);
         build_[std::move(key)].push_back(row);
       }
     }
@@ -104,23 +111,26 @@ class SeedHashJoinOperator : public Operator {
     batch.Clear();
     while (!batch.full()) {
       if (matches_ != nullptr && match_cursor_ < matches_->size()) {
-        const Row& outer = input_.row(outer_pos_);
         const Row& inner = (*matches_)[match_cursor_++];
-        Row& row = batch.AppendSlot();
-        row.clear();
-        row.reserve(outer.size() + inner.size());
-        row.insert(row.end(), outer.begin(), outer.end());
-        row.insert(row.end(), inner.begin(), inner.end());
+        row_.clear();
+        row_.reserve(outer_.size() + inner.size());
+        row_.insert(row_.end(), outer_.begin(), outer_.end());
+        row_.insert(row_.end(), inner.begin(), inner.end());
+        const int n = batch.size();
+        for (size_t c = 0; c < row_.size(); ++c) {
+          batch.column(static_cast<int>(c))[n] =
+              ValueToCell(types_[c], row_[c]);
+        }
+        batch.set_size(n + 1);
         ++rows_produced_;
       } else if (input_pos_ < input_.size()) {
-        const Row& outer = input_.row(input_pos_);
+        outer_ = ReadRow(input_, left_->types(), input_pos_++);
         std::vector<Value> key;
-        key.reserve(keys_.size());
-        for (const JoinKey& k : keys_) key.push_back(outer[k.left_pos]);
+        key.reserve(keys_.left.positions.size());
+        for (int pos : keys_.left.positions) key.push_back(outer_[pos]);
         const auto it = build_.find(key);
         matches_ = it != build_.end() ? &it->second : nullptr;
         match_cursor_ = 0;
-        outer_pos_ = input_pos_++;
       } else {
         if (!left_->NextBatch(input_)) break;
         input_pos_ = 0;
@@ -145,15 +155,27 @@ class SeedHashJoinOperator : public Operator {
     }
   };
 
+  static Row ReadRow(const RowBatch& batch, const std::vector<TypeKind>& types,
+                     int i) {
+    Row row;
+    row.reserve(types.size());
+    for (size_t c = 0; c < types.size(); ++c) {
+      row.push_back(
+          CellToValue(types[c], batch.column(static_cast<int>(c))[i]));
+    }
+    return row;
+  }
+
   std::unique_ptr<Operator> left_;
   std::unique_ptr<Operator> right_;
-  std::vector<JoinKey> keys_;
+  JoinKeys keys_;
   std::unordered_map<std::vector<Value>, std::vector<Row>, KeyHash> build_;
-  // The probe batch, its next row to probe, and the probed row whose
-  // matches are being emitted.
+  // The probe batch, its next row to probe, the probed row whose matches
+  // are being emitted, and the output row being rebuilt.
   RowBatch input_;
   int input_pos_ = 0;
-  int outer_pos_ = 0;
+  Row outer_;
+  Row row_;
   const std::vector<Row>* matches_ = nullptr;
   size_t match_cursor_ = 0;
 };

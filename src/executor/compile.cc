@@ -1,7 +1,6 @@
 #include "executor/compile.h"
 
 #include "executor/join_ops.h"
-#include "executor/kernels.h"
 #include "executor/scan_ops.h"
 
 namespace joinest {
@@ -34,10 +33,7 @@ StatusOr<std::unique_ptr<Operator>> CompilePlan(
             ? selections->row_ids[static_cast<size_t>(node.table_index)]
             : nullptr));
     if (!node.filter.empty()) {
-      auto filter =
-          std::make_unique<FilterOperator>(std::move(op), node.filter);
-      filter->Specialize(LayoutTypes(catalog, spec, filter->layout()));
-      op = track(std::move(filter));
+      op = track(std::make_unique<FilterOperator>(std::move(op), node.filter));
     }
     return root(std::move(op));
   }
@@ -75,15 +71,9 @@ StatusOr<std::unique_ptr<Operator>> CompilePlan(
     case JoinMethod::kBlockNestedLoop:
       return root(track(std::make_unique<BlockNestedLoopJoinOperator>(
           std::move(left), std::move(right), node.join_predicates)));
-    case JoinMethod::kHash: {
-      const std::vector<ColumnRef> left_layout = left->layout();
-      const std::vector<ColumnRef> right_layout = right->layout();
-      auto join = std::make_unique<HashJoinOperator>(
-          std::move(left), std::move(right), node.join_predicates);
-      join->Specialize(LayoutTypes(catalog, spec, left_layout),
-                       LayoutTypes(catalog, spec, right_layout));
-      return root(track(std::move(join)));
-    }
+    case JoinMethod::kHash:
+      return root(track(std::make_unique<HashJoinOperator>(
+          std::move(left), std::move(right), node.join_predicates)));
     case JoinMethod::kSortMerge:
       return root(track(std::make_unique<SortMergeJoinOperator>(
           std::move(left), std::move(right), node.join_predicates)));

@@ -25,11 +25,10 @@ struct PlanNodeOperator {
   Operator* op = nullptr;
 };
 
-// Compiles `plan` into an operator tree over the catalog's tables, with
-// filters and hash joins specialized to the table schemas' column types
-// (executor/kernels.h). If
-// `registry` is non-null, every created operator is appended (pre-order) so
-// the caller can report per-operator row counts after execution. If
+// Compiles `plan` into an operator tree over the catalog's tables; each
+// operator takes its column types from the table schemas. If `registry` is
+// non-null, every created operator is appended (pre-order) so the caller
+// can report per-operator row counts after execution. If
 // `node_roots` is non-null, the root operator of every plan node is
 // appended (look nodes up by pointer; an index-nested-loop join's inner
 // scan node is absorbed into the join operator and gets no entry). The

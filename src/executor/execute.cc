@@ -9,6 +9,7 @@
 #include "executor/compile.h"
 #include "executor/eval.h"
 #include "executor/hash_table.h"
+#include "executor/join_ops.h"
 #include "executor/scan_ops.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -45,14 +46,11 @@ StatusOr<ExecutionResult> ExecutePlan(const Catalog& catalog,
   int64_t count = 0;
   while (root->NextBatch(batch)) {
     rows += batch.size();
-    for (int i = 0; i < batch.size(); ++i) {
-      const Row& row = batch.row(i);
-      if (grouped) {
-        count += row.back().AsInt64();  // Total over groups = join size.
-      } else if (spec.count_star) {
-        count = row[0].AsInt64();
-      }
-    }
+    if (!spec.count_star) continue;
+    // The count is the last column: the total over groups is the join
+    // size.
+    const Cell* counts = batch.column(batch.width() - 1);
+    for (int i = 0; i < batch.size(); ++i) count += counts[i];
   }
   root->Close();
   const auto end = std::chrono::steady_clock::now();
@@ -63,7 +61,6 @@ StatusOr<ExecutionResult> ExecutePlan(const Catalog& catalog,
   for (Operator* op : registry) {
     result.operators.push_back(SnapshotOperatorStats(*op));
     ++result.operators_total;
-    if (op->specialized()) ++result.kernels_specialized;
   }
   result.node_stats.reserve(node_roots.size());
   for (const PlanNodeOperator& entry : node_roots) {
@@ -159,31 +156,19 @@ std::unique_ptr<PlanNode> CanonicalSafePlan(const QuerySpec& spec) {
 
 namespace {
 
-// A join-key value: one canonical Value per equivalence class.
-using Key = std::vector<Value>;
+// A join-key tuple: one encoded cell per equivalence class.
+using KeyTuple = std::vector<int64_t>;
 
-struct KeyHash {
-  size_t operator()(const Key& key) const {
+struct KeyTupleHash {
+  size_t operator()(const KeyTuple& key) const {
     uint64_t h = 0x9e3779b97f4a7c15ull;
-    for (const Value& v : key) h = HashUint64(h ^ v.Hash());
+    for (int64_t k : key) h = HashUint64(h ^ static_cast<uint64_t>(k));
     return static_cast<size_t>(h);
   }
 };
 
-// Canonical keys match exactly when their types and values do: the
-// comparison JoinHashTable's probe makes, minus the cross-type CHECK.
-bool SameKey(const Value& a, const Value& b) {
-  return a.type() == b.type() && a == b;
-}
-
-struct KeyEq {
-  bool operator()(const Key& a, const Key& b) const {
-    return std::equal(a.begin(), a.end(), b.begin(), b.end(), SameKey);
-  }
-};
-
-// Weighted row counts per key value: what a table sends its parent.
-using KeyCounts = std::unordered_map<Key, int64_t, KeyHash, KeyEq>;
+// Weighted row counts per key tuple: what a table sends its parent.
+using Message = std::unordered_map<KeyTuple, int64_t, KeyTupleHash>;
 
 // One table of the query as a node of the join tree.
 struct TreeNode {
@@ -249,66 +234,79 @@ Status CountOverflow() {
 // COUNT(*) by message passing up the join tree: each table scans its rows
 // once, weighs each qualifying row by the product of its children's
 // counts for the row's key, and sums the weights per the key it shares
-// with its parent. The root's sum is the join size.
+// with its parent. The root's sum is the join size. Keys are cells encoded
+// by the key rule against `class_types[cls]`, the type every column of
+// class cls is compared with.
 StatusOr<int64_t> CountJoinTree(const Catalog& catalog, const QuerySpec& spec,
                                 const std::vector<TreeNode>& nodes,
-                                const std::vector<int>& order) {
-  std::vector<KeyCounts> sent(nodes.size());
+                                const std::vector<int>& order,
+                                const std::vector<TypeKind>& class_types) {
+  std::vector<Message> sent(nodes.size());
   int64_t total = 0;
-  Key key;
+  KeyTuple key;
   for (int t : order) {
     const TreeNode& node = nodes[static_cast<size_t>(t)];
-    const Table& table = catalog.table(spec.tables[t].catalog_id);
-    auto cell = [&table](int64_t row, int column) -> const Value& {
-      return table.column(column)[static_cast<size_t>(row)];
+    const TableColumns table(catalog.table(spec.tables[t].catalog_id), t);
+    const int64_t rows = table.table.num_rows();
+    auto encoding = [&](int cls, int column) {
+      return KeyEncodingFor(table.types[static_cast<size_t>(column)],
+                            class_types[static_cast<size_t>(cls)]);
     };
-    // The columns holding each child's key, then the parent's.
-    auto columns_of = [&node](const std::vector<int>& classes) {
-      std::vector<int> columns;
-      for (int cls : classes) columns.push_back(node.columns.at(cls).front());
-      return columns;
+    // The encoded keys (and their validity) of `classes` for every row.
+    struct EncodedKeys {
+      int width = 0;
+      std::vector<int64_t> keys;
+      std::vector<char> valid;
     };
-    std::vector<std::vector<int>> child_columns;
-    for (int child : node.children) {
-      child_columns.push_back(
-          columns_of(nodes[static_cast<size_t>(child)].key_classes));
-    }
-    const std::vector<int> parent_columns = columns_of(node.key_classes);
+    auto encode = [&](const std::vector<int>& classes) {
+      KeyColumns columns;
+      for (int cls : classes) {
+        const int column = node.columns.at(cls).front();
+        columns.positions.push_back(column);
+        columns.encodings.push_back(encoding(cls, column));
+      }
+      EncodedKeys out;
+      out.width = columns.width();
+      columns.Encode(table, rows, out.keys, out.valid);
+      return out;
+    };
+    std::vector<char> keep;
+    EvaluatePredicates(BindPredicates(node.local, table.layout, table.types),
+                       table, rows, keep);
     // Join columns of this table in one class must agree.
-    std::vector<std::pair<int, int>> agree;
-    for (const auto& entry : node.columns) {
-      for (size_t i = 1; i < entry.second.size(); ++i) {
-        agree.emplace_back(entry.second.front(), entry.second[i]);
-      }
-    }
-    auto key_of = [&](int64_t row, const std::vector<int>& columns) {
-      key.resize(columns.size());
-      for (size_t i = 0; i < columns.size(); ++i) {
-        key[i] = cell(row, columns[i]).CanonicalKey();
-      }
-    };
-    auto qualifies = [&](int64_t row) {
-      for (const Predicate& p : node.local) {
-        const Value& right = p.kind == Predicate::Kind::kLocalConst
-                                 ? p.constant
-                                 : cell(row, p.right.column);
-        if (!EvalCompare(cell(row, p.left.column), p.op, right)) return false;
-      }
-      for (const auto& [a, b] : agree) {
-        if (!SameKey(cell(row, a).CanonicalKey(),
-                     cell(row, b).CanonicalKey())) {
-          return false;
+    for (const auto& [cls, columns] : node.columns) {
+      for (size_t i = 1; i < columns.size(); ++i) {
+        const KeyColumns pair{{columns.front(), columns[i]},
+                              {encoding(cls, columns.front()),
+                               encoding(cls, columns[i])}};
+        std::vector<int64_t> keys;
+        std::vector<char> valid;
+        pair.Encode(table, rows, keys, valid);
+        for (size_t r = 0; r < static_cast<size_t>(rows); ++r) {
+          keep[r] &= valid[r] && keys[2 * r] == keys[2 * r + 1];
         }
       }
-      return true;
+    }
+    std::vector<EncodedKeys> child_keys;
+    for (int child : node.children) {
+      child_keys.push_back(
+          encode(nodes[static_cast<size_t>(child)].key_classes));
+    }
+    const EncodedKeys parent_keys = encode(node.key_classes);
+    auto key_of = [&key](const EncodedKeys& encoded, size_t row) {
+      const int64_t* begin = encoded.keys.data() + row * encoded.width;
+      key.assign(begin, begin + encoded.width);
     };
-    for (int64_t r = 0; r < table.num_rows(); ++r) {
-      if (!qualifies(r)) continue;
+    for (size_t r = 0; r < static_cast<size_t>(rows); ++r) {
+      if (!keep[r] || !parent_keys.valid[r]) continue;
       int64_t weight = 1;
       for (size_t c = 0; c < node.children.size() && weight > 0; ++c) {
-        key_of(r, child_columns[c]);
-        const KeyCounts& counts =
-            sent[static_cast<size_t>(node.children[c])];
+        if (!child_keys[c].valid[r]) {
+          weight = 0;
+          break;
+        }
+        key_of(child_keys[c], r);
+        const Message& counts = sent[static_cast<size_t>(node.children[c])];
         const auto it = counts.find(key);
         if (it == counts.end()) {
           weight = 0;
@@ -319,13 +317,13 @@ StatusOr<int64_t> CountJoinTree(const Catalog& catalog, const QuerySpec& spec,
       if (weight == 0) continue;
       int64_t* sum = &total;
       if (node.parent >= 0) {
-        key_of(r, parent_columns);
+        key_of(parent_keys, r);
         sum = &sent[static_cast<size_t>(t)][key];
       }
       if (__builtin_add_overflow(*sum, weight, sum)) return CountOverflow();
     }
     for (int child : node.children) {
-      KeyCounts().swap(sent[static_cast<size_t>(child)]);
+      Message().swap(sent[static_cast<size_t>(child)]);
     }
   }
   return total;
@@ -357,11 +355,23 @@ StatusOr<int64_t> TrueResultSize(const Catalog& catalog,
       nodes[static_cast<size_t>(p.left.table)].local.push_back(p);
     }
   }
+  // A class's columns compare with int64 when any of them is int64 (so
+  // a double must equal an integer exactly), else with their own type.
   const EquivalenceClasses classes = EquivalenceClasses::Build(joins);
+  std::vector<TypeKind> class_types(
+      static_cast<size_t>(classes.num_classes()));
   for (int cls = 0; cls < classes.num_classes(); ++cls) {
     for (const ColumnRef& ref : classes.members(cls)) {
       nodes[static_cast<size_t>(ref.table)].columns[cls].push_back(
           ref.column);
+      const TypeKind type = catalog.table(spec.tables[ref.table].catalog_id)
+                                .schema()
+                                .column(ref.column)
+                                .type;
+      TypeKind& class_type = class_types[static_cast<size_t>(cls)];
+      if (ref == classes.members(cls).front() || type == TypeKind::kInt64) {
+        class_type = type;
+      }
     }
   }
 
@@ -374,7 +384,7 @@ StatusOr<int64_t> TrueResultSize(const Catalog& catalog,
         ExecutePlan(catalog, spec, *CanonicalSafePlan(spec)));
     return result.count;
   }
-  return CountJoinTree(catalog, spec, nodes, order);
+  return CountJoinTree(catalog, spec, nodes, order, class_types);
 }
 
 StatusOr<std::vector<int64_t>> TruePrefixSizes(

@@ -35,11 +35,8 @@ struct ExecutionResult {
     OperatorStats stats;
   };
   std::vector<PlanNodeStats> node_stats;
-  // Of operators_total, how many ran a type-specialized batch kernel
-  // (Operator::specialized()). Feeds the flight recorder's
-  // kernel-vs-generic selection field.
+  // Operators in the compiled tree, for the flight recorder.
   int64_t operators_total = 0;
-  int64_t kernels_specialized = 0;
 };
 
 // Compiles and runs `plan`, topping it with the query's projection or

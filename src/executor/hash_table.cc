@@ -1,6 +1,6 @@
 #include "executor/hash_table.h"
 
-#include <utility>
+#include <algorithm>
 
 #include "common/check.h"
 #include "common/logging.h"
@@ -20,184 +20,63 @@ size_t CapacityFor(size_t rows) {
   return NextPowerOfTwo(rows < 8 ? 16 : rows * 2);
 }
 
-uint64_t CombineHashes(uint64_t h, uint64_t next) {
-  return h ^ (next + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2));
-}
-
-uint64_t HashKeyVector(const std::vector<Value>& key) {
-  uint64_t h = 0x9e3779b97f4a7c15ull;
-  for (const Value& v : key) h = CombineHashes(h, v.Hash());
-  return h;
-}
-
 }  // namespace
 
-JoinHashTable::JoinHashTable(std::vector<Row> rows,
-                             std::vector<int> key_positions)
-    : rows_(std::move(rows)), key_positions_(std::move(key_positions)) {
-  if (key_positions_.empty()) {
-    // Degenerate cartesian table: every probe matches all rows.
-    payload_.resize(rows_.size());
-    for (uint32_t i = 0; i < payload_.size(); ++i) payload_[i] = i;
-    num_keys_ = rows_.empty() ? 0 : 1;
-    return;
-  }
-  fast_path_ = key_positions_.size() == 1;
-  if (fast_path_) {
-    const int pos = key_positions_[0];
-    for (const Row& row : rows_) {
-      if (row[pos].type() != TypeKind::kInt64) {
-        fast_path_ = false;
-        break;
-      }
-    }
-  }
-  capacity_ = CapacityFor(rows_.size());
+JoinHashTable::JoinHashTable(int width, const std::vector<int64_t>& keys,
+                             const std::vector<char>& include)
+    : width_(width) {
+  JOINEST_CHECK_GE(width, 1) << "a hash table needs a key";
+  const size_t rows = include.size();
+  JOINEST_CHECK_EQ(keys.size(), rows * static_cast<size_t>(width));
+  const size_t included =
+      static_cast<size_t>(std::count(include.begin(), include.end(), 1));
+  capacity_ = CapacityFor(included);
   mask_ = capacity_ - 1;
   // Linear probing needs free slots to terminate; CapacityFor keeps the
   // load factor at or below 1/2.
-  JOINEST_DCHECK_EQ(capacity_ & (capacity_ - 1), 0u)
-      << "capacity must be a power of two";
-  JOINEST_DCHECK_GE(capacity_, rows_.size() * 2)
-      << "hash table overloaded: " << rows_.size() << " rows in "
-      << capacity_ << " slots";
-  if (fast_path_) {
-    BuildFast();
-  } else {
-    BuildGeneric();
-  }
-  JOINEST_DCHECK_LE(num_keys_, rows_.size())
-      << "more distinct keys than build rows";
-  JOINEST_DCHECK_EQ(payload_.size(), rows_.size())
-      << "payload must cover every build row exactly once";
-}
-
-size_t JoinHashTable::FindFastSlot(int64_t key) const {
-  size_t slot = HashUint64(static_cast<uint64_t>(key)) & mask_;
-  while (fast_slots_[slot].used && fast_slots_[slot].key != key) {
-    slot = (slot + 1) & mask_;
-  }
-  return slot;
-}
-
-void JoinHashTable::BuildFast() {
-  fast_slots_.assign(capacity_, FastSlot{});
-  const int pos = key_positions_[0];
-  // Pass 1: per-key cardinalities.
-  for (const Row& row : rows_) {
-    const int64_t key = row[pos].AsInt64();
-    FastSlot& slot = fast_slots_[FindFastSlot(key)];
-    if (!slot.used) {
-      slot.used = true;
-      slot.key = key;
-      ++num_keys_;
-    }
-    ++slot.count;
-  }
-  // Pass 2: prefix-sum the counts into payload offsets.
-  uint32_t offset = 0;
-  for (FastSlot& slot : fast_slots_) {
-    if (!slot.used) continue;
-    slot.begin = offset;
-    offset += slot.count;
-    slot.count = 0;  // Reused as the scatter cursor.
-  }
-  // Pass 3: scatter row indices; count regrows to its final value.
-  payload_.resize(rows_.size());
-  for (uint32_t i = 0; i < rows_.size(); ++i) {
-    FastSlot& slot = fast_slots_[FindFastSlot(rows_[i][pos].AsInt64())];
-    payload_[slot.begin + slot.count++] = i;
-  }
-}
-
-size_t JoinHashTable::FindGenericSlot(const std::vector<Value>& key,
-                                      uint64_t hash) const {
-  size_t slot = hash & mask_;
-  while (generic_slots_[slot].key_index >= 0) {
-    const GenericSlot& s = generic_slots_[slot];
-    if (s.hash == hash && keys_[s.key_index] == key) return slot;
-    slot = (slot + 1) & mask_;
-  }
-  return slot;
-}
-
-void JoinHashTable::BuildGeneric() {
-  generic_slots_.assign(capacity_, GenericSlot{});
-  std::vector<Value> key(key_positions_.size());
-  auto key_of = [&](const Row& row) {
-    for (size_t k = 0; k < key_positions_.size(); ++k) {
-      key[k] = row[key_positions_[k]].CanonicalKey();
-    }
+  JOINEST_DCHECK_GE(capacity_, included * 2)
+      << "hash table overloaded: " << included << " rows in " << capacity_
+      << " slots";
+  const size_t stride = static_cast<size_t>(width) + 1;
+  slots_.assign(capacity_ * stride, 0);
+  auto meta_of = [&](size_t slot) -> int64_t& {
+    return slots_[slot * stride + static_cast<size_t>(width)];
   };
-  for (const Row& row : rows_) {
-    key_of(row);
-    const uint64_t hash = HashKeyVector(key);
-    GenericSlot& slot = generic_slots_[FindGenericSlot(key, hash)];
-    if (slot.key_index < 0) {
-      slot.hash = hash;
-      slot.key_index = static_cast<int32_t>(keys_.size());
-      keys_.push_back(key);
+  // Pass 1: per-key cardinalities, remembering each row's slot.
+  std::vector<uint32_t> row_slot(rows);
+  for (size_t i = 0; i < rows; ++i) {
+    if (!include[i]) continue;
+    const int64_t* key = keys.data() + i * static_cast<size_t>(width);
+    size_t slot = Hash(key) & mask_;
+    while (meta_of(slot) != 0 && !EqualKeys(Entry(slot), key)) {
+      slot = (slot + 1) & mask_;
+    }
+    if (meta_of(slot) == 0) {
+      std::copy(key, key + width, slots_.begin() + slot * stride);
       ++num_keys_;
     }
-    ++slot.count;
+    ++meta_of(slot);
+    row_slot[i] = static_cast<uint32_t>(slot);
   }
-  uint32_t offset = 0;
-  for (GenericSlot& slot : generic_slots_) {
-    if (slot.key_index < 0) continue;
-    slot.begin = offset;
-    offset += slot.count;
-    slot.count = 0;
+  // Pass 2: prefix-sum the counts into span offsets; the count restarts at
+  // zero as the scatter cursor.
+  uint64_t offset = 0;
+  for (size_t slot = 0; slot < capacity_; ++slot) {
+    const uint64_t count = static_cast<uint64_t>(meta_of(slot));
+    if (count == 0) continue;
+    meta_of(slot) = static_cast<int64_t>(offset << 32);
+    offset += count;
   }
-  payload_.resize(rows_.size());
-  for (uint32_t i = 0; i < rows_.size(); ++i) {
-    key_of(rows_[i]);
-    GenericSlot& slot =
-        generic_slots_[FindGenericSlot(key, HashKeyVector(key))];
-    payload_[slot.begin + slot.count++] = i;
+  // Pass 3: scatter row indices; each count regrows to its final value.
+  payload_.resize(included);
+  for (size_t i = 0; i < rows; ++i) {
+    if (!include[i]) continue;
+    int64_t& meta = meta_of(row_slot[i]);
+    const uint64_t m = static_cast<uint64_t>(meta);
+    payload_[(m >> 32) + (m & 0xffffffffu)] = static_cast<uint32_t>(i);
+    ++meta;
   }
-}
-
-void JoinHashTable::BuildIntPayload() {
-  const size_t width = rows_.empty() ? 0 : rows_[0].size();
-  for (const Row& row : rows_) {
-    for (const Value& v : row) {
-      if (v.type() != TypeKind::kInt64) return;
-    }
-  }
-  int_payload_.resize(payload_.size() * width);
-  for (size_t p = 0; p < payload_.size(); ++p) {
-    const Row& row = rows_[payload_[p]];
-    for (size_t c = 0; c < width; ++c) {
-      int_payload_[p * width + c] = row[c].int64_unchecked();
-    }
-  }
-  int_width_ = static_cast<int>(width);
-}
-
-JoinHashTable::Span JoinHashTable::Probe(
-    const Row& probe_row, const std::vector<int>& probe_positions,
-    Scratch& scratch) const {
-  if (key_positions_.empty()) {
-    return Span{payload_.data(), payload_.size()};
-  }
-  JOINEST_CHECK_EQ(probe_positions.size(), key_positions_.size());
-  if (rows_.empty()) return Span{};
-  if (fast_path_) {
-    const Value& v = probe_row[probe_positions[0]];
-    const std::optional<int64_t> key = v.AsCanonicalInt64();
-    if (!key) return Span{};  // Fractional/out-of-range: equals no int64.
-    const FastSlot& slot = fast_slots_[FindFastSlot(*key)];
-    if (!slot.used) return Span{};
-    return Span{payload_.data() + slot.begin, slot.count};
-  }
-  scratch.key.resize(probe_positions.size());
-  for (size_t k = 0; k < probe_positions.size(); ++k) {
-    scratch.key[k] = probe_row[probe_positions[k]].CanonicalKey();
-  }
-  const GenericSlot& slot = generic_slots_[FindGenericSlot(
-      scratch.key, HashKeyVector(scratch.key))];
-  if (slot.key_index < 0) return Span{};
-  return Span{payload_.data() + slot.begin, slot.count};
+  JOINEST_DCHECK_LE(num_keys_, included) << "more distinct keys than rows";
 }
 
 }  // namespace joinest

@@ -3,74 +3,72 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "executor/eval.h"
-#include "executor/kernels.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace joinest {
 
-std::vector<JoinKey> ResolveJoinKeys(
-    const std::vector<ColumnRef>& left, const std::vector<ColumnRef>& right,
-    const std::vector<Predicate>& predicates) {
-  std::vector<JoinKey> keys;
+JoinKeys ResolveJoinKeys(const std::vector<ColumnRef>& left_layout,
+                         const std::vector<TypeKind>& left_types,
+                         const std::vector<ColumnRef>& right_layout,
+                         const std::vector<TypeKind>& right_types,
+                         const std::vector<Predicate>& predicates) {
+  JoinKeys keys;
   for (const Predicate& p : predicates) {
     JOINEST_CHECK(p.kind == Predicate::Kind::kJoin)
         << "join operator got non-join predicate " << p.ToString();
-    int lp = FindInLayout(left, p.left);
-    int rp = FindInLayout(right, p.right);
+    int lp = FindInLayout(left_layout, p.left);
+    int rp = FindInLayout(right_layout, p.right);
     if (lp < 0 || rp < 0) {
       // Try the swapped orientation.
-      lp = FindInLayout(left, p.right);
-      rp = FindInLayout(right, p.left);
+      lp = FindInLayout(left_layout, p.right);
+      rp = FindInLayout(right_layout, p.left);
     }
     JOINEST_CHECK(lp >= 0 && rp >= 0)
         << "join predicate does not span the two inputs: " << p.ToString();
-    keys.push_back(JoinKey{lp, rp});
+    const TypeKind lt = left_types[static_cast<size_t>(lp)];
+    const TypeKind rt = right_types[static_cast<size_t>(rp)];
+    keys.left.positions.push_back(lp);
+    keys.left.encodings.push_back(KeyEncodingFor(lt, rt));
+    keys.right.positions.push_back(rp);
+    keys.right.encodings.push_back(KeyEncodingFor(rt, lt));
   }
   return keys;
 }
 
 namespace {
 
-std::vector<ColumnRef> ConcatLayouts(const std::vector<ColumnRef>& a,
-                                     const std::vector<ColumnRef>& b) {
-  std::vector<ColumnRef> out = a;
+template <typename T>
+std::vector<T> Concat(const std::vector<T>& a, const std::vector<T>& b) {
+  std::vector<T> out = a;
   out.insert(out.end(), b.begin(), b.end());
   return out;
 }
 
-bool KeysMatch(const Row& left, const Row& right,
-               const std::vector<JoinKey>& keys) {
-  for (const JoinKey& k : keys) {
-    if (!(left[k.left_pos] == right[k.right_pos])) return false;
+bool EqualKeys(const int64_t* a, const int64_t* b, int width) {
+  return std::equal(a, a + width, b);
+}
+
+// Appends left row `l` of `left` joined with right row `r` of `right` to
+// `out`, left columns first.
+template <typename Left, typename Right>
+void AppendJoined(RowBatch& out, const Left& left, int64_t l,
+                  const Right& right, int64_t r) {
+  const int n = out.size();
+  const int left_width = left.width();
+  for (int c = 0; c < left_width; ++c) out.column(c)[n] = left.column(c)[l];
+  for (int c = 0; c < right.width(); ++c) {
+    out.column(left_width + c)[n] = right.column(c)[r];
   }
-  return true;
+  out.set_size(n + 1);
 }
 
-// Writes left ++ right into a pooled slot: element-wise copy-assign into
-// resized storage, so a reused slot keeps its values' capacity (strings
-// especially) instead of destroying and reconstructing them.
-void ConcatInto(Row& out, const Row& left, const Row& right) {
-  out.resize(left.size() + right.size());
-  size_t j = 0;
-  for (const Value& v : left) out[j++] = v;
-  for (const Value& v : right) out[j++] = v;
-}
-
-// Opens `op`, moves every row it produces into `out`, and closes it.
-// Moving steals each slot's storage; the child re-fills moved-from slots on
-// the next refill, so this only trades the per-value copy for one
-// allocation the copy would have paid anyway.
-void DrainInto(Operator& op, std::vector<Row>& out) {
+// Opens `op`, appends every row it produces to `out`, and closes it.
+void DrainInto(Operator& op, MaterializedRows& out) {
+  out.Reset(static_cast<int>(op.types().size()));
   op.Open();
-  out.clear();
   RowBatch batch;
-  while (op.NextBatch(batch)) {
-    for (int i = 0; i < batch.size(); ++i) {
-      out.push_back(std::move(batch.row(i)));
-    }
-  }
+  while (op.NextBatch(batch)) out.Append(batch);
   op.Close();
 }
 
@@ -82,8 +80,10 @@ NestedLoopJoinOperator::NestedLoopJoinOperator(
     std::unique_ptr<Operator> left, std::unique_ptr<Operator> right,
     std::vector<Predicate> predicates)
     : left_(std::move(left)), right_(std::move(right)) {
-  layout_ = ConcatLayouts(left_->layout(), right_->layout());
-  keys_ = ResolveJoinKeys(left_->layout(), right_->layout(), predicates);
+  layout_ = Concat(left_->layout(), right_->layout());
+  types_ = Concat(left_->types(), right_->types());
+  keys_ = ResolveJoinKeys(left_->layout(), left_->types(), right_->layout(),
+                          right_->types(), predicates);
 }
 
 void NestedLoopJoinOperator::OpenImpl() {
@@ -100,19 +100,25 @@ void NestedLoopJoinOperator::OpenImpl() {
 // are, mid-inner-batch.
 bool NestedLoopJoinOperator::NextBatchImpl(RowBatch& batch) {
   batch.Clear();
+  const int width = keys_.left.width();
   while (!batch.full()) {
     if (inner_pos_ < inner_.size()) {
-      const Row& outer = outer_.row(outer_pos_);
+      const size_t o = static_cast<size_t>(outer_pos_);
+      const int64_t* outer_key = outer_keys_.data() + o * width;
       while (inner_pos_ < inner_.size() && !batch.full()) {
-        const Row& inner = inner_.row(inner_pos_++);
-        if (KeysMatch(outer, inner, keys_)) {
-          ConcatInto(batch.AppendSlot(), outer, inner);
+        const size_t i = static_cast<size_t>(inner_pos_++);
+        if (outer_valid_[o] && inner_valid_[i] &&
+            EqualKeys(outer_key, inner_keys_.data() + i * width, width)) {
+          AppendJoined(batch, outer_, outer_pos_, inner_, inner_pos_ - 1);
           ++rows_produced_;
         }
       }
     } else if (inner_open_) {
       inner_pos_ = 0;
-      if (right_->NextBatch(inner_)) continue;
+      if (right_->NextBatch(inner_)) {
+        keys_.right.Encode(inner_, inner_.size(), inner_keys_, inner_valid_);
+        continue;
+      }
       right_->Close();
       inner_open_ = false;
       ++outer_pos_;
@@ -121,6 +127,7 @@ bool NestedLoopJoinOperator::NextBatchImpl(RowBatch& batch) {
       inner_open_ = true;
     } else {
       if (!left_->NextBatch(outer_)) break;
+      keys_.left.Encode(outer_, outer_.size(), outer_keys_, outer_valid_);
       outer_pos_ = 0;
     }
   }
@@ -141,13 +148,16 @@ BlockNestedLoopJoinOperator::BlockNestedLoopJoinOperator(
     std::unique_ptr<Operator> left, std::unique_ptr<Operator> right,
     std::vector<Predicate> predicates)
     : left_(std::move(left)), right_(std::move(right)) {
-  layout_ = ConcatLayouts(left_->layout(), right_->layout());
-  keys_ = ResolveJoinKeys(left_->layout(), right_->layout(), predicates);
+  layout_ = Concat(left_->layout(), right_->layout());
+  types_ = Concat(left_->types(), right_->types());
+  keys_ = ResolveJoinKeys(left_->layout(), left_->types(), right_->layout(),
+                          right_->types(), predicates);
 }
 
 void BlockNestedLoopJoinOperator::OpenImpl() {
   left_->Open();
   DrainInto(*right_, inner_);
+  keys_.right.Encode(inner_, inner_.size(), inner_keys_, inner_valid_);
   outer_.Clear();
   outer_pos_ = 0;
   inner_cursor_ = 0;
@@ -155,13 +165,16 @@ void BlockNestedLoopJoinOperator::OpenImpl() {
 
 bool BlockNestedLoopJoinOperator::NextBatchImpl(RowBatch& batch) {
   batch.Clear();
+  const int width = keys_.left.width();
   while (!batch.full()) {
     if (outer_pos_ < outer_.size()) {
-      const Row& outer = outer_.row(outer_pos_);
+      const size_t o = static_cast<size_t>(outer_pos_);
+      const int64_t* outer_key = outer_keys_.data() + o * width;
       while (inner_cursor_ < inner_.size() && !batch.full()) {
-        const Row& inner = inner_[inner_cursor_++];
-        if (KeysMatch(outer, inner, keys_)) {
-          ConcatInto(batch.AppendSlot(), outer, inner);
+        const size_t i = static_cast<size_t>(inner_cursor_++);
+        if (outer_valid_[o] && inner_valid_[i] &&
+            EqualKeys(outer_key, inner_keys_.data() + i * width, width)) {
+          AppendJoined(batch, outer_, outer_pos_, inner_, inner_cursor_ - 1);
           ++rows_produced_;
         }
       }
@@ -170,6 +183,7 @@ bool BlockNestedLoopJoinOperator::NextBatchImpl(RowBatch& batch) {
       inner_cursor_ = 0;
     } else {
       if (!left_->NextBatch(outer_)) break;
+      keys_.left.Encode(outer_, outer_.size(), outer_keys_, outer_valid_);
       outer_pos_ = 0;
     }
   }
@@ -178,7 +192,93 @@ bool BlockNestedLoopJoinOperator::NextBatchImpl(RowBatch& batch) {
 
 void BlockNestedLoopJoinOperator::CloseImpl() {
   left_->Close();
-  inner_.clear();
+  inner_.Reset(0);
+}
+
+// ------------------------------------------------------- Hash probe
+
+void HashProbeJoin::StartProbe() {
+  input_live_ = false;
+  input_pos_ = 0;
+  matches_ = JoinHashTable::Span{};
+  match_cursor_ = 0;
+}
+
+bool HashProbeJoin::RefillInput() {
+  if (!left_->NextBatch(input_)) return false;
+  probe_keys_.Encode(input_, input_.size(), input_keys_, input_valid_);
+  const size_t width = static_cast<size_t>(probe_keys_.width());
+  for (size_t i = 0; i < static_cast<size_t>(input_.size()); ++i) {
+    table_->Prefetch(input_keys_.data() + i * width);
+  }
+  return true;
+}
+
+// Per input row, probe once and emit as many of its matches as fit,
+// resuming mid-span on the next call.
+bool HashProbeJoin::NextBatchImpl(RowBatch& batch) {
+  batch.Clear();
+  const int left_width = static_cast<int>(left_->types().size());
+  const int right_width = static_cast<int>(build_columns_.size());
+  const size_t key_width = static_cast<size_t>(probe_keys_.width());
+  int n = 0;
+  while (n < batch.capacity()) {
+    if (match_cursor_ < matches_.size) {
+      const int take = static_cast<int>(std::min<size_t>(
+          static_cast<size_t>(batch.capacity() - n),
+          matches_.size - match_cursor_));
+      // Column by column: the probe row's cells repeat down the span, the
+      // build rows' cells gather from its payload.
+      for (int c = 0; c < left_width; ++c) {
+        std::fill_n(batch.column(c) + n, take, input_.column(c)[input_pos_]);
+      }
+      const uint32_t* rows = matches_.data + match_cursor_;
+      for (int c = 0; c < right_width; ++c) {
+        Cell* out = batch.column(left_width + c) + n;
+        const Cell* build = build_columns_[static_cast<size_t>(c)];
+        for (int i = 0; i < take; ++i) out[i] = build[rows[i]];
+      }
+      n += take;
+      match_cursor_ += static_cast<size_t>(take);
+      if (match_cursor_ < matches_.size) break;
+      ++input_pos_;
+    } else if (input_live_ && input_pos_ < input_.size()) {
+      const size_t row = static_cast<size_t>(input_pos_);
+      matches_ = input_valid_[row]
+                     ? table_->Probe(input_keys_.data() + row * key_width)
+                     : JoinHashTable::Span{};
+      match_cursor_ = 0;
+      if (matches_.empty()) ++input_pos_;
+    } else {
+      input_live_ = RefillInput();
+      if (!input_live_) break;
+      input_pos_ = 0;
+    }
+  }
+  batch.set_size(n);
+  rows_produced_ += n;
+  return n > 0;
+}
+
+// Same probes as the batch path, in the same order; each match span adds
+// its size instead of its rows.
+int64_t HashProbeJoin::CountImpl() {
+  const size_t key_width = static_cast<size_t>(probe_keys_.width());
+  int64_t count = 0;
+  while (RefillInput()) {
+    for (size_t i = 0; i < static_cast<size_t>(input_.size()); ++i) {
+      if (!input_valid_[i]) continue;
+      count += static_cast<int64_t>(
+          table_->Probe(input_keys_.data() + i * key_width).size);
+    }
+  }
+  rows_produced_ += count;
+  return count;
+}
+
+void HashProbeJoin::CloseImpl() {
+  left_->Close();
+  table_.reset();
 }
 
 // ---------------------------------------------------------------- Hash
@@ -186,50 +286,32 @@ void BlockNestedLoopJoinOperator::CloseImpl() {
 HashJoinOperator::HashJoinOperator(std::unique_ptr<Operator> left,
                                    std::unique_ptr<Operator> right,
                                    std::vector<Predicate> predicates)
-    : left_(std::move(left)), right_(std::move(right)) {
-  layout_ = ConcatLayouts(left_->layout(), right_->layout());
-  const std::vector<JoinKey> keys =
-      ResolveJoinKeys(left_->layout(), right_->layout(), predicates);
-  JOINEST_CHECK(!keys.empty()) << "hash join requires at least one key";
-  for (const JoinKey& k : keys) {
-    probe_positions_.push_back(k.left_pos);
-    build_positions_.push_back(k.right_pos);
-  }
-}
-
-void HashJoinOperator::Specialize(const std::vector<TypeKind>& left_types,
-                                  const std::vector<TypeKind>& right_types) {
-  specialized_ = true;
-  left_width_ = static_cast<int>(left_types.size());
-  right_width_ = static_cast<int>(right_types.size());
-  int64_key_ =
-      probe_positions_.size() == 1 &&
-      left_types[static_cast<size_t>(probe_positions_[0])] ==
-          TypeKind::kInt64 &&
-      right_types[static_cast<size_t>(build_positions_[0])] ==
-          TypeKind::kInt64;
-  all_int64_ = true;
-  for (TypeKind t : left_types) {
-    if (t != TypeKind::kInt64) all_int64_ = false;
-  }
-  for (TypeKind t : right_types) {
-    if (t != TypeKind::kInt64) all_int64_ = false;
-  }
-  CountKernelSelection(int64_key_ ? "hashjoin_probe_int64"
-                                  : "hashjoin_probe_generic");
-  CountKernelSelection(all_int64_ ? "hashjoin_emit_int64"
-                                  : "hashjoin_emit_generic");
+    : HashProbeJoin(std::move(left)), right_(std::move(right)) {
+  layout_ = Concat(left_->layout(), right_->layout());
+  types_ = Concat(left_->types(), right_->types());
+  JoinKeys keys = ResolveJoinKeys(left_->layout(), left_->types(),
+                                  right_->layout(), right_->types(),
+                                  predicates);
+  JOINEST_CHECK(!keys.left.positions.empty())
+      << "hash join requires at least one key";
+  probe_keys_ = std::move(keys.left);
+  build_keys_ = std::move(keys.right);
 }
 
 void HashJoinOperator::OpenImpl() {
   left_->Open();
-  std::vector<Row> build_rows;
-  DrainInto(*right_, build_rows);
+  DrainInto(*right_, build_);
   {
     Span span("HashJoin::build");
-    table_ = std::make_unique<JoinHashTable>(std::move(build_rows),
-                                             build_positions_);
-    span.SetArg("build_rows", static_cast<int64_t>(table_->num_rows()));
+    std::vector<int64_t> keys;
+    std::vector<char> valid;
+    build_keys_.Encode(build_, build_.size(), keys, valid);
+    table_ = std::make_unique<JoinHashTable>(build_keys_.width(), keys, valid);
+    span.SetArg("build_rows", build_.size());
+  }
+  build_columns_.clear();
+  for (int c = 0; c < build_.width(); ++c) {
+    build_columns_.push_back(build_.column(c));
   }
   // Build-side telemetry: rows and distinct keys per build, plus the load
   // factor story a capacity planner wants (num_keys/num_rows is the
@@ -242,129 +324,17 @@ void HashJoinOperator::OpenImpl() {
   registry
       .GetCounter("executor_hashjoin_build_rows_total",
                   "Rows materialised into hash-join build sides")
-      .Add(static_cast<int64_t>(table_->num_rows()));
+      .Add(build_.size());
   registry
       .GetCounter("executor_hashjoin_build_keys_total",
                   "Distinct keys across hash-join build sides")
       .Add(static_cast<int64_t>(table_->num_keys()));
-  // The table only takes its int64 fast path when every build key actually
-  // is int64; with a schema-proven int64 key the two always agree, but the
-  // kernel re-checks so a declined fast path degrades instead of breaking.
-  // Likewise a declined int payload falls back to the generic emit loop.
-  use_fast_probe_ = int64_key_ && table_->fast_path();
-  if (all_int64_) table_->BuildIntPayload();
-  use_int_payload_ = all_int64_ && table_->has_int_payload();
-  input_valid_ = false;
-  input_pos_ = 0;
-  matches_ = JoinHashTable::Span{};
-  match_cursor_ = 0;
-}
-
-// Per input row, probe once and emit as many of its matches as fit,
-// resuming mid-span on the next call. The kernel probe and emit loops
-// replace the generic ones where Specialize proved the key and row types;
-// other shapes probe through JoinHashTable::Probe and copy rows with
-// ConcatInto.
-bool HashJoinOperator::NextBatchImpl(RowBatch& batch) {
-  batch.Clear();
-  const size_t out_width =
-      static_cast<size_t>(left_width_) + static_cast<size_t>(right_width_);
-  while (!batch.full()) {
-    if (match_cursor_ < matches_.size) {
-      if (use_int_payload_) {
-        // Matches of one span are consecutive matrix rows: the inner side
-        // reads sequential int64s instead of dereferencing per-row heap
-        // blocks.
-        do {
-          Row& slot = batch.AppendSlot();
-          slot.resize(out_width);
-          for (int c = 0; c < left_width_; ++c) {
-            slot[static_cast<size_t>(c)].StoreInt64(
-                outer_ints_[static_cast<size_t>(c)]);
-          }
-          const int64_t* inner =
-              table_->int_payload_row(match_pos_ + match_cursor_++);
-          for (int c = 0; c < right_width_; ++c) {
-            slot[static_cast<size_t>(left_width_ + c)].StoreInt64(inner[c]);
-          }
-          ++rows_produced_;
-        } while (!batch.full() && match_cursor_ < matches_.size);
-      } else {
-        const Row& outer = input_.row(input_pos_);
-        do {
-          ConcatInto(batch.AppendSlot(), outer,
-                     table_->row(matches_.data[match_cursor_++]));
-          ++rows_produced_;
-        } while (!batch.full() && match_cursor_ < matches_.size);
-      }
-      if (match_cursor_ < matches_.size) break;
-      ++input_pos_;
-    } else if (input_valid_ && input_pos_ < input_.size()) {
-      const Row& outer = input_.row(input_pos_);
-      if (use_fast_probe_) {
-        matches_ = table_->ProbeFastInt64(
-            probe_keys_[static_cast<size_t>(input_pos_)]);
-      } else {
-        matches_ = table_->Probe(outer, probe_positions_, scratch_);
-      }
-      match_cursor_ = 0;
-      if (matches_.empty()) {
-        ++input_pos_;
-        continue;
-      }
-      if (use_int_payload_) {
-        match_pos_ = table_->PayloadPos(matches_);
-        outer_ints_.resize(static_cast<size_t>(left_width_));
-        for (int c = 0; c < left_width_; ++c) {
-          outer_ints_[static_cast<size_t>(c)] =
-              outer[static_cast<size_t>(c)].int64_unchecked();
-        }
-      }
-    } else {
-      input_valid_ = RefillInput();
-      if (!input_valid_) break;
-      input_pos_ = 0;
-    }
-  }
-  return !batch.empty();
-}
-
-bool HashJoinOperator::RefillInput() {
-  if (!left_->NextBatch(input_)) return false;
-  if (use_fast_probe_) {
-    // Gather the batch's keys into a contiguous array and warm each key's
-    // hash slot, so the per-row probe that follows starts from cache.
-    const size_t kpos = static_cast<size_t>(probe_positions_[0]);
-    probe_keys_.resize(static_cast<size_t>(input_.size()));
-    for (int i = 0; i < input_.size(); ++i) {
-      const int64_t key = input_.row(i)[kpos].int64_unchecked();
-      probe_keys_[static_cast<size_t>(i)] = key;
-      table_->PrefetchFastInt64(key);
-    }
-  }
-  return true;
-}
-
-// Same probes as the batch path, in the same order; each match span adds
-// its size instead of its rows.
-int64_t HashJoinOperator::CountImpl() {
-  int64_t count = 0;
-  while (RefillInput()) {
-    for (int i = 0; i < input_.size(); ++i) {
-      const JoinHashTable::Span matches =
-          use_fast_probe_
-              ? table_->ProbeFastInt64(probe_keys_[static_cast<size_t>(i)])
-              : table_->Probe(input_.row(i), probe_positions_, scratch_);
-      count += static_cast<int64_t>(matches.size);
-    }
-  }
-  rows_produced_ += count;
-  return count;
+  StartProbe();
 }
 
 void HashJoinOperator::CloseImpl() {
-  left_->Close();
-  table_.reset();
+  HashProbeJoin::CloseImpl();
+  build_.Reset(0);
 }
 
 // ---------------------------------------------------------------- SMJ
@@ -373,56 +343,60 @@ SortMergeJoinOperator::SortMergeJoinOperator(
     std::unique_ptr<Operator> left, std::unique_ptr<Operator> right,
     std::vector<Predicate> predicates)
     : left_(std::move(left)), right_(std::move(right)) {
-  layout_ = ConcatLayouts(left_->layout(), right_->layout());
-  keys_ = ResolveJoinKeys(left_->layout(), right_->layout(), predicates);
-  JOINEST_CHECK(!keys_.empty()) << "sort-merge join requires a key";
+  layout_ = Concat(left_->layout(), right_->layout());
+  types_ = Concat(left_->types(), right_->types());
+  keys_ = ResolveJoinKeys(left_->layout(), left_->types(), right_->layout(),
+                          right_->types(), predicates);
+  JOINEST_CHECK(!keys_.left.positions.empty())
+      << "sort-merge join requires a key";
 }
 
-namespace {
-
-// Three-way comparison of the key columns of a left row vs a right row.
-int CompareKeys(const Row& left, const Row& right,
-                const std::vector<JoinKey>& keys) {
-  for (const JoinKey& k : keys) {
-    const Value& a = left[k.left_pos];
-    const Value& b = right[k.right_pos];
-    if (a < b) return -1;
-    if (b < a) return 1;
+void SortMergeJoinOperator::Sort(Operator& input,
+                                 const KeyColumns& key_columns,
+                                 SortedInput& out) {
+  DrainInto(input, out.rows);
+  std::vector<char> valid;
+  key_columns.Encode(out.rows, out.rows.size(), out.keys, valid);
+  out.order.clear();
+  for (int64_t i = 0; i < out.rows.size(); ++i) {
+    if (valid[static_cast<size_t>(i)]) out.order.push_back(i);
   }
-  return 0;
+  const int width = key_columns.width();
+  const int64_t* keys = out.keys.data();
+  std::sort(out.order.begin(), out.order.end(), [&](int64_t a, int64_t b) {
+    return std::lexicographical_compare(keys + a * width,
+                                        keys + (a + 1) * width,
+                                        keys + b * width,
+                                        keys + (b + 1) * width);
+  });
 }
-
-}  // namespace
 
 void SortMergeJoinOperator::OpenImpl() {
-  DrainInto(*left_, left_rows_);
-  DrainInto(*right_, right_rows_);
-  std::sort(left_rows_.begin(), left_rows_.end(),
-            [this](const Row& a, const Row& b) {
-              for (const JoinKey& k : keys_) {
-                if (a[k.left_pos] < b[k.left_pos]) return true;
-                if (b[k.left_pos] < a[k.left_pos]) return false;
-              }
-              return false;
-            });
-  std::sort(right_rows_.begin(), right_rows_.end(),
-            [this](const Row& a, const Row& b) {
-              for (const JoinKey& k : keys_) {
-                if (a[k.right_pos] < b[k.right_pos]) return true;
-                if (b[k.right_pos] < a[k.right_pos]) return false;
-              }
-              return false;
-            });
+  Sort(*left_, keys_.left, left_rows_);
+  Sort(*right_, keys_.right, right_rows_);
   li_ = ri_ = 0;
   in_group_ = false;
 }
 
 bool SortMergeJoinOperator::NextBatchImpl(RowBatch& batch) {
   batch.Clear();
+  const int width = keys_.left.width();
+  // Three-way comparison of left order position l with right position r.
+  auto compare = [&](size_t l, size_t r) {
+    const int64_t* a = left_rows_.key(l, width);
+    const int64_t* b = right_rows_.key(r, width);
+    for (int k = 0; k < width; ++k) {
+      if (a[k] != b[k]) return a[k] < b[k] ? -1 : 1;
+    }
+    return 0;
+  };
+  const size_t left_size = left_rows_.order.size();
+  const size_t right_size = right_rows_.order.size();
   while (!batch.full()) {
     if (in_group_) {
       if (lcur_ < lg_) {
-        ConcatInto(batch.AppendSlot(), left_rows_[lcur_], right_rows_[rcur_]);
+        AppendJoined(batch, left_rows_.rows, left_rows_.order[lcur_],
+                     right_rows_.rows, right_rows_.order[rcur_]);
         ++rows_produced_;
         if (++rcur_ >= rg_) {
           rcur_ = ri_;
@@ -435,8 +409,8 @@ bool SortMergeJoinOperator::NextBatchImpl(RowBatch& batch) {
       ri_ = rg_;
       in_group_ = false;
     }
-    if (li_ >= left_rows_.size() || ri_ >= right_rows_.size()) break;
-    const int cmp = CompareKeys(left_rows_[li_], right_rows_[ri_], keys_);
+    if (li_ >= left_size || ri_ >= right_size) break;
+    const int cmp = compare(li_, ri_);
     if (cmp < 0) {
       ++li_;
       continue;
@@ -447,15 +421,9 @@ bool SortMergeJoinOperator::NextBatchImpl(RowBatch& batch) {
     }
     // Equal keys: delimit both groups and emit their cross product.
     lg_ = li_ + 1;
-    while (lg_ < left_rows_.size() &&
-           CompareKeys(left_rows_[lg_], right_rows_[ri_], keys_) == 0) {
-      ++lg_;
-    }
+    while (lg_ < left_size && compare(lg_, ri_) == 0) ++lg_;
     rg_ = ri_ + 1;
-    while (rg_ < right_rows_.size() &&
-           CompareKeys(left_rows_[li_], right_rows_[rg_], keys_) == 0) {
-      ++rg_;
-    }
+    while (rg_ < right_size && compare(li_, rg_) == 0) ++rg_;
     lcur_ = li_;
     rcur_ = ri_;
     in_group_ = true;
@@ -464,136 +432,54 @@ bool SortMergeJoinOperator::NextBatchImpl(RowBatch& batch) {
 }
 
 void SortMergeJoinOperator::CloseImpl() {
-  left_rows_.clear();
-  right_rows_.clear();
+  left_rows_ = SortedInput{};
+  right_rows_ = SortedInput{};
 }
 
 // ---------------------------------------------------------------- Index NLJ
+
+TableColumns::TableColumns(const Table& source, int table_index)
+    : table(source) {
+  for (int c = 0; c < source.num_columns(); ++c) {
+    layout.push_back(ColumnRef{table_index, c});
+    types.push_back(source.schema().column(c).type);
+  }
+}
 
 IndexNestedLoopJoinOperator::IndexNestedLoopJoinOperator(
     std::unique_ptr<Operator> outer, const Table& inner_table,
     int inner_table_index, std::vector<Predicate> join_predicates,
     std::vector<Predicate> inner_predicates)
-    : outer_(std::move(outer)),
-      inner_table_(inner_table),
-      inner_table_index_(inner_table_index),
-      join_predicates_(std::move(join_predicates)),
-      inner_predicates_(std::move(inner_predicates)) {
-  layout_ = outer_->layout();
-  for (int c = 0; c < inner_table_.num_columns(); ++c) {
-    layout_.push_back(ColumnRef{inner_table_index_, c});
-  }
-  JOINEST_CHECK(!join_predicates_.empty())
+    : HashProbeJoin(std::move(outer)), inner_(inner_table, inner_table_index) {
+  layout_ = Concat(left_->layout(), inner_.layout);
+  types_ = Concat(left_->types(), inner_.types);
+  JOINEST_CHECK(!join_predicates.empty())
       << "index join needs at least one key";
-  for (size_t i = 0; i < join_predicates_.size(); ++i) {
-    const Predicate& p = join_predicates_[i];
-    JOINEST_CHECK(p.kind == Predicate::Kind::kJoin);
-    ColumnRef outer_ref = p.left;
-    ColumnRef inner_ref = p.right;
-    if (inner_ref.table != inner_table_index_) std::swap(outer_ref, inner_ref);
-    JOINEST_CHECK_EQ(inner_ref.table, inner_table_index_)
-        << "key does not touch the inner table";
-    const int outer_pos = FindInLayout(outer_->layout(), outer_ref);
-    JOINEST_CHECK_GE(outer_pos, 0) << "outer key missing from outer layout";
-    if (i == 0) {
-      outer_key_pos_ = outer_pos;
-      inner_key_col_ = inner_ref.column;
-    } else {
-      residual_keys_.emplace_back(outer_pos, inner_ref.column);
-    }
-  }
-  for (const Predicate& p : inner_predicates_) {
-    JOINEST_CHECK(p.kind != Predicate::Kind::kJoin);
-    JOINEST_CHECK_EQ(p.left.table, inner_table_index_);
-  }
+  JoinKeys keys = ResolveJoinKeys(left_->layout(), left_->types(),
+                                  inner_.layout, inner_.types,
+                                  join_predicates);
+  probe_keys_ = std::move(keys.left);
+  inner_keys_ = std::move(keys.right);
+  inner_predicates_ =
+      BindPredicates(inner_predicates, inner_.layout, inner_.types);
 }
 
 void IndexNestedLoopJoinOperator::OpenImpl() {
-  outer_->Open();
-  index_ = std::make_unique<HashIndex>(inner_table_, inner_key_col_);
-  input_.Clear();
-  input_pos_ = 0;
-  match_cursor_ = 0;
-}
-
-bool IndexNestedLoopJoinOperator::InnerRowPasses(const Row& outer,
-                                                 int64_t inner_row) const {
-  for (const auto& [outer_pos, inner_col] : residual_keys_) {
-    if (!(outer[outer_pos] == inner_table_.at(inner_row, inner_col))) {
-      return false;
-    }
+  left_->Open();
+  const TableColumns& inner = inner_;
+  const int64_t rows = inner.table.num_rows();
+  std::vector<char> passes;
+  EvaluatePredicates(inner_predicates_, inner, rows, passes);
+  std::vector<int64_t> keys;
+  std::vector<char> valid;
+  inner_keys_.Encode(inner, rows, keys, valid);
+  for (size_t i = 0; i < valid.size(); ++i) valid[i] &= passes[i];
+  table_ = std::make_unique<JoinHashTable>(inner_keys_.width(), keys, valid);
+  build_columns_.clear();
+  for (int c = 0; c < inner.table.num_columns(); ++c) {
+    build_columns_.push_back(inner.column(c));
   }
-  for (const Predicate& p : inner_predicates_) {
-    const Value& left = inner_table_.at(inner_row, p.left.column);
-    const Value& right = p.kind == Predicate::Kind::kLocalConst
-                             ? p.constant
-                             : inner_table_.at(inner_row, p.right.column);
-    if (!EvalCompare(left, p.op, right)) return false;
-  }
-  return true;
-}
-
-template <typename OnRow>
-void IndexNestedLoopJoinOperator::ForEachOuterRow(OnRow&& on_row) {
-  while (true) {
-    if (input_pos_ < input_.size()) {
-      const Row& outer = input_.row(input_pos_);
-      if (!on_row(outer, index_->Lookup(outer[outer_key_pos_]))) return;
-      ++input_pos_;
-    } else {
-      if (!outer_->NextBatch(input_)) return;
-      input_pos_ = 0;
-    }
-  }
-}
-
-bool IndexNestedLoopJoinOperator::NextBatchImpl(RowBatch& batch) {
-  batch.Clear();
-  const size_t inner_width = static_cast<size_t>(inner_table_.num_columns());
-  ForEachOuterRow([&](const Row& outer,
-                      const std::vector<int64_t>& matches) {
-    while (true) {
-      if (batch.full()) return false;  // Resume at this row and match.
-      if (match_cursor_ == matches.size()) break;
-      const int64_t inner_row = matches[match_cursor_++];
-      if (!InnerRowPasses(outer, inner_row)) continue;
-      Row& slot = batch.AppendSlot();
-      slot.resize(outer.size() + inner_width);
-      size_t j = 0;
-      for (const Value& v : outer) slot[j++] = v;
-      for (size_t c = 0; c < inner_width; ++c) {
-        slot[j++] = inner_table_.at(inner_row, static_cast<int>(c));
-      }
-      ++rows_produced_;
-    }
-    match_cursor_ = 0;
-    return true;
-  });
-  return !batch.empty();
-}
-
-int64_t IndexNestedLoopJoinOperator::CountImpl() {
-  // Without residual keys or inner predicates every index match joins.
-  const bool all_match = residual_keys_.empty() && inner_predicates_.empty();
-  int64_t count = 0;
-  ForEachOuterRow([&](const Row& outer,
-                      const std::vector<int64_t>& matches) {
-    if (all_match) {
-      count += static_cast<int64_t>(matches.size());
-    } else {
-      for (int64_t inner_row : matches) {
-        if (InnerRowPasses(outer, inner_row)) ++count;
-      }
-    }
-    return true;
-  });
-  rows_produced_ += count;
-  return count;
-}
-
-void IndexNestedLoopJoinOperator::CloseImpl() {
-  outer_->Close();
-  index_.reset();
+  StartProbe();
 }
 
 }  // namespace joinest

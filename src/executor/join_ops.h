@@ -12,29 +12,73 @@
 #ifndef JOINEST_EXECUTOR_JOIN_OPS_H_
 #define JOINEST_EXECUTOR_JOIN_OPS_H_
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
+#include "executor/batch.h"
+#include "executor/eval.h"
 #include "executor/hash_table.h"
 #include "executor/operator.h"
 #include "query/predicate.h"
-#include "storage/index.h"
 #include "storage/table.h"
 
 namespace joinest {
 
-// Resolved equality key pair: positions in the left and right layouts.
-struct JoinKey {
-  int left_pos;
-  int right_pos;
+// The key columns of one join input, and how each encodes against its
+// partner column on the other input (the key rule, types/cell.h).
+struct KeyColumns {
+  std::vector<int> positions;
+  std::vector<KeyEncoding> encodings;
+
+  int width() const { return static_cast<int>(positions.size()); }
+
+  // Encodes rows [0, n) of `source` (anything with
+  // `const Cell* column(int pos)`) into `keys`, width() per row, row-major.
+  // valid[i] is 0 when row i's key can equal no key of the other input.
+  template <typename Source>
+  void Encode(const Source& source, int64_t n, std::vector<int64_t>& keys,
+              std::vector<char>& valid) const {
+    const size_t w = positions.size();
+    keys.resize(static_cast<size_t>(n) * w);
+    valid.assign(static_cast<size_t>(n), 1);
+    for (size_t k = 0; k < w; ++k) {
+      const Cell* cells = source.column(positions[k]);
+      for (int64_t i = 0; i < n; ++i) {
+        const size_t row = static_cast<size_t>(i);
+        if (!EncodeKey(encodings[k], cells[i], &keys[row * w + k])) {
+          valid[row] = 0;
+        }
+      }
+    }
+  }
 };
 
-// Resolves join predicates against the child layouts (either operand may
-// live on either side). CHECK-fails if a predicate's columns are not split
-// across the two inputs.
-std::vector<JoinKey> ResolveJoinKeys(const std::vector<ColumnRef>& left,
-                                     const std::vector<ColumnRef>& right,
-                                     const std::vector<Predicate>& predicates);
+// Both inputs' key columns, resolved from equi-join predicates (either
+// operand may live on either side; CHECK-fails if a predicate's columns are
+// not split across the two inputs). Each key pair's two column types fix
+// both sides' encodings.
+struct JoinKeys {
+  KeyColumns left;
+  KeyColumns right;
+};
+JoinKeys ResolveJoinKeys(const std::vector<ColumnRef>& left_layout,
+                         const std::vector<TypeKind>& left_types,
+                         const std::vector<ColumnRef>& right_layout,
+                         const std::vector<TypeKind>& right_types,
+                         const std::vector<Predicate>& predicates);
+
+// A base table as a cell source for EvaluatePredicates and
+// KeyColumns::Encode, with the layout and types a scan of it as query table
+// `table_index` produces.
+struct TableColumns {
+  TableColumns(const Table& table, int table_index);
+  const Cell* column(int c) const { return table.cells(c).data(); }
+
+  const Table& table;
+  std::vector<ColumnRef> layout;
+  std::vector<TypeKind> types;
+};
 
 // Naive nested loops: the right (inner) input is re-opened and fully
 // re-scanned for every outer row — the classic method whose true cost is
@@ -43,7 +87,7 @@ std::vector<JoinKey> ResolveJoinKeys(const std::vector<ColumnRef>& left,
 // experiment's bad plans lose: a hundred real outer rows each re-scan a
 // 100k-row table the optimizer thought would never be touched. Both sides
 // are pulled a batch at a time; the inner's batch is a member, so a rescan
-// refills pooled slots and allocates nothing.
+// refills pooled cells and allocates nothing.
 class NestedLoopJoinOperator : public Operator {
  public:
   NestedLoopJoinOperator(std::unique_ptr<Operator> left,
@@ -60,12 +104,17 @@ class NestedLoopJoinOperator : public Operator {
  private:
   std::unique_ptr<Operator> left_;
   std::unique_ptr<Operator> right_;
-  std::vector<JoinKey> keys_;
-  // The outer batch and the row of it being joined.
+  JoinKeys keys_;
+  // The outer batch and its keys, and the row of it being joined.
   RowBatch outer_;
+  std::vector<int64_t> outer_keys_;
+  std::vector<char> outer_valid_;
   int outer_pos_ = 0;
-  // The inner side's current batch for that row, and the next inner row.
+  // The inner side's current batch for that row and its keys, and the next
+  // inner row.
   RowBatch inner_;
+  std::vector<int64_t> inner_keys_;
+  std::vector<char> inner_valid_;
   int inner_pos_ = 0;
   bool inner_open_ = false;
 };
@@ -90,21 +139,63 @@ class BlockNestedLoopJoinOperator : public Operator {
  private:
   std::unique_ptr<Operator> left_;
   std::unique_ptr<Operator> right_;
-  std::vector<JoinKey> keys_;
-  std::vector<Row> inner_;
-  // The outer batch, the row of it being joined, and the next inner row.
+  JoinKeys keys_;
+  MaterializedRows inner_;
+  std::vector<int64_t> inner_keys_;
+  std::vector<char> inner_valid_;
+  // The outer batch and its keys, the row of it being joined, and the next
+  // inner row.
   RowBatch outer_;
+  std::vector<int64_t> outer_keys_;
+  std::vector<char> outer_valid_;
   int outer_pos_ = 0;
-  size_t inner_cursor_ = 0;
+  int64_t inner_cursor_ = 0;
+};
+
+// The probe side shared by the hash and index-nested-loop joins: the left
+// input is pulled a batch at a time, its keys encoded and their home slots
+// prefetched, and each row probes a JoinHashTable whose payload indexes the
+// build columns. NextBatch emits each match (resuming mid-span when the
+// caller's batch fills); Count adds each span's size instead of emitting
+// its rows. Subclasses build the table on Open.
+class HashProbeJoin : public Operator {
+ protected:
+  explicit HashProbeJoin(std::unique_ptr<Operator> left)
+      : left_(std::move(left)) {}
+
+  bool NextBatchImpl(RowBatch& batch) override;
+  int64_t CountImpl() override;
+  void CloseImpl() override;
+
+  // Called by the subclass's OpenImpl once table_ and build_columns_ are
+  // set; rewinds the probe.
+  void StartProbe();
+
+  std::unique_ptr<Operator> left_;
+  KeyColumns probe_keys_;  // Key columns in the left layout.
+  std::unique_ptr<JoinHashTable> table_;
+  // One pointer per build-side output column; a span's payload entries
+  // index them.
+  std::vector<const Cell*> build_columns_;
+
+ private:
+  // Refills input_ from the left child, encodes its keys and prefetches
+  // their home slots.
+  bool RefillInput();
+
+  RowBatch input_;
+  std::vector<int64_t> input_keys_;
+  std::vector<char> input_valid_;
+  int input_pos_ = 0;
+  bool input_live_ = false;
+  JoinHashTable::Span matches_;
+  size_t match_cursor_ = 0;
 };
 
 // Classic hash join: builds on the right input, probes with the left. The
-// build side is a JoinHashTable (flat open addressing, contiguous payload
-// spans, single-int64 fast path) instead of the former
-// unordered_map<vector<Value>, vector<Row>>; probes allocate nothing. The
-// batch path probes a whole left batch per call; Count probes the same
-// way and adds each match span's size instead of emitting its rows.
-class HashJoinOperator : public Operator {
+// build side is the right input materialised column-major plus a
+// JoinHashTable over its encoded keys.
+class HashJoinOperator : public HashProbeJoin {
  public:
   HashJoinOperator(std::unique_ptr<Operator> left,
                    std::unique_ptr<Operator> right,
@@ -112,69 +203,19 @@ class HashJoinOperator : public Operator {
 
   std::string name() const override { return "HashJoin"; }
 
-  // Specializes the batch probe/emit loops against the child layouts'
-  // column types (schema-proven at CompilePlan time): a single int64 key
-  // pair probes through JoinHashTable::ProbeFastInt64 — no per-row
-  // canonicalisation or contract checks — and an all-int64 output layout
-  // emits from the table's contiguous int64 payload through native stores.
-  // Shapes the kernels decline (multi-column or mixed-type keys, string
-  // columns), and joins never specialized, keep the generic
-  // Probe/ConcatInto loops.
-  void Specialize(const std::vector<TypeKind>& left_types,
-                  const std::vector<TypeKind>& right_types);
-
-  bool specialized() const override { return specialized_; }
-
  protected:
   void OpenImpl() override;
-  bool NextBatchImpl(RowBatch& batch) override;
-  int64_t CountImpl() override;
   void CloseImpl() override;
 
  private:
-  // Refills input_ from the left child; on the fast probe, gathers the
-  // batch's keys into probe_keys_ and prefetches their hash slots.
-  bool RefillInput();
-
-  std::unique_ptr<Operator> left_;
   std::unique_ptr<Operator> right_;
-  std::vector<int> build_positions_;  // Key columns in the right layout.
-  std::vector<int> probe_positions_;  // Key columns in the left layout.
-  std::unique_ptr<JoinHashTable> table_;
-  JoinHashTable::Scratch scratch_;
-
-  // Kernel state (Specialize).
-  bool specialized_ = false;
-  bool int64_key_ = false;       // Single key pair, int64 on both sides.
-  bool all_int64_ = false;       // Every output column is int64.
-  bool use_fast_probe_ = false;  // int64_key_ and the table built fast-path.
-  // all_int64_ and the table materialised its contiguous int64 payload
-  // matrix: the emit loop reads consecutive matrix rows per span.
-  bool use_int_payload_ = false;
-  int left_width_ = 0;
-  int right_width_ = 0;
-  // Outer row's values as native ints for the int-payload emit loop;
-  // cached once per probed row (a match span can stretch across emitted
-  // batches).
-  std::vector<int64_t> outer_ints_;
-  // Fast-probe keys of the current input batch, gathered (and their hash
-  // slots prefetched) once per refill.
-  std::vector<int64_t> probe_keys_;
-
-  // Probe state: position within the current input batch and within that
-  // row's match span.
-  RowBatch input_;
-  int input_pos_ = 0;
-  JoinHashTable::Span matches_;
-  size_t match_cursor_ = 0;
-  // Payload position of matches_'s first match (int-payload emit).
-  size_t match_pos_ = 0;
-  bool input_valid_ = false;
+  KeyColumns build_keys_;  // Key columns in the right layout.
+  MaterializedRows build_;
 };
 
-// Sort-merge join: both inputs are materialised, sorted by their key
-// columns, and merged; equal-key groups produce their cross product, which
-// resumes mid-group when the caller's batch fills.
+// Sort-merge join: both inputs are materialised, their rows ordered by
+// encoded key, and merged; equal-key groups produce their cross product,
+// which resumes mid-group when the caller's batch fills.
 class SortMergeJoinOperator : public Operator {
  public:
   SortMergeJoinOperator(std::unique_ptr<Operator> left,
@@ -189,30 +230,37 @@ class SortMergeJoinOperator : public Operator {
   void CloseImpl() override;
 
  private:
+  // One materialised input, its encoded keys, and its matchable rows in
+  // key order.
+  struct SortedInput {
+    MaterializedRows rows;
+    std::vector<int64_t> keys;
+    std::vector<int64_t> order;
+    const int64_t* key(size_t i, int width) const {
+      return keys.data() + static_cast<size_t>(order[i]) * width;
+    }
+  };
+  void Sort(Operator& input, const KeyColumns& key_columns, SortedInput& out);
+
   std::unique_ptr<Operator> left_;
   std::unique_ptr<Operator> right_;
-  std::vector<JoinKey> keys_;
-  std::vector<Row> left_rows_;
-  std::vector<Row> right_rows_;
-  // Current equal-key group cross-product state.
+  JoinKeys keys_;
+  SortedInput left_rows_;
+  SortedInput right_rows_;
+  // Current equal-key group cross-product state, as positions in order.
   size_t li_ = 0, ri_ = 0;        // Group starts.
   size_t lg_ = 0, rg_ = 0;        // Group ends (exclusive).
   size_t lcur_ = 0, rcur_ = 0;    // Cursor within the group product.
   bool in_group_ = false;
 };
 
-// Index nested loops: the inner side is a base table; a hash index over the
-// first key column is built on Open, outer rows probe it, and the remaining
-// key pairs plus the inner table's local predicates are applied as
-// residuals. The outer is pulled a batch at a time by one loop that both
-// drives share: NextBatch emits each passing match (resuming mid-match-list
-// when the caller's batch fills), Count adds the match list's size (or,
-// with residuals, the matches that pass them).
-class IndexNestedLoopJoinOperator : public Operator {
+// Index nested loops: the inner side is a base table. Open builds a
+// JoinHashTable over all key columns of the inner rows that pass the inner
+// table's local predicates, and outer rows probe it like a hash join's.
+class IndexNestedLoopJoinOperator : public HashProbeJoin {
  public:
-  // `inner_predicates` are local predicates on the inner table (pushed
-  // selection that the probe must re-check since the index covers the whole
-  // table).
+  // `inner_predicates` are local predicates on the inner table (the pushed
+  // selection, applied when the table is built).
   IndexNestedLoopJoinOperator(std::unique_ptr<Operator> outer,
                               const Table& inner_table, int inner_table_index,
                               std::vector<Predicate> join_predicates,
@@ -222,36 +270,11 @@ class IndexNestedLoopJoinOperator : public Operator {
 
  protected:
   void OpenImpl() override;
-  bool NextBatchImpl(RowBatch& batch) override;
-  int64_t CountImpl() override;
-  void CloseImpl() override;
 
  private:
-  // Hands each outer row, from the current position on, to
-  // `on_row(outer, matches)` with its index matches. on_row returns true
-  // once it is done with the row; false stops the walk on that row, which
-  // the next call hands over again.
-  template <typename OnRow>
-  void ForEachOuterRow(OnRow&& on_row);
-  bool InnerRowPasses(const Row& outer, int64_t inner_row) const;
-
-  std::unique_ptr<Operator> outer_;
-  const Table& inner_table_;
-  int inner_table_index_;
-  std::vector<Predicate> join_predicates_;
-  std::vector<Predicate> inner_predicates_;
-
-  // First key drives the index probe; the rest are residuals.
-  int outer_key_pos_ = -1;
-  int inner_key_col_ = -1;
-  std::vector<std::pair<int, int>> residual_keys_;  // (outer pos, inner col)
-
-  std::unique_ptr<HashIndex> index_;
-  // The outer batch, the row of it being probed, and the next of that
-  // row's matches to check.
-  RowBatch input_;
-  int input_pos_ = 0;
-  size_t match_cursor_ = 0;
+  TableColumns inner_;
+  KeyColumns inner_keys_;  // Key columns of the inner table.
+  std::vector<BoundPredicate> inner_predicates_;
 };
 
 }  // namespace joinest

@@ -65,6 +65,7 @@ void Operator::Open() {
 
 bool Operator::NextBatch(RowBatch& batch) {
   TimerScope timer(this);
+  batch.SetWidth(static_cast<int>(types_.size()));
   const bool more = NextBatchImpl(batch);
   if (more) {
     ++batches_;
@@ -87,6 +88,7 @@ void Operator::Close() {
 // times this operator, and a nested wrapper would time it twice.
 int64_t Operator::CountImpl() {
   RowBatch batch;
+  batch.SetWidth(static_cast<int>(types_.size()));
   int64_t count = 0;
   while (NextBatchImpl(batch)) {
     ++batches_;

@@ -1,9 +1,11 @@
 // Operator interface: Open/NextBatch/Count/Close over row batches.
 //
-// A row flowing between operators is a flat std::vector<Value>; which query
-// column each position holds is described by the operator's layout — a
-// vector of ColumnRef in output order. Operators resolve the columns their
-// predicates touch to positions once, at construction.
+// Rows flow between operators in column-major batches of 8-byte cells
+// (executor/batch.h). Which query column each position holds is described
+// by the operator's layout — a vector of ColumnRef in output order — and
+// how to read its cells by the operator's types, parallel to the layout.
+// Both are fixed at construction from the table schemas, and operators
+// resolve the columns their predicates and keys touch to positions then.
 //
 // Callers drive one of two interfaces:
 //  * NextBatch(RowBatch&)  — up to a batch of rows at a time. Every
@@ -34,7 +36,7 @@
 
 #include "executor/batch.h"
 #include "query/column_ref.h"
-#include "types/value.h"
+#include "types/cell.h"
 
 namespace joinest {
 
@@ -57,6 +59,8 @@ class Operator {
   void Close();
 
   const std::vector<ColumnRef>& layout() const { return layout_; }
+  // The type of each output position's cells, parallel to layout().
+  const std::vector<TypeKind>& types() const { return types_; }
 
   // Operator name, cumulative rows produced and cumulative wall-clock, for
   // EXPLAIN ANALYZE-style reporting.
@@ -77,11 +81,6 @@ class Operator {
   int64_t batches() const { return batches_; }
   int64_t batch_rows() const { return batch_rows_; }
 
-  // True when a type-specialized batch kernel was compiled in for this
-  // operator (scan/filter/hash-join Specialize succeeded); false for the
-  // generic row loop. Feeds the flight recorder's kernel-selection field.
-  virtual bool specialized() const { return false; }
-
  protected:
   virtual void OpenImpl() = 0;
   virtual bool NextBatchImpl(RowBatch& batch) = 0;
@@ -90,6 +89,7 @@ class Operator {
   virtual void CloseImpl() = 0;
 
   std::vector<ColumnRef> layout_;
+  std::vector<TypeKind> types_;
   int64_t rows_produced_ = 0;
   double seconds_ = 0;
   double child_seconds_ = 0;

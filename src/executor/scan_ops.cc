@@ -1,10 +1,9 @@
 #include "executor/scan_ops.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "common/logging.h"
-#include "executor/eval.h"
+#include "executor/hash_table.h"
 
 namespace joinest {
 
@@ -18,20 +17,28 @@ SeqScanOperator::SeqScanOperator(
   }
   for (int c = 0; c < table.num_columns(); ++c) {
     layout_.push_back(ColumnRef{table_index, c});
+    types_.push_back(table.schema().column(c).type);
   }
-  CountKernelSelection("scan_columnwise_fill");
 }
 
 void SeqScanOperator::OpenImpl() { cursor_ = 0; }
 
 bool SeqScanOperator::NextBatchImpl(RowBatch& batch) {
-  batch.Clear();
   const int64_t total = row_ids_ != nullptr
                             ? static_cast<int64_t>(row_ids_->size())
                             : table_.num_rows();
   const int64_t take = std::min<int64_t>(batch.capacity(), total - cursor_);
-  FillBatchColumnwise(table_, row_ids_ != nullptr ? row_ids_->data() : nullptr,
-                      cursor_, take, batch, slots_);
+  for (int c = 0; c < table_.num_columns(); ++c) {
+    const Cell* src = table_.cells(c).data();
+    Cell* dst = batch.column(c);
+    if (row_ids_ == nullptr) {
+      std::copy(src + cursor_, src + cursor_ + take, dst);
+    } else {
+      const int64_t* ids = row_ids_->data() + cursor_;
+      for (int64_t i = 0; i < take; ++i) dst[i] = src[ids[i]];
+    }
+  }
+  batch.set_size(static_cast<int>(take));
   cursor_ += take;
   rows_produced_ += take;
   return !batch.empty();
@@ -41,45 +48,10 @@ void SeqScanOperator::CloseImpl() {}
 
 FilterOperator::FilterOperator(std::unique_ptr<Operator> child,
                                std::vector<Predicate> predicates)
-    : child_(std::move(child)), predicates_(std::move(predicates)) {
+    : child_(std::move(child)) {
   layout_ = child_->layout();
-  for (const Predicate& p : predicates_) {
-    JOINEST_CHECK(p.kind != Predicate::Kind::kJoin)
-        << "FilterOperator handles local predicates only";
-    const int left = FindInLayout(layout_, p.left);
-    JOINEST_CHECK_GE(left, 0) << "filter column missing from child layout";
-    left_pos_.push_back(left);
-    if (p.kind == Predicate::Kind::kLocalColCol) {
-      const int right = FindInLayout(layout_, p.right);
-      JOINEST_CHECK_GE(right, 0) << "filter column missing from child layout";
-      right_pos_.push_back(right);
-    } else {
-      right_pos_.push_back(-1);
-    }
-  }
-  generic_predicates_ = predicates_;
-  generic_left_pos_ = left_pos_;
-  generic_right_pos_ = right_pos_;
-}
-
-void FilterOperator::Specialize(const std::vector<TypeKind>& child_types) {
-  std::vector<CompiledPredicate> all;
-  CompilePredicates(predicates_, left_pos_, right_pos_, child_types, &all);
-  compiled_.clear();
-  generic_predicates_.clear();
-  generic_left_pos_.clear();
-  generic_right_pos_.clear();
-  for (size_t i = 0; i < all.size(); ++i) {
-    CountKernelSelection(FilterKernelName(all[i].kernel));
-    if (all[i].kernel == FilterKernel::kGeneric) {
-      generic_predicates_.push_back(predicates_[i]);
-      generic_left_pos_.push_back(left_pos_[i]);
-      generic_right_pos_.push_back(right_pos_[i]);
-    } else {
-      compiled_.push_back(std::move(all[i]));
-    }
-  }
-  specialized_ = true;
+  types_ = child_->types();
+  predicates_ = BindPredicates(predicates, layout_, types_);
 }
 
 void FilterOperator::OpenImpl() { child_->Open(); }
@@ -88,21 +60,7 @@ bool FilterOperator::NextBatchImpl(RowBatch& batch) {
   // The filter's layout equals the child's, so the child fills the caller's
   // batch directly and passing rows are compacted in place — no copies.
   while (child_->NextBatch(batch)) {
-    // Typed column-at-a-time loops over the compiled predicates, then the
-    // generic remainder row-wise over survivors. The conjunction
-    // short-circuits per column instead of per row, but the predicates are
-    // pure, so the surviving set is bit-identical.
-    keep_.assign(batch.size(), 1);
-    EvalCompiledPredicates(batch, compiled_, keep_);
-    if (!generic_predicates_.empty()) {
-      for (int i = 0; i < batch.size(); ++i) {
-        if (!keep_[i]) continue;
-        keep_[i] = EvalPredicatesRow(batch.row(i), generic_predicates_,
-                                     generic_left_pos_, generic_right_pos_)
-                       ? 1
-                       : 0;
-      }
-    }
+    EvaluatePredicates(predicates_, batch, batch.size(), keep_);
     int passed = 0;
     for (int i = 0; i < batch.size(); ++i) passed += keep_[i];
     if (passed == 0) continue;  // Fully filtered batch; pull the next one.
@@ -122,12 +80,9 @@ ProjectOperator::ProjectOperator(std::unique_ptr<Operator> child,
   for (ColumnRef ref : columns) {
     const int pos = FindInLayout(child_->layout(), ref);
     JOINEST_CHECK_GE(pos, 0) << "projected column missing from child layout";
-    if (std::find(positions_.begin(), positions_.end(), pos) !=
-        positions_.end()) {
-      has_duplicate_positions_ = true;
-    }
     positions_.push_back(pos);
     layout_.push_back(ref);
+    types_.push_back(child_->types()[static_cast<size_t>(pos)]);
   }
 }
 
@@ -144,20 +99,15 @@ bool ProjectOperator::NextBatchImpl(RowBatch& batch) {
       if (!child_->NextBatch(input_)) break;
       input_pos_ = 0;
     }
-    Row& input = input_.row(input_pos_++);
-    Row& row = batch.AppendSlot();
-    row.resize(positions_.size());
-    if (has_duplicate_positions_) {
-      // A duplicated projection (SELECT S.a, S.a) must copy: moving would
-      // leave the second occurrence a moved-from Value.
-      for (size_t i = 0; i < positions_.size(); ++i) {
-        row[i] = input[positions_[i]];
-      }
-    } else {
-      for (size_t i = 0; i < positions_.size(); ++i) {
-        row[i] = std::move(input[positions_[i]]);
-      }
+    const int take =
+        std::min(batch.capacity() - batch.size(), input_.size() - input_pos_);
+    for (size_t i = 0; i < positions_.size(); ++i) {
+      const Cell* src = input_.column(positions_[i]) + input_pos_;
+      std::copy(src, src + take,
+                batch.column(static_cast<int>(i)) + batch.size());
     }
+    batch.set_size(batch.size() + take);
+    input_pos_ += take;
   }
   rows_produced_ += batch.size();
   return !batch.empty();
@@ -167,7 +117,8 @@ void ProjectOperator::CloseImpl() { child_->Close(); }
 
 CountAggOperator::CountAggOperator(std::unique_ptr<Operator> child)
     : child_(std::move(child)) {
-  layout_ = {};  // COUNT(*) has no column identity.
+  layout_ = {ColumnRef{-1, -1}};  // COUNT(*) has no catalog identity.
+  types_ = {TypeKind::kInt64};
 }
 
 void CountAggOperator::OpenImpl() {
@@ -178,10 +129,8 @@ void CountAggOperator::OpenImpl() {
 bool CountAggOperator::NextBatchImpl(RowBatch& batch) {
   batch.Clear();
   if (done_) return false;
-  const int64_t count = child_->Count();
-  Row& row = batch.AppendSlot();
-  row.clear();
-  row.push_back(Value(count));
+  batch.column(0)[0] = child_->Count();
+  batch.set_size(1);
   done_ = true;
   ++rows_produced_;
   return true;
@@ -196,11 +145,15 @@ GroupCountOperator::GroupCountOperator(std::unique_ptr<Operator> child,
   for (ColumnRef ref : group_columns) {
     const int pos = FindInLayout(child_->layout(), ref);
     JOINEST_CHECK_GE(pos, 0) << "group column missing from child layout";
+    const TypeKind type = child_->types()[static_cast<size_t>(pos)];
     positions_.push_back(pos);
+    encodings_.push_back(KeyEncodingFor(type, type));
     layout_.push_back(ref);
+    types_.push_back(type);
   }
   // The trailing COUNT(*) column has no catalog identity.
   layout_.push_back(ColumnRef{-1, -1});
+  types_.push_back(TypeKind::kInt64);
 }
 
 void GroupCountOperator::OpenImpl() {
@@ -211,40 +164,41 @@ void GroupCountOperator::OpenImpl() {
 }
 
 bool GroupCountOperator::NextBatchImpl(RowBatch& batch) {
+  const size_t width = positions_.size();
   if (!aggregated_) {
-    struct KeyHash {
-      size_t operator()(const Row& key) const {
-        size_t h = 0x9e3779b97f4a7c15ull;
-        for (const Value& v : key) {
-          h ^= v.Hash() + 0x9e3779b97f4a7c15ull + (h << 6);
-        }
-        return h;
-      }
-    };
-    std::unordered_map<Row, int64_t, KeyHash> groups;
-    Row key;
+    std::vector<int64_t> keys;
     while (child_->NextBatch(scratch_)) {
-      for (int i = 0; i < scratch_.size(); ++i) {
-        const Row& input = scratch_.row(i);
-        key.clear();
-        key.reserve(positions_.size());
-        for (int pos : positions_) key.push_back(input[pos]);
-        ++groups[key];
+      const size_t base = keys.size();
+      keys.resize(base + static_cast<size_t>(scratch_.size()) * width);
+      for (size_t k = 0; k < width; ++k) {
+        const Cell* cells = scratch_.column(positions_[k]);
+        for (int i = 0; i < scratch_.size(); ++i) {
+          EncodeKey(encodings_[k], cells[i],
+                    &keys[base + static_cast<size_t>(i) * width + k]);
+        }
       }
     }
-    results_.reserve(groups.size());
-    for (auto& [group_key, count] : groups) {
-      Row out = group_key;
-      out.push_back(Value(count));
-      results_.push_back(std::move(out));
-    }
+    const JoinHashTable groups(static_cast<int>(width), keys,
+                               std::vector<char>(keys.size() / width, 1));
+    results_.assign(width + 1, {});
+    groups.ForEachKey([&](const int64_t* key, JoinHashTable::Span rows) {
+      for (size_t k = 0; k < width; ++k) {
+        results_[k].push_back(DecodeKey(encodings_[k], key[k]));
+      }
+      results_[width].push_back(static_cast<Cell>(rows.size));
+    });
     aggregated_ = true;
   }
-  batch.Clear();
-  while (!batch.full() && cursor_ < results_.size()) {
-    batch.AppendSlot() = std::move(results_[cursor_++]);
+  const int64_t groups = static_cast<int64_t>(results_[width].size());
+  const int take =
+      static_cast<int>(std::min<int64_t>(batch.capacity(), groups - cursor_));
+  for (size_t c = 0; c <= width; ++c) {
+    const Cell* src = results_[c].data() + cursor_;
+    std::copy(src, src + take, batch.column(static_cast<int>(c)));
   }
-  rows_produced_ += batch.size();
+  batch.set_size(take);
+  cursor_ += take;
+  rows_produced_ += take;
   return !batch.empty();
 }
 

@@ -1,11 +1,11 @@
 // Leaf and unary operators: sequential scan, filter, projection, COUNT(*).
 //
-// Every operator here fills batches natively: the scan copies column-wise,
-// the filter compacts its child's batch in place, Project copies positions
-// out of a child batch, and GroupCount aggregates its child batch by batch
-// before emitting the groups. CountAgg asks its child for Operator::Count,
-// so a hash or index-nested-loop join under COUNT(*) sums its matches
-// instead of emitting them.
+// Every operator here fills batches natively: the scan copies cells column
+// by column, the filter compacts its child's batch in place, Project copies
+// columns out of a child batch, and GroupCount aggregates its child batch
+// by batch before emitting the groups. CountAgg asks its child for
+// Operator::Count, so a hash or index-nested-loop join under COUNT(*) sums
+// its matches instead of emitting them.
 
 #ifndef JOINEST_EXECUTOR_SCAN_OPS_H_
 #define JOINEST_EXECUTOR_SCAN_OPS_H_
@@ -14,7 +14,7 @@
 #include <memory>
 #include <vector>
 
-#include "executor/kernels.h"
+#include "executor/eval.h"
 #include "executor/operator.h"
 #include "query/predicate.h"
 #include "storage/table.h"
@@ -45,9 +45,8 @@ struct ScanSelections {
 // — the scan the predicate-transfer reducer asks for once it has narrowed a
 // table to the rows that can survive the semi-joins. Output layout:
 // ColumnRef{table_index, c} for every column c, either way, so the
-// operators above are oblivious to the selection. Batches fill column-wise
-// through the kernel fill (the column types are schema-proven, so the
-// per-cell variant dispatch of CopyRowInto is unnecessary).
+// operators above are oblivious to the selection. Batches fill one column
+// at a time from the table's cell vectors.
 class SeqScanOperator : public Operator {
  public:
   // `table` must outlive the operator. A non-null `row_ids` must be sorted
@@ -60,8 +59,6 @@ class SeqScanOperator : public Operator {
     return row_ids_ != nullptr ? "SelectionScan" : "SeqScan";
   }
 
-  bool specialized() const override { return true; }
-
  protected:
   void OpenImpl() override;
   bool NextBatchImpl(RowBatch& batch) override;
@@ -71,11 +68,12 @@ class SeqScanOperator : public Operator {
   const Table& table_;
   std::shared_ptr<const std::vector<int64_t>> row_ids_;  // Null: all rows.
   int64_t cursor_ = 0;
-  std::vector<Row*> slots_;  // Kernel-fill scratch, reused per batch.
 };
 
 // Filters child rows by a conjunction of local predicates (kLocalConst or
 // kLocalColCol); all referenced columns must be present in the child layout.
+// Each predicate runs column-at-a-time over the child's batch, and the
+// passing rows are compacted in place.
 class FilterOperator : public Operator {
  public:
   FilterOperator(std::unique_ptr<Operator> child,
@@ -85,14 +83,6 @@ class FilterOperator : public Operator {
 
   const Operator& child() const { return *child_; }
 
-  // Lowers the predicate list against the child layout's column types:
-  // predicates whose operand types fit a typed kernel run column-at-a-time
-  // through EvalCompiledPredicates; any remainder stays on the generic row
-  // path (until then, all of them). Called once at CompilePlan time.
-  void Specialize(const std::vector<TypeKind>& child_types);
-
-  bool specialized() const override { return specialized_; }
-
  protected:
   void OpenImpl() override;
   bool NextBatchImpl(RowBatch& batch) override;
@@ -100,19 +90,8 @@ class FilterOperator : public Operator {
 
  private:
   std::unique_ptr<Operator> child_;
-  std::vector<Predicate> predicates_;
-  // Resolved operand positions, parallel to predicates_: left position and
-  // (for col-col) right position.
-  std::vector<int> left_pos_;
-  std::vector<int> right_pos_;
+  std::vector<BoundPredicate> predicates_;
   std::vector<char> keep_;  // Selection vector, reused per batch.
-  // The predicates Specialize compiled to kernels plus the generic
-  // remainder with its resolved positions.
-  bool specialized_ = false;
-  std::vector<CompiledPredicate> compiled_;
-  std::vector<Predicate> generic_predicates_;
-  std::vector<int> generic_left_pos_;
-  std::vector<int> generic_right_pos_;
 };
 
 // Projects child rows onto a subset of columns.
@@ -131,10 +110,6 @@ class ProjectOperator : public Operator {
  private:
   std::unique_ptr<Operator> child_;
   std::vector<int> positions_;
-  // True when some child position is projected more than once (e.g.
-  // SELECT S.a, S.a); the move fast path would leave later occurrences
-  // reading a moved-from Value.
-  bool has_duplicate_positions_ = false;
   // The child's current batch and the next of its rows to project; a
   // caller's batch smaller than the child's resumes mid-input.
   RowBatch input_;
@@ -159,9 +134,9 @@ class CountAggOperator : public Operator {
 };
 
 // Hash aggregation: GROUP BY <columns> with COUNT(*). Consumes the child on
-// the first NextBatch, then emits one row per group — the group key values
-// followed by the group's count — a batch at a time. Output order is
-// unspecified.
+// the first NextBatch, encoding each row's group cells by the key rule,
+// then emits one row per group — the group key cells followed by the
+// group's count — a batch at a time. Output order is unspecified.
 class GroupCountOperator : public Operator {
  public:
   GroupCountOperator(std::unique_ptr<Operator> child,
@@ -177,10 +152,12 @@ class GroupCountOperator : public Operator {
  private:
   std::unique_ptr<Operator> child_;
   std::vector<int> positions_;
+  std::vector<KeyEncoding> encodings_;  // Per group column, against itself.
   RowBatch scratch_;
   bool aggregated_ = false;
-  std::vector<Row> results_;
-  size_t cursor_ = 0;
+  // Column-major results: the group cells, then the counts.
+  std::vector<std::vector<Cell>> results_;
+  int64_t cursor_ = 0;
 };
 
 }  // namespace joinest

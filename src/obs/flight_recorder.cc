@@ -211,8 +211,6 @@ void WriteQueryRecordJson(JsonWriter& json, const QueryRecord& record) {
   }
   json.Key("operators_total");
   json.Int(record.operators_total);
-  json.Key("kernels_specialized");
-  json.Int(record.kernels_specialized);
   json.Key("latency");
   json.BeginObject();
   json.Key("parse_seconds");

@@ -6,7 +6,7 @@
 // Session::Estimate / Execute / ExplainAnalyze call (cache hits included)
 // builds a QueryRecord — fingerprint, snapshot version, per-rule
 // estimates, actual cardinality when the query ran, q-errors,
-// predicate-transfer pass rates, kernel selection, and a latency
+// predicate-transfer pass rates, the executed plan's size, and a latency
 // breakdown — and offers it to the database's recorder. A capture policy
 // decides which offers are kept:
 //
@@ -94,7 +94,6 @@ struct QueryRecord {
   double pt_rows_pruned = 0.0;
 
   int64_t operators_total = 0;        // Operators in the executed plan.
-  int64_t kernels_specialized = 0;    // Of those, type-specialized ones.
 
   // Latency breakdown, seconds. Stage timings are self times; total is
   // inclusive of every stage the call ran (parse is amortised at Prepare

@@ -33,7 +33,6 @@
   X(executor_hashjoin_build_keys_total)                                      \
   X(executor_hashjoin_build_rows_total)                                      \
   X(executor_hashjoin_builds_total)                                          \
-  X(executor_kernel_selected_total)         /* label: type= */               \
   X(executor_morsel_rows_total)             /* ground-truth rows scanned */ \
   /* --- shared thread pool (obs/pool_obs.cc) --------------------------- */ \
   X(pool_queue_depth)                                                        \

@@ -536,7 +536,7 @@ StatusOr<PlannedQuery> Session::Optimize(const std::string& sql) const {
 
 namespace {
 
-// Copies the predicate-transfer and kernel-selection evidence into a record.
+// Copies the predicate-transfer evidence and plan size into a record.
 void FillRuntimeFields(const PtResult* pt, const ExecutionResult& execution,
                        QueryRecord& record) {
   if (pt != nullptr) {
@@ -549,7 +549,6 @@ void FillRuntimeFields(const PtResult* pt, const ExecutionResult& execution,
     }
   }
   record.operators_total = execution.operators_total;
-  record.kernels_specialized = execution.kernels_specialized;
 }
 
 // Bitmask covering every query-local table.

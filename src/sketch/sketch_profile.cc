@@ -201,14 +201,15 @@ SketchProfile::SketchProfile(const std::vector<bool>& numeric_columns,
   }
 }
 
-void SketchProfile::AddColumnRange(int column, const std::vector<Value>& data,
+void SketchProfile::AddColumnRange(int column, TypeKind type,
+                                   const std::vector<Cell>& data,
                                    int64_t begin, int64_t end) {
   JOINEST_CHECK_GE(column, 0);
   JOINEST_CHECK_LT(static_cast<size_t>(column), columns_.size());
   JOINEST_CHECK_GE(begin, 0);
   JOINEST_CHECK_LE(static_cast<size_t>(end), data.size());
   ColumnSketch& sketch = columns_[column];
-  for (int64_t r = begin; r < end; ++r) sketch.Add(data[r]);
+  for (int64_t r = begin; r < end; ++r) sketch.Add(CellToValue(type, data[r]));
   if (column == 0) rows_ += end - begin;
 }
 

@@ -31,6 +31,7 @@
 #include "sketch/reservoir.h"
 #include "stats/column_stats.h"
 #include "stats/histogram.h"
+#include "types/cell.h"
 #include "types/value.h"
 
 namespace joinest {
@@ -99,9 +100,10 @@ class SketchProfile {
   SketchProfile(const std::vector<bool>& numeric_columns,
                 const SketchOptions& options);
 
-  // Streams `data[begin, end)` into column c's sketches. Row counting is
-  // driven by column 0 (all columns of a table have equal length).
-  void AddColumnRange(int column, const std::vector<Value>& data,
+  // Streams cells `data[begin, end)` of type `type` into column c's
+  // sketches, each as its Value. Row counting is driven by column 0 (all
+  // columns of a table have equal length).
+  void AddColumnRange(int column, TypeKind type, const std::vector<Cell>& data,
                       int64_t begin, int64_t end);
 
   void Merge(const SketchProfile& other);

@@ -48,6 +48,18 @@ void AttachNumericStats(ColumnStats& col, const std::vector<double>& values,
   }
 }
 
+// A cell's key under its column's own equality (-0.0 meets 0.0).
+int64_t DistinctKey(KeyEncoding encoding, Cell cell) {
+  int64_t key = 0;
+  EncodeKey(encoding, cell, &key);
+  return key;
+}
+
+double NumericCell(TypeKind type, Cell cell) {
+  return type == TypeKind::kInt64 ? static_cast<double>(cell)
+                                  : CellDouble(cell);
+}
+
 TableStats AnalyzeExact(const Table& table, const AnalyzeOptions& options) {
   TableStats stats;
   stats.source = StatsSource::kExact;
@@ -55,15 +67,18 @@ TableStats AnalyzeExact(const Table& table, const AnalyzeOptions& options) {
   stats.columns.resize(table.num_columns());
   for (int c = 0; c < table.num_columns(); ++c) {
     ColumnStats& col = stats.columns[c];
-    const std::vector<Value>& data = table.column(c);
-    std::unordered_set<Value, ValueHash> distinct(data.begin(), data.end());
+    const std::vector<Cell>& data = table.cells(c);
+    const TypeKind type = table.schema().column(c).type;
+    const KeyEncoding encoding = KeyEncodingFor(type, type);
+    std::unordered_set<int64_t> distinct;
+    distinct.reserve(data.size());
+    for (Cell cell : data) distinct.insert(DistinctKey(encoding, cell));
     col.distinct_count = static_cast<double>(distinct.size());
 
-    const bool numeric = table.schema().column(c).type != TypeKind::kString;
-    if (!numeric) continue;
+    if (type == TypeKind::kString) continue;
     std::vector<double> values;
     values.reserve(data.size());
-    for (const Value& v : data) values.push_back(v.ToNumeric());
+    for (Cell cell : data) values.push_back(NumericCell(type, cell));
     AttachNumericStats(col, values, options);
   }
   return stats;
@@ -88,10 +103,12 @@ TableStats AnalyzeSampled(const Table& table, const AnalyzeOptions& options) {
   stats.columns.resize(table.num_columns());
   for (int c = 0; c < table.num_columns(); ++c) {
     ColumnStats& col = stats.columns[c];
-    const std::vector<Value>& data = table.column(c);
+    const std::vector<Cell>& data = table.cells(c);
+    const TypeKind type = table.schema().column(c).type;
+    const KeyEncoding encoding = KeyEncodingFor(type, type);
 
-    std::unordered_map<Value, int64_t, ValueHash> counts;
-    for (int64_t r : sample_rows) ++counts[data[r]];
+    std::unordered_map<int64_t, int64_t> counts;
+    for (int64_t r : sample_rows) ++counts[DistinctKey(encoding, data[r])];
     double singletons = 0;
     double repeated = 0;
     for (const auto& [value, count] : counts) {
@@ -101,11 +118,10 @@ TableStats AnalyzeSampled(const Table& table, const AnalyzeOptions& options) {
         GeeDistinct(singletons, repeated, stats.row_count,
                     static_cast<double>(sample_rows.size()));
 
-    const bool numeric = table.schema().column(c).type != TypeKind::kString;
-    if (!numeric) continue;
+    if (type == TypeKind::kString) continue;
     std::vector<double> values;
     values.reserve(sample_rows.size());
-    for (int64_t r : sample_rows) values.push_back(data[r].ToNumeric());
+    for (int64_t r : sample_rows) values.push_back(NumericCell(type, data[r]));
     AttachNumericStats(col, values, options);
   }
   return stats;
@@ -165,7 +181,8 @@ SketchProfile BuildSketchProfile(const Table& table,
     const int64_t begin = rows * p / partitions;
     const int64_t end = rows * (p + 1) / partitions;
     for (int c = 0; c < table.num_columns(); ++c) {
-      partials[p].AddColumnRange(c, table.column(c), begin, end);
+      partials[p].AddColumnRange(c, table.schema().column(c).type,
+                                 table.cells(c), begin, end);
     }
   };
 

@@ -1,5 +1,7 @@
 #include "storage/csv.h"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -73,17 +75,20 @@ StatusOr<Value> ParseValue(const std::string& text, TypeKind type,
   switch (type) {
     case TypeKind::kInt64: {
       char* end = nullptr;
+      errno = 0;
       const long long v = std::strtoll(text.c_str(), &end, 10);
-      if (end == text.c_str() || *end != '\0') {
+      if (end == text.c_str() || *end != '\0' || errno == ERANGE) {
         return InvalidArgument("bad int64 '" + text + "' on line " +
                                std::to_string(line_number));
       }
       return Value(static_cast<int64_t>(v));
     }
     case TypeKind::kDouble: {
+      // Typed storage holds finite doubles only: NaN equals nothing, and
+      // an infinity has no place in min/max statistics.
       char* end = nullptr;
       const double v = std::strtod(text.c_str(), &end);
-      if (end == text.c_str() || *end != '\0') {
+      if (end == text.c_str() || *end != '\0' || !std::isfinite(v)) {
         return InvalidArgument("bad double '" + text + "' on line " +
                                std::to_string(line_number));
       }
@@ -107,7 +112,7 @@ void WriteCsv(const Table& table, std::ostream& out) {
   for (int64_t r = 0; r < table.num_rows(); ++r) {
     for (int c = 0; c < schema.num_columns(); ++c) {
       if (c > 0) out << ',';
-      const Value& value = table.at(r, c);
+      const Value value = table.at(r, c);
       if (value.type() == TypeKind::kDouble) {
         // Shortest round-trippable representation.
         char buffer[32];

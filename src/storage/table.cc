@@ -18,12 +18,12 @@ Table Table::FromColumns(Schema schema,
   for (int c = 0; c < table.num_columns(); ++c) {
     JOINEST_CHECK_EQ(static_cast<int64_t>(columns[c].size()), rows)
         << "ragged columns";
-    for (const Value& v : columns[c]) {
-      JOINEST_CHECK(v.type() == table.schema_.column(c).type)
-          << "type mismatch in column " << table.schema_.column(c).name;
-    }
+    const TypeKind type = table.schema_.column(c).type;
+    std::vector<Cell>& cells = table.columns_[c];
+    cells.reserve(columns[c].size());
+    for (const Value& v : columns[c]) cells.push_back(ValueToCell(type, v));
+    std::vector<Value>().swap(columns[c]);  // Free each source column early.
   }
-  table.columns_ = std::move(columns);
   table.num_rows_ = rows;
   return table;
 }
@@ -31,9 +31,7 @@ Table Table::FromColumns(Schema schema,
 void Table::AppendRow(std::vector<Value> values) {
   JOINEST_CHECK_EQ(static_cast<int>(values.size()), num_columns());
   for (int c = 0; c < num_columns(); ++c) {
-    JOINEST_CHECK(values[c].type() == schema_.column(c).type)
-        << "type mismatch in column " << schema_.column(c).name;
-    columns_[c].push_back(std::move(values[c]));
+    columns_[c].push_back(ValueToCell(schema_.column(c).type, values[c]));
   }
   ++num_rows_;
 }
@@ -42,15 +40,13 @@ void Table::Reserve(int64_t rows) {
   for (auto& column : columns_) column.reserve(rows);
 }
 
-const Value& Table::at(int64_t row, int col) const {
+Value Table::at(int64_t row, int col) const {
   JOINEST_CHECK_GE(row, 0);
   JOINEST_CHECK_LT(row, num_rows_);
-  JOINEST_CHECK_GE(col, 0);
-  JOINEST_CHECK_LT(col, num_columns());
-  return columns_[col][row];
+  return CellToValue(schema_.column(col).type, cells(col)[row]);
 }
 
-const std::vector<Value>& Table::column(int col) const {
+const std::vector<Cell>& Table::cells(int col) const {
   JOINEST_CHECK_GE(col, 0);
   JOINEST_CHECK_LT(col, num_columns());
   return columns_[col];
@@ -61,11 +57,6 @@ std::vector<Value> Table::Row(int64_t row) const {
   result.reserve(num_columns());
   for (int c = 0; c < num_columns(); ++c) result.push_back(at(row, c));
   return result;
-}
-
-void Table::CopyRowInto(int64_t row, std::vector<Value>& out) const {
-  out.resize(num_columns());
-  for (int c = 0; c < num_columns(); ++c) out[c] = columns_[c][row];
 }
 
 std::string Table::ToString(int64_t max_rows) const {

@@ -1,9 +1,12 @@
 // In-memory columnar table.
 //
-// Storage is deliberately simple: one std::vector<Value> per column. The
-// estimation algorithms never touch tuples — they consume catalog statistics
-// — but the executor scans these columns to produce the ground-truth result
-// sizes and measured run times the benchmarks compare against.
+// Each column is one vector of 8-byte cells typed by the schema: int64
+// values, double bit patterns, or string codes interned process-wide when
+// the table is built (types/cell.h). The estimation algorithms never touch
+// tuples — they consume catalog statistics — but the executor scans these
+// columns to produce the ground-truth result sizes and measured run times
+// the benchmarks compare against. Values are the API edge: tables are built
+// from them and read back as them.
 
 #ifndef JOINEST_STORAGE_TABLE_H_
 #define JOINEST_STORAGE_TABLE_H_
@@ -12,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "types/cell.h"
 #include "types/schema.h"
 #include "types/value.h"
 
@@ -35,22 +39,20 @@ class Table {
 
   void Reserve(int64_t rows);
 
-  const Value& at(int64_t row, int col) const;
-  const std::vector<Value>& column(int col) const;
+  Value at(int64_t row, int col) const;
+
+  // Column `col`'s cells, read per schema().column(col).type.
+  const std::vector<Cell>& cells(int col) const;
 
   // Materialises row `row` (used by tests and small examples; operators
-  // access columns directly).
+  // read cells directly).
   std::vector<Value> Row(int64_t row) const;
-
-  // Copies row `row` into `out` (resized to num_columns), reusing `out`'s
-  // storage — the allocation-free flavour the batch scan uses.
-  void CopyRowInto(int64_t row, std::vector<Value>& out) const;
 
   std::string ToString(int64_t max_rows = 10) const;
 
  private:
   Schema schema_;
-  std::vector<std::vector<Value>> columns_;
+  std::vector<std::vector<Cell>> columns_;
   int64_t num_rows_ = 0;
 };
 

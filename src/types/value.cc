@@ -1,5 +1,6 @@
 #include "types/value.h"
 
+#include <cmath>
 #include <ostream>
 
 #include "common/logging.h"
@@ -46,32 +47,25 @@ double Value::ToNumeric() const {
   return 0;
 }
 
-std::optional<int64_t> Value::AsCanonicalInt64() const {
-  switch (type()) {
-    case TypeKind::kInt64:
-      return std::get<int64_t>(data_);
-    case TypeKind::kDouble: {
-      const double d = std::get<double>(data_);
-      // The range check must precede the cast: casting a double outside
-      // int64 range is undefined behaviour. 2^63 is exactly representable
-      // as a double, so `d < 2^63` admits every in-range value.
-      if (d >= -9223372036854775808.0 && d < 9223372036854775808.0 &&
-          d == static_cast<double>(static_cast<int64_t>(d))) {
-        return static_cast<int64_t>(d);
-      }
-      return std::nullopt;
-    }
-    case TypeKind::kString:
-      return std::nullopt;
+std::optional<int64_t> ExactInt64(double d) {
+  // The range check must precede the cast: casting a double outside int64
+  // range is undefined behaviour. 2^63 is exactly representable as a
+  // double, so `d < 2^63` admits every in-range value.
+  if (d >= -9223372036854775808.0 && d < 9223372036854775808.0 &&
+      d == static_cast<double>(static_cast<int64_t>(d))) {
+    return static_cast<int64_t>(d);
   }
   return std::nullopt;
 }
 
-Value Value::CanonicalKey() const {
-  if (type() == TypeKind::kDouble) {
-    if (const std::optional<int64_t> i = AsCanonicalInt64()) return Value(*i);
-  }
-  return *this;
+int CompareInt64Double(int64_t a, double b) {
+  if (b >= 9223372036854775808.0) return -1;
+  if (b < -9223372036854775808.0) return 1;
+  const double whole = std::trunc(b);
+  const int64_t w = static_cast<int64_t>(whole);
+  if (a != w) return a < w ? -1 : 1;
+  // a == trunc(b): b's fraction decides.
+  return (whole > b) - (whole < b);
 }
 
 std::string Value::ToString() const {
@@ -88,26 +82,26 @@ std::string Value::ToString() const {
 
 namespace {
 
-bool BothNumeric(const Value& a, const Value& b) {
-  return a.type() != TypeKind::kString && b.type() != TypeKind::kString;
+// Exact three-way comparison of an int64 with a double, either way round.
+int CompareMixed(const Value& a, const Value& b) {
+  JOINEST_CHECK(a.type() != TypeKind::kString && b.type() != TypeKind::kString)
+      << "comparing " << TypeKindName(a.type()) << " with "
+      << TypeKindName(b.type());
+  return a.type() == TypeKind::kInt64
+             ? CompareInt64Double(a.AsInt64(), b.AsDouble())
+             : -CompareInt64Double(b.AsInt64(), a.AsDouble());
 }
 
 }  // namespace
 
 bool Value::operator==(const Value& other) const {
   if (type() == other.type()) return data_ == other.data_;
-  JOINEST_CHECK(BothNumeric(*this, other))
-      << "comparing " << TypeKindName(type()) << " with "
-      << TypeKindName(other.type());
-  return ToNumeric() == other.ToNumeric();
+  return CompareMixed(*this, other) == 0;
 }
 
 bool Value::operator<(const Value& other) const {
   if (type() == other.type()) return data_ < other.data_;
-  JOINEST_CHECK(BothNumeric(*this, other))
-      << "comparing " << TypeKindName(type()) << " with "
-      << TypeKindName(other.type());
-  return ToNumeric() < other.ToNumeric();
+  return CompareMixed(*this, other) < 0;
 }
 
 bool Value::operator<=(const Value& other) const {
@@ -126,10 +120,10 @@ size_t Value::Hash() const {
     case TypeKind::kDouble: {
       // Hash doubles that hold in-range integral values identically to the
       // int64, so mixed-type equality is consistent with hashing.
-      // AsCanonicalInt64 range-checks before casting; doubles beyond int64
-      // range (where the unguarded cast would be UB) fall through to the
-      // plain double hash, and can never equal an int64 anyway.
-      if (const std::optional<int64_t> i = AsCanonicalInt64()) {
+      // ExactInt64 range-checks before casting; doubles beyond int64 range
+      // (where the unguarded cast would be UB) fall through to the plain
+      // double hash, and can never equal an int64 anyway.
+      if (const std::optional<int64_t> i = ExactInt64(AsDouble())) {
         return Value(*i).Hash();
       }
       return std::hash<double>()(std::get<double>(data_));

@@ -1,8 +1,9 @@
 // Runtime value representation.
 //
-// joinest tables hold typed columns of Value. The estimation algorithms
-// themselves only need value equality and ordering (for equality and range
-// predicates); the executor additionally hashes values for hash joins.
+// Value is the API edge of typed storage: tables are built from Values and
+// read back as Values (types/cell.h holds the 8-byte cells underneath).
+// The estimation algorithms themselves only need value equality and
+// ordering (for equality and range predicates).
 
 #ifndef JOINEST_TYPES_VALUE_H_
 #define JOINEST_TYPES_VALUE_H_
@@ -39,43 +40,14 @@ class Value {
   double AsDouble() const;
   const std::string& AsString() const;
 
-  // Unchecked accessors for the executor's specialized kernels, which prove
-  // the type once per query shape (from the table schema, at CompilePlan
-  // time) instead of per row. Undefined when the variant holds another
-  // alternative; the kernels only call these on columns whose schema type
-  // they were specialized for.
-  int64_t int64_unchecked() const { return *std::get_if<int64_t>(&data_); }
-  double double_unchecked() const { return *std::get_if<double>(&data_); }
-  const std::string& string_unchecked() const {
-    return *std::get_if<std::string>(&data_);
-  }
-
-  // In-place stores for kernel emit loops: a plain variant assignment, but
-  // named so call sites read as the deliberate fast path. Cheap when the
-  // slot already holds the same alternative (the steady state of pooled
-  // batch rows).
-  void StoreInt64(int64_t v) { data_ = v; }
-  void StoreDouble(double v) { data_ = v; }
-
   // Numeric view: int64 widened to double; CHECK-fails for strings.
   double ToNumeric() const;
-
-  // Canonical integer view for hash keys: the int64 itself, or a double
-  // that holds an exactly representable in-range integer (so 3.0 and 3
-  // produce the same key, matching operator=='s numeric comparison).
-  // nullopt for strings, fractional doubles, and doubles outside int64
-  // range.
-  std::optional<int64_t> AsCanonicalInt64() const;
-
-  // The value with integral in-range doubles collapsed to int64, so that
-  // numerically equal keys of mixed numeric type canonicalise to one
-  // representation. Other values pass through unchanged.
-  Value CanonicalKey() const;
 
   std::string ToString() const;
 
   // Comparisons require identical types (CHECK-enforced), except that int64
-  // and double compare numerically against each other.
+  // and double compare exactly against each other: no widening, so int64
+  // 2^53 + 1 neither equals nor sorts below double 2^53.
   bool operator==(const Value& other) const;
   bool operator!=(const Value& other) const { return !(*this == other); }
   bool operator<(const Value& other) const;
@@ -90,6 +62,13 @@ class Value {
 };
 
 std::ostream& operator<<(std::ostream& os, const Value& value);
+
+// The int64 that `d` equals exactly; nothing for a fractional double or one
+// outside the int64 range.
+std::optional<int64_t> ExactInt64(double d);
+
+// Exact three-way comparison (-1, 0, 1) of an int64 with a non-NaN double.
+int CompareInt64Double(int64_t a, double b);
 
 struct ValueHash {
   size_t operator()(const Value& v) const { return v.Hash(); }

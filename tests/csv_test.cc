@@ -93,6 +93,29 @@ TEST(CsvTest, BadDoubleRejected) {
   EXPECT_FALSE(ReadCsv(MixedSchema(), in).ok());
 }
 
+// Typed storage holds int64s and finite doubles: an int64 beyond range
+// must not saturate to INT64_MAX, and NaN or an infinity must not load.
+// Each rejection names its line.
+TEST(CsvTest, OutOfRangeInt64Rejected) {
+  std::istringstream in("id,score,name\n1,2.5,a\n99999999999999999999,2.5,b\n");
+  auto table = ReadCsv(MixedSchema(), in);
+  ASSERT_FALSE(table.ok());
+  EXPECT_EQ(table.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(table.status().ToString().find("line 3"), std::string::npos)
+      << table.status();
+}
+
+TEST(CsvTest, NonFiniteDoublesRejected) {
+  for (const char* text : {"nan", "inf", "-inf", "1e400"}) {
+    std::istringstream in(std::string("id,score,name\n1,") + text + ",a\n");
+    auto table = ReadCsv(MixedSchema(), in);
+    ASSERT_FALSE(table.ok()) << text;
+    EXPECT_EQ(table.status().code(), StatusCode::kInvalidArgument) << text;
+    EXPECT_NE(table.status().ToString().find("line 2"), std::string::npos)
+        << table.status();
+  }
+}
+
 TEST(CsvTest, EmptyInputRejected) {
   std::istringstream in("");
   EXPECT_FALSE(ReadCsv(MixedSchema(), in).ok());

@@ -20,13 +20,17 @@ namespace {
 
 Value V(int64_t v) { return Value(v); }
 
+using Row = std::vector<Value>;
+
 // Drains an operator batch by batch and returns all produced rows.
 std::vector<Row> Drain(Operator& op) {
   op.Open();
   std::vector<Row> rows;
   RowBatch batch;
   while (op.NextBatch(batch)) {
-    for (int i = 0; i < batch.size(); ++i) rows.push_back(batch.row(i));
+    for (int i = 0; i < batch.size(); ++i) {
+      rows.push_back(BatchRow(batch, op.types(), i));
+    }
   }
   op.Close();
   return rows;
@@ -390,9 +394,9 @@ TEST_P(JoinOperatorTest, MultiKeyJoin) {
 // at the root through batches of 1, 3 and the default capacity, so each
 // join stops and resumes mid-output: the hash join mid-span, nested loops
 // mid-inner-batch, sort-merge mid-group cross product, and the index join
-// mid-match-list (it probes on c and checks d and e per match). Rows and
-// checksum must match the brute-force enumeration every time, and so must
-// COUNT(*) over the join.
+// mid-span (its table holds the R rows with e < 90, keyed on c and d).
+// Rows and checksum must match the brute-force enumeration every time, and
+// so must COUNT(*) over the join.
 TEST_P(JoinOperatorTest, ResumesMidOutputAtAnyBatchCapacity) {
   Catalog catalog;
   JOINEST_CHECK(
@@ -500,7 +504,7 @@ TEST(IndexNLJoinTest, InnerPredicateApplied) {
           Predicate::Join(ColumnRef{0, 0}, ColumnRef{1, 0})},
       std::vector<Predicate>{
           Predicate::LocalConst(ColumnRef{1, 0}, CompareOp::kLt, V(3))});
-  EXPECT_EQ(Drain(*join).size(), 2u);  // b=3 filtered out post-probe.
+  EXPECT_EQ(Drain(*join).size(), 2u);  // b=3 never enters the table.
 }
 
 TEST(JoinOrientationTest, SwappedPredicateResolves) {
@@ -672,108 +676,114 @@ TEST_F(ExecuteTest, AllJoinMethodsAgree) {
 
 // ---------------------------------------------------------------- RowBatch
 
-TEST(RowBatchTest, AppendAndClear) {
+TEST(RowBatchTest, FillAndClear) {
   RowBatch batch(4);
+  batch.SetWidth(2);
   EXPECT_TRUE(batch.empty());
   EXPECT_EQ(batch.capacity(), 4);
-  batch.AppendSlot() = {V(1)};
-  EXPECT_EQ(batch.size(), 1);
-  EXPECT_EQ(batch.row(0)[0].AsInt64(), 1);
-  batch.AppendSlot() = {V(3)};
-  batch.AppendSlot() = {V(4)};
-  batch.AppendSlot() = {V(5)};
+  for (int i = 0; i < 4; ++i) {
+    batch.column(0)[i] = i;
+    batch.column(1)[i] = 10 * i;
+  }
+  batch.set_size(4);
   EXPECT_TRUE(batch.full());
+  EXPECT_EQ(batch.column(1)[3], 30);
   batch.Clear();
   EXPECT_TRUE(batch.empty());
   EXPECT_EQ(batch.capacity(), 4);
+  EXPECT_EQ(batch.width(), 2);
 }
 
-TEST(RowBatchTest, KeepCompactsSelectedRows) {
+TEST(RowBatchTest, KeepCompactsEveryColumn) {
   RowBatch batch(8);
-  for (int64_t i = 0; i < 6; ++i) batch.AppendSlot() = {V(i)};
+  batch.SetWidth(2);
+  for (int i = 0; i < 6; ++i) {
+    batch.column(0)[i] = i;
+    batch.column(1)[i] = -i;
+  }
+  batch.set_size(6);
   batch.Keep({0, 1, 0, 1, 1, 0});
   ASSERT_EQ(batch.size(), 3);
-  EXPECT_EQ(batch.row(0)[0].AsInt64(), 1);
-  EXPECT_EQ(batch.row(1)[0].AsInt64(), 3);
-  EXPECT_EQ(batch.row(2)[0].AsInt64(), 4);
+  EXPECT_EQ(batch.column(0)[0], 1);
+  EXPECT_EQ(batch.column(0)[1], 3);
+  EXPECT_EQ(batch.column(0)[2], 4);
+  EXPECT_EQ(batch.column(1)[2], -4);
 }
 
 // ----------------------------------------------------------- JoinHashTable
 
-std::vector<Row> SingleColumnRows(const std::vector<int64_t>& keys) {
-  std::vector<Row> rows;
-  for (int64_t k : keys) rows.push_back({V(k)});
-  return rows;
+JoinHashTable SingleKeyTable(const std::vector<int64_t>& keys) {
+  return JoinHashTable(1, keys, std::vector<char>(keys.size(), 1));
 }
 
-TEST(JoinHashTableTest, FastPathGroupsDuplicates) {
-  JoinHashTable table(SingleColumnRows({5, 2, 5, 9, 5, 2}), {0});
-  EXPECT_TRUE(table.fast_path());
+TEST(JoinHashTableTest, GroupsDuplicateKeys) {
+  const JoinHashTable table = SingleKeyTable({5, 2, 5, 9, 5, 2});
   EXPECT_EQ(table.num_keys(), 3u);
-  JoinHashTable::Scratch scratch;
-  Row probe = {V(int64_t{5})};
-  EXPECT_EQ(table.Probe(probe, {0}, scratch).size, 3u);
-  probe[0] = V(int64_t{9});
-  EXPECT_EQ(table.Probe(probe, {0}, scratch).size, 1u);
-  probe[0] = V(int64_t{4});
-  EXPECT_TRUE(table.Probe(probe, {0}, scratch).empty());
+  EXPECT_EQ(table.num_rows(), 6u);
+  const int64_t five = 5, nine = 9, four = 4;
+  EXPECT_EQ(table.Probe(&five).size, 3u);
+  EXPECT_EQ(table.Probe(&nine).size, 1u);
+  EXPECT_TRUE(table.Probe(&four).empty());
 }
 
 TEST(JoinHashTableTest, SpanCoversExactlyTheMatchingRows) {
-  JoinHashTable table(SingleColumnRows({1, 2, 1, 3, 1}), {0});
-  JoinHashTable::Scratch scratch;
-  const Row probe = {V(int64_t{1})};
-  const JoinHashTable::Span span = table.Probe(probe, {0}, scratch);
+  const std::vector<int64_t> keys = {1, 2, 1, 3, 1};
+  const JoinHashTable table = SingleKeyTable(keys);
+  const int64_t one = 1;
+  const JoinHashTable::Span span = table.Probe(&one);
   ASSERT_EQ(span.size, 3u);
-  for (uint32_t r : span) {
-    EXPECT_EQ(table.row(r)[0].AsInt64(), 1);
-  }
+  for (uint32_t r : span) EXPECT_EQ(keys[r], 1);
 }
 
-TEST(JoinHashTableTest, FastPathCanonicalisesDoubleProbes) {
-  JoinHashTable table(SingleColumnRows({3, 4}), {0});
-  ASSERT_TRUE(table.fast_path());
-  JoinHashTable::Scratch scratch;
-  EXPECT_EQ(table.Probe({Value(3.0)}, {0}, scratch).size, 1u);
-  EXPECT_TRUE(table.Probe({Value(3.5)}, {0}, scratch).empty());
-  EXPECT_TRUE(table.Probe({Value(1e19)}, {0}, scratch).empty());
+// A double probing int64 keys encodes as the integer it equals exactly;
+// a fractional or out-of-range double has no key and probes nothing.
+TEST(JoinHashTableTest, DoubleProbesMatchOnlyExactIntegers) {
+  const JoinHashTable table = SingleKeyTable({3, 4});
+  const KeyEncoding encoding =
+      KeyEncodingFor(TypeKind::kDouble, TypeKind::kInt64);
+  int64_t key = 0;
+  ASSERT_TRUE(EncodeKey(encoding, DoubleCell(3.0), &key));
+  EXPECT_EQ(table.Probe(&key).size, 1u);
+  EXPECT_FALSE(EncodeKey(encoding, DoubleCell(3.5), &key));
+  EXPECT_FALSE(EncodeKey(encoding, DoubleCell(1e19), &key));
 }
 
-TEST(JoinHashTableTest, GenericPathMultiColumnKeys) {
-  std::vector<Row> rows = {{V(1), V(10)}, {V(1), V(20)}, {V(2), V(10)},
-                           {V(1), V(10)}};
-  JoinHashTable table(std::move(rows), {0, 1});
-  EXPECT_FALSE(table.fast_path());
+TEST(JoinHashTableTest, MultiColumnKeys) {
+  // Rows (1,10), (1,20), (2,10), (1,10), row-major.
+  const JoinHashTable table(2, {1, 10, 1, 20, 2, 10, 1, 10},
+                            std::vector<char>(4, 1));
   EXPECT_EQ(table.num_keys(), 3u);
-  JoinHashTable::Scratch scratch;
-  EXPECT_EQ(table.Probe({V(1), V(10)}, {0, 1}, scratch).size, 2u);
-  EXPECT_EQ(table.Probe({V(2), V(10)}, {0, 1}, scratch).size, 1u);
-  EXPECT_TRUE(table.Probe({V(2), V(20)}, {0, 1}, scratch).empty());
+  const int64_t a[] = {1, 10}, b[] = {2, 10}, c[] = {2, 20}, d[] = {10, 1};
+  EXPECT_EQ(table.Probe(a).size, 2u);
+  EXPECT_EQ(table.Probe(b).size, 1u);
+  EXPECT_TRUE(table.Probe(c).empty());
+  EXPECT_TRUE(table.Probe(d).empty());
 }
 
-TEST(JoinHashTableTest, GenericPathStringKeys) {
-  std::vector<Row> rows = {{Value(std::string("x"))},
-                           {Value(std::string("y"))},
-                           {Value(std::string("x"))}};
-  JoinHashTable table(std::move(rows), {0});
-  EXPECT_FALSE(table.fast_path());
-  JoinHashTable::Scratch scratch;
-  EXPECT_EQ(table.Probe({Value(std::string("x"))}, {0}, scratch).size, 2u);
-  EXPECT_TRUE(table.Probe({Value(std::string("z"))}, {0}, scratch).empty());
+TEST(JoinHashTableTest, StringKeysMatchByCode) {
+  StringDictionary& dictionary = StringDictionary::Global();
+  const Cell x = dictionary.Intern("hash-x");
+  const Cell y = dictionary.Intern("hash-y");
+  const JoinHashTable table = SingleKeyTable({x, y, x});
+  EXPECT_EQ(table.Probe(&x).size, 2u);
+  const Cell z = dictionary.Intern("hash-z");
+  EXPECT_TRUE(table.Probe(&z).empty());
 }
 
-TEST(JoinHashTableTest, EmptyKeyListMatchesEverything) {
-  JoinHashTable table(SingleColumnRows({7, 8, 9}), {});
-  JoinHashTable::Scratch scratch;
-  const Row probe = {V(int64_t{42})};
-  EXPECT_EQ(table.Probe(probe, {}, scratch).size, 3u);
+// Rows left out of the build (unencodable keys, failed inner predicates)
+// match nothing and take no payload entry.
+TEST(JoinHashTableTest, ExcludedRowsNeverMatch) {
+  const JoinHashTable table(1, {7, 8, 7}, {1, 0, 0});
+  EXPECT_EQ(table.num_rows(), 1u);
+  const int64_t seven = 7, eight = 8;
+  EXPECT_EQ(table.Probe(&seven).size, 1u);
+  EXPECT_TRUE(table.Probe(&eight).empty());
 }
 
 TEST(JoinHashTableTest, EmptyBuildSide) {
-  JoinHashTable table(std::vector<Row>{}, {0});
-  JoinHashTable::Scratch scratch;
-  const Row probe = {V(int64_t{1})};
-  EXPECT_TRUE(table.Probe(probe, {0}, scratch).empty());
+  const JoinHashTable table = SingleKeyTable({});
+  const int64_t one = 1;
+  EXPECT_TRUE(table.Probe(&one).empty());
 }
 
 // -------------------------------------------------------------- Batch path

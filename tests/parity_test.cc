@@ -8,13 +8,16 @@
 // reproduction.
 
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "executor/compile.h"
 #include "executor/execute.h"
 #include "executor/plan.h"
+#include "executor/scan_ops.h"
 #include "gtest/gtest.h"
 #include "storage/table.h"
 #include "tests/test_util.h"
@@ -115,6 +118,30 @@ TEST(CanonicalPlanTest, KeyedJoinsAreHashJoins) {
   }
 }
 
+// ------------------------------------------------ Typed batch drive
+//
+// Operators run on column-major batches of typed cells. The batch drive of
+// the compiled plan must produce the same row count AND the same multiset
+// of rows as the brute-force enumeration over Values, whatever the root's
+// batch capacity: 1 and 3 make every operator stop and resume mid-output
+// (mid-span, mid-batch). The exact count must agree too.
+
+void ExpectBatchParity(const Catalog& catalog, const QuerySpec& spec,
+                       const char* what) {
+  const std::unique_ptr<PlanNode> plan = CanonicalSafePlan(spec);
+  auto root = CompilePlan(catalog, spec, *plan);
+  JOINEST_CHECK(root.ok()) << root.status();
+  const ResultSummary expected =
+      EnumerateJoin(catalog, spec, (*root)->layout());
+  for (int capacity : {1, 3, kDefaultBatchRows}) {
+    EXPECT_EQ(DrainBatches(**root, capacity), expected)  // Re-opens.
+        << what << ", capacity " << capacity;
+  }
+  auto truth = TrueResultSize(catalog, spec);
+  ASSERT_TRUE(truth.ok()) << what << ": " << truth.status();
+  EXPECT_EQ(*truth, expected.rows) << what;
+}
+
 // ------------------------------------------------ Ground-truth counting
 //
 // TrueResultSize counts without enumerating (a factorized COUNT(*) over a
@@ -122,10 +149,12 @@ TEST(CanonicalPlanTest, KeyedJoinsAreHashJoins) {
 // both the canonical safe plan's COUNT(*) and the brute-force enumeration.
 
 // Checks TrueResultSize against the enumeration and against canonical-plan
-// execution (its keyed joins are hash joins already); returns the count.
+// execution (its keyed joins are hash joins already), drained at every
+// capacity; returns the count.
 int64_t ExpectTrueCountMatchesPlan(const Catalog& catalog,
                                    const QuerySpec& spec,
                                    const std::string& what) {
+  ExpectBatchParity(catalog, spec, what.c_str());
   auto count = TrueResultSize(catalog, spec);
   EXPECT_TRUE(count.ok()) << what << ": " << count.status();
   const int64_t expected = EnumerateJoin(catalog, spec, {}).rows;
@@ -201,8 +230,8 @@ TEST(TrueCountTest, TwoColumnsOfOneTableInOneClass) {
   EXPECT_EQ(ExpectTrueCountMatchesPlan(catalog, spec, "two columns"), 3);
 }
 
-// A double key between two int64 keys: messages carry canonical keys, so
-// 3.0 meets 3 and 2.5 meets nothing.
+// A double key between two int64 keys: messages carry keys encoded by the
+// key rule, so 3.0 meets 3 and 2.5 meets nothing.
 TEST(TrueCountTest, Int64AndDoubleKeysInOneClass) {
   Catalog catalog;
   JOINEST_CHECK(catalog.AddTable("I", IntTable({"a"}, {{1, 2, 3, 3}})).ok());
@@ -296,41 +325,19 @@ TEST(TrueCountTest, CountBeyondInt64IsOutOfRange) {
   EXPECT_EQ(*count, int64_t{10000000000000000});
 }
 
-// --------------------------------------------- Specialized batch kernels
-//
-// CompilePlan lowers schema-provable filters, scans and hash joins onto
-// typed kernels (executor/kernels.h). The batch drive of the compiled plan
-// must produce the same row count AND the same multiset of rows as the
-// brute-force enumeration, whatever the root's batch capacity: 1 and 3
-// make every operator stop and resume mid-output (mid-span, mid-batch).
-
-void ExpectKernelParity(const Catalog& catalog, const QuerySpec& spec,
-                        const char* what) {
-  const std::unique_ptr<PlanNode> plan = CanonicalSafePlan(spec);
-  auto root = CompilePlan(catalog, spec, *plan);
-  JOINEST_CHECK(root.ok()) << root.status();
-  const ResultSummary expected =
-      EnumerateJoin(catalog, spec, (*root)->layout());
-  for (int capacity : {1, 3, kDefaultBatchRows}) {
-    EXPECT_EQ(DrainBatches(**root, capacity), expected)  // Re-opens.
-        << what << ", capacity " << capacity;
-  }
-}
-
-TEST(KernelParityTest, SpecializedBatchMatchesEnumerationOnGeneratedWorkloads) {
+TEST(TypedBatchParityTest, BatchMatchesEnumerationOnGeneratedWorkloads) {
   for (const ParityCase& c : ParityCases()) {
     const GeneratedWorkload w = MakeWorkload(c);
-    ExpectKernelParity(w.catalog, w.spec, "generated workload");
+    ExpectBatchParity(w.catalog, w.spec, "generated workload");
   }
 }
 
 // Mixed-type tables: int64, double and string columns in one plan, so the
-// filter lowers onto all three typed kernels plus the int64-vs-double
-// widening path, and the join exercises both the all-int64 emit kernel
-// (key join on the int side) and the generic emit (string payloads).
-class KernelMixedTypeTest : public ::testing::Test {
+// filter compares each type plus int64 against double, and the join
+// carries string payload cells.
+class MixedTypeBatchTest : public ::testing::Test {
  protected:
-  KernelMixedTypeTest() {
+  MixedTypeBatchTest() {
     Table facts = Table::FromColumns(
         Schema({{"k", TypeKind::kInt64},
                 {"x", TypeKind::kDouble},
@@ -362,44 +369,44 @@ class KernelMixedTypeTest : public ::testing::Test {
   Catalog catalog_;
 };
 
-TEST_F(KernelMixedTypeTest, AllFilterKernelsAgree) {
-  // One predicate per kernel: int64 const, double const, string const,
-  // int64 col-col, and the int64-vs-double widening comparison.
-  ExpectKernelParity(
+TEST_F(MixedTypeBatchTest, AllFilterComparisonsAgree) {
+  // One predicate per comparison: int64 const, double const, string const,
+  // int64 col-col, and the exact int64-vs-double comparison.
+  ExpectBatchParity(
       catalog_,
       SpecWith({Predicate::LocalConst(ColumnRef{0, 0}, CompareOp::kGt,
                                       Value(int64_t{1}))}),
       "int64 const");
-  ExpectKernelParity(
+  ExpectBatchParity(
       catalog_,
       SpecWith({Predicate::LocalConst(ColumnRef{0, 1}, CompareOp::kLe,
                                       Value(5.0))}),
       "double const");
-  ExpectKernelParity(
+  ExpectBatchParity(
       catalog_,
       SpecWith({Predicate::LocalConst(ColumnRef{0, 2}, CompareOp::kEq,
                                       Value(std::string("a")))}),
       "string const");
-  ExpectKernelParity(
+  ExpectBatchParity(
       catalog_,
       SpecWith({Predicate::LocalColCol(ColumnRef{0, 0}, CompareOp::kGe,
                                        ColumnRef{0, 3})}),
       "int64 col-col");
-  ExpectKernelParity(
+  ExpectBatchParity(
       catalog_,
       SpecWith({Predicate::LocalColCol(ColumnRef{0, 1}, CompareOp::kLt,
                                        ColumnRef{0, 0})}),
-      "double-vs-int64 widening");
-  // An int64 column against a double constant widens the column side.
-  ExpectKernelParity(
+      "double-vs-int64");
+  // An int64 column against a double constant compares exactly.
+  ExpectBatchParity(
       catalog_,
       SpecWith({Predicate::LocalConst(ColumnRef{0, 0}, CompareOp::kLt,
                                       Value(4.5))}),
       "int64 column vs double const");
 }
 
-TEST_F(KernelMixedTypeTest, ConjunctionAcrossKernelsAgrees) {
-  ExpectKernelParity(
+TEST_F(MixedTypeBatchTest, ConjunctionAcrossTypesAgrees) {
+  ExpectBatchParity(
       catalog_,
       SpecWith({Predicate::LocalConst(ColumnRef{0, 0}, CompareOp::kGt,
                                       Value(int64_t{1})),
@@ -407,32 +414,33 @@ TEST_F(KernelMixedTypeTest, ConjunctionAcrossKernelsAgrees) {
                                       Value(std::string("d"))),
                 Predicate::LocalColCol(ColumnRef{0, 1}, CompareOp::kLt,
                                        ColumnRef{0, 0})}),
-      "mixed-kernel conjunction");
+      "mixed-type conjunction");
 }
 
-// String payloads force the generic emit path; an int64-only projection of
-// the same join takes the all-int64 emit kernel. Both must match the
-// enumeration.
-TEST_F(KernelMixedTypeTest, JoinEmitKernelsAgree) {
-  ExpectKernelParity(catalog_, SpecWith({}), "string payload join");
+// The join's output carries int64, double and string cells.
+TEST_F(MixedTypeBatchTest, JoinEmitsEveryCellType) {
+  ExpectBatchParity(catalog_, SpecWith({}), "string payload join");
 }
 
-// The mixed int64-vs-double join key must stay on the generic canonical-key
-// probe (the fast probe is only sound when both sides are int64).
+// An int64-vs-double join key meets only doubles that equal an integer
+// exactly: 2^53 + 1 has no double twin, so it must not meet 2^53.
 TEST(KernelMixedKeyParityTest, MixedKeyJoinStaysCorrect) {
   Catalog catalog;
   Table ints = Table::FromColumns(
       Schema({{"a", TypeKind::kInt64}}),
-      {ToValueColumn(std::vector<int64_t>{1, 2, 3, 5, -7, 4000000000})});
+      {ToValueColumn(std::vector<int64_t>{1, 2, 3, 5, -7, 4000000000,
+                                          9007199254740993})});
   Table doubles = Table::FromColumns(
       Schema({{"b", TypeKind::kDouble}}),
       {ToValueColumn(std::vector<double>{1.0, 2.5, 3.0, 5.0, -7.0, 1e19,
-                                         4000000000.0, 0.5})});
+                                         4000000000.0, 0.5,
+                                         9007199254740992.0})});
   JOINEST_CHECK(catalog.AddTable("I", std::move(ints)).ok());
   JOINEST_CHECK(catalog.AddTable("D", std::move(doubles)).ok());
   QuerySpec spec = MakeCountSpec(catalog, 2);
   spec.predicates.push_back(Predicate::Join(ColumnRef{0, 0}, ColumnRef{1, 0}));
-  ExpectKernelParity(catalog, spec, "mixed-type join key");
+  EXPECT_EQ(EnumerateJoin(catalog, spec, {}).rows, 5);
+  ExpectBatchParity(catalog, spec, "mixed-type join key");
 }
 
 // ------------------------------------------------------- Count drive
@@ -474,8 +482,8 @@ std::vector<int64_t> RowsProduced(const std::vector<Operator*>& registry) {
   return rows;
 }
 
-// Checks both drives under every join method against the enumeration;
-// returns the count.
+// Checks both drives under every join method against the enumeration, the
+// batch drive at every root capacity; returns the count.
 int64_t ExpectCountParity(const Catalog& catalog, const QuerySpec& spec,
                           const std::string& what) {
   const int64_t expected = EnumerateJoin(catalog, spec, {}).rows;
@@ -489,6 +497,13 @@ int64_t ExpectCountParity(const Catalog& catalog, const QuerySpec& spec,
     const int64_t count = DriveCount(*counted.root);
     EXPECT_EQ(count, expected) << label;
     EXPECT_EQ(count, DrainBatches(*batched.root).rows) << label;
+    const CompiledTree drained = CompileWithMethod(catalog, spec, method);
+    const ResultSummary rows =
+        EnumerateJoin(catalog, spec, drained.root->layout());
+    for (int capacity : {1, 3, kDefaultBatchRows}) {
+      EXPECT_EQ(DrainBatches(*drained.root, capacity), rows)  // Re-opens.
+          << label << ", capacity " << capacity;
+    }
     EXPECT_EQ(RowsProduced(counted.registry), RowsProduced(batched.registry))
         << label;
     EXPECT_EQ(counted.root->rows_produced(), count) << label;
@@ -516,9 +531,9 @@ TEST(CountParityTest, CountMatchesEmitDrivesOnGeneratedWorkloads) {
   }
 }
 
-// An int64 key against a double key declines the fast probe: the hash join
-// counts through the generic canonical-key probe.
-TEST(CountParityTest, Int64AgainstDoubleKeyTakesTheGenericProbe) {
+// An int64 key against a double key: the double side encodes as the
+// integer it equals exactly, or matches nothing.
+TEST(CountParityTest, Int64AgainstDoubleKeyMeetsExactIntegers) {
   Catalog catalog;
   JOINEST_CHECK(
       catalog
@@ -545,9 +560,8 @@ TEST(CountParityTest, Int64AgainstDoubleKeyTakesTheGenericProbe) {
   EXPECT_EQ(ExpectCountParity(catalog, flipped, "double/int64"), 8);
 }
 
-// Two key pairs: the hash join takes the generic multi-column key, and the
-// index join probes on the first pair and checks the second as a residual.
-TEST(CountParityTest, TwoKeyJoinChecksTheResidualKey) {
+// Two key pairs: the hash and index joins key their tables on both.
+TEST(CountParityTest, TwoKeyJoinKeysOnBoth) {
   Catalog catalog;
   JOINEST_CHECK(
       catalog
@@ -565,8 +579,8 @@ TEST(CountParityTest, TwoKeyJoinChecksTheResidualKey) {
   EXPECT_EQ(ExpectCountParity(catalog, spec, "two keys"), 4);
 }
 
-// A local predicate on the index join's inner table is re-checked per
-// match, so the count must not add the whole match list.
+// A local predicate on the index join's inner table keeps failing rows out
+// of its table, so the count must not add them.
 TEST(CountParityTest, IndexJoinChecksTheInnerPredicate) {
   Catalog catalog;
   JOINEST_CHECK(
@@ -603,19 +617,23 @@ TEST(CountParityTest, MultiClassTriangleTruthMatchesNestedLoops) {
 // Regression: the seed hashed a double key by casting to int64 (undefined
 // behaviour out of range) while equality compared numerically, so an int64
 // column joined against a double column could drop or duplicate matches
-// depending on the container's hashing. Canonical keys (integral in-range
-// doubles collapse to int64) make hash and equality agree.
+// depending on the container's hashing. Later, nested loops and sort-merge
+// widened the int64 to double while the hash paths compared exactly, so
+// 2^53 + 1 met 2^53 in some methods only. The key rule (a double meets an
+// int64 only as the integer it equals exactly) serves every method.
 
 class MixedTypeKeyTest : public ::testing::Test {
  protected:
   MixedTypeKeyTest() {
     Table ints = Table::FromColumns(
         Schema({{"a", TypeKind::kInt64}}),
-        {ToValueColumn(std::vector<int64_t>{1, 2, 3, 5, -7, 4000000000})});
+        {ToValueColumn(std::vector<int64_t>{1, 2, 3, 5, -7, 4000000000,
+                                            9007199254740993})});
     Table doubles = Table::FromColumns(
         Schema({{"b", TypeKind::kDouble}}),
         {ToValueColumn(std::vector<double>{1.0, 2.5, 3.0, 5.0, -7.0, 1e19,
-                                           4000000000.0, 0.5})});
+                                           4000000000.0, 0.5,
+                                           9007199254740992.0})});
     JOINEST_CHECK(catalog_.AddTable("I", std::move(ints)).ok());
     JOINEST_CHECK(catalog_.AddTable("D", std::move(doubles)).ok());
     spec_ = MakeCountSpec(catalog_, 2);
@@ -628,14 +646,10 @@ class MixedTypeKeyTest : public ::testing::Test {
 };
 
 // Matches: 1, 3, 5, -7 and 4000000000 each pair with their double twin.
-// 2.5 and 0.5 are fractional, 1e19 exceeds the int64 range — no partner.
+// 2.5 and 0.5 are fractional, 1e19 exceeds the int64 range, and 2^53 + 1
+// is not 2^53 — no partner.
 TEST_F(MixedTypeKeyTest, HashJoinMatchesNumericEquality) {
-  constexpr int64_t kExpected = 5;
-  EXPECT_EQ(CountWithMethod(catalog_, spec_, JoinMethod::kNestedLoop),
-            kExpected);
-  EXPECT_EQ(CountWithMethod(catalog_, spec_, JoinMethod::kHash), kExpected);
-  EXPECT_EQ(CountWithMethod(catalog_, spec_, JoinMethod::kSortMerge),
-            kExpected);
+  EXPECT_EQ(ExpectCountParity(catalog_, spec_, "int64/double"), 5);
 }
 
 TEST_F(MixedTypeKeyTest, TrueResultSizeMatches) {
@@ -653,17 +667,182 @@ TEST_F(MixedTypeKeyTest, DirectionSymmetric) {
   EXPECT_EQ(CountWithMethod(catalog_, flipped, JoinMethod::kHash), 5);
 }
 
-TEST(CanonicalValueTest, IntegralDoubleCollapsesToInt64) {
-  EXPECT_EQ(Value(3.0).AsCanonicalInt64(), std::optional<int64_t>(3));
-  EXPECT_EQ(Value(int64_t{3}).AsCanonicalInt64(), std::optional<int64_t>(3));
-  EXPECT_EQ(Value(2.5).AsCanonicalInt64(), std::nullopt);
+// The key rule a double meets an int64 with: the integer it equals
+// exactly, or no key at all.
+TEST(KeyRuleTest, IntegralDoubleEncodesAsItsInt64) {
+  const KeyEncoding as_int =
+      KeyEncodingFor(TypeKind::kDouble, TypeKind::kInt64);
+  auto key_of = [as_int](double d) -> std::optional<int64_t> {
+    int64_t key = 0;
+    if (!EncodeKey(as_int, DoubleCell(d), &key)) return std::nullopt;
+    return key;
+  };
+  int64_t int_key = 0;
+  ASSERT_TRUE(EncodeKey(KeyEncodingFor(TypeKind::kInt64, TypeKind::kDouble),
+                        3, &int_key));
+  EXPECT_EQ(int_key, 3);
+  EXPECT_EQ(key_of(3.0), std::optional<int64_t>(3));
+  EXPECT_EQ(key_of(2.5), std::nullopt);
   // Out of int64 range: must not be cast (that cast is UB), must not match.
-  EXPECT_EQ(Value(1e19).AsCanonicalInt64(), std::nullopt);
-  EXPECT_EQ(Value(-1e19).AsCanonicalInt64(), std::nullopt);
-  EXPECT_EQ(Value(std::string("3")).AsCanonicalInt64(), std::nullopt);
+  EXPECT_EQ(key_of(1e19), std::nullopt);
+  EXPECT_EQ(key_of(-1e19), std::nullopt);
+  // A string's key is its dictionary code, never a number's.
+  EXPECT_EQ(KeyEncodingFor(TypeKind::kString, TypeKind::kString),
+            KeyEncoding::kString);
+  const Cell three = StringDictionary::Global().Intern("3");
+  int64_t string_key = 0;
+  ASSERT_TRUE(EncodeKey(KeyEncoding::kString, three, &string_key));
+  EXPECT_EQ(string_key, three);
+  EXPECT_NE(three, StringDictionary::Global().Intern("3.0"));
   // Hash/equality coherence: equal values hash equally across types.
   EXPECT_TRUE(Value(3.0) == Value(int64_t{3}));
   EXPECT_EQ(Value(3.0).Hash(), Value(int64_t{3}).Hash());
+}
+
+// Doubles against doubles: -0.0 meets 0.0, keys keep the doubles' order
+// (the sort-merge join sorts on them), and no double's key is the integer
+// its bit pattern spells.
+TEST(KeyRuleTest, DoubleKeysOrderAndNeverAliasIntegers) {
+  const KeyEncoding encoding =
+      KeyEncodingFor(TypeKind::kDouble, TypeKind::kDouble);
+  auto key_of = [encoding](double d) {
+    int64_t key = 0;
+    EXPECT_TRUE(EncodeKey(encoding, DoubleCell(d), &key));
+    return key;
+  };
+  EXPECT_EQ(key_of(-0.0), key_of(0.0));
+  const std::vector<double> ascending = {-1e300, -2.0, -1.0, -1e-300, 0.0,
+                                         1e-300, 1.5, 2.0, 1e300};
+  for (size_t i = 1; i < ascending.size(); ++i) {
+    EXPECT_LT(key_of(ascending[i - 1]), key_of(ascending[i]))
+        << ascending[i - 1] << " vs " << ascending[i];
+  }
+  EXPECT_NE(key_of(1.5), key_of(4609434218613702656.0));
+  for (double d : ascending) {
+    EXPECT_EQ(CellDouble(DecodeKey(encoding, key_of(d))), d);
+  }
+}
+
+// ------------------------------------------------ Strings and doubles
+//
+// String cells are dictionary codes and double cells bit patterns; each
+// case below is checked at root capacities 1, 3 and the default against
+// the enumeration over Values and against TrueResultSize, and under every
+// join method for the joins.
+
+Table StringTable(const std::string& name,
+                  const std::vector<std::string>& strings) {
+  std::vector<int64_t> ids;
+  for (size_t i = 0; i < strings.size(); ++i) {
+    ids.push_back(static_cast<int64_t>(i));
+  }
+  return Table::FromColumns(
+      Schema({{"id", TypeKind::kInt64}, {name, TypeKind::kString}}),
+      {ToValueColumn(ids), ToValueColumn(strings)});
+}
+
+// B interns nothing new: its strings, listed in the opposite order, meet A's
+// by code.
+TEST(StringKeyParityTest, JoinAcrossOppositeInterningOrders) {
+  Catalog catalog;
+  std::vector<std::string> a;
+  for (int i = 0; i < 12; ++i) a.push_back("opposite-" + std::to_string(i % 9));
+  std::vector<std::string> b(a.rbegin(), a.rend());
+  b.push_back("opposite-only-in-b");
+  JOINEST_CHECK(catalog.AddTable("A", StringTable("s", a)).ok());
+  JOINEST_CHECK(catalog.AddTable("B", StringTable("t", b)).ok());
+  QuerySpec spec = MakeCountSpec(catalog, 2);
+  spec.predicates = {Join(0, 1, 1, 1)};
+  // Values 0-2 appear twice on each side (4 pairs each), 3-8 once (1 each).
+  EXPECT_EQ(ExpectCountParity(catalog, spec, "string join"), 18);
+  ExpectBatchParity(catalog, spec, "string join");
+}
+
+// Interning order pear, apple, zebra, mango is not lexicographic, so a
+// range filter must read the strings: comparing codes would keep pear and
+// zebra below mango.
+TEST(StringKeyParityTest, RangeFilterReadsTheStrings) {
+  Catalog catalog;
+  JOINEST_CHECK(
+      catalog
+          .AddTable("F", StringTable("s", {"range-pear", "range-apple",
+                                           "range-zebra", "range-mango",
+                                           "range-apple", "range-kiwi"}))
+          .ok());
+  JOINEST_CHECK(catalog
+                    .AddTable("G", IntTable({"id"}, {{0, 1, 2, 3, 4, 5, 5}}))
+                    .ok());
+  QuerySpec spec = MakeCountSpec(catalog, 2);
+  spec.predicates = {
+      Join(0, 0, 1, 0),
+      Predicate::LocalConst(ColumnRef{0, 1}, CompareOp::kLt,
+                            Value(std::string("range-mango")))};
+  EXPECT_EQ(EnumerateJoin(catalog, spec, {}).rows, 4);  // Apples and kiwi.
+  ExpectBatchParity(catalog, spec, "string < constant");
+  // A constant no table holds has no code; ordering still reads the text.
+  spec.predicates[1] = Predicate::LocalConst(
+      ColumnRef{0, 1}, CompareOp::kGe, Value(std::string("range-l")));
+  EXPECT_EQ(EnumerateJoin(catalog, spec, {}).rows, 3);  // Pear, zebra, mango.
+  ExpectBatchParity(catalog, spec, "string >= absent constant");
+  spec.predicates[1] = Predicate::LocalConst(
+      ColumnRef{0, 1}, CompareOp::kNe, Value(std::string("range-absent")));
+  ExpectBatchParity(catalog, spec, "string != absent constant");
+}
+
+// GROUP BY a string column: one output row per distinct string with its
+// count, at every capacity, and ExecutePlan's total is the row count.
+TEST(StringKeyParityTest, GroupByStringColumn) {
+  Catalog catalog;
+  std::vector<std::string> strings;
+  for (int i = 0; i < 40; ++i) {
+    strings.push_back("group-" + std::to_string((i * 7) % 11));
+  }
+  JOINEST_CHECK(catalog.AddTable("S", StringTable("s", strings)).ok());
+  QuerySpec spec = MakeCountSpec(catalog, 1);
+  spec.group_by = {ColumnRef{0, 1}};
+  std::map<std::string, int64_t> counts;
+  for (const std::string& s : strings) ++counts[s];
+  ResultSummary expected;
+  for (const auto& [s, n] : counts) {
+    ++expected.rows;
+    expected.checksum += HashRow({Value(s), Value(n)});
+  }
+  const std::unique_ptr<PlanNode> plan = CanonicalSafePlan(spec);
+  auto root = CompilePlan(catalog, spec, *plan);
+  ASSERT_TRUE(root.ok()) << root.status();
+  GroupCountOperator group(std::move(*root), spec.group_by);
+  for (int capacity : {1, 3, kDefaultBatchRows}) {
+    EXPECT_EQ(DrainBatches(group, capacity), expected)
+        << "capacity " << capacity;
+  }
+  auto result = ExecutePlan(catalog, spec, *plan);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->output_rows, 11);
+  EXPECT_EQ(result->count, 40);
+  auto truth = TrueResultSize(catalog, spec);
+  ASSERT_TRUE(truth.ok()) << truth.status();
+  EXPECT_EQ(*truth, 40);
+}
+
+// 1.5's bit pattern read as an integer is 4609434218613702656, which a
+// double holds exactly: the two doubles differ and must not meet. -0.0
+// meets 0.0.
+TEST(DoubleKeyParityTest, BitPatternTwinsDoNotMatch) {
+  Catalog catalog;
+  auto doubles = [](const std::string& name, std::vector<double> values) {
+    return Table::FromColumns(Schema({{name, TypeKind::kDouble}}),
+                              {ToValueColumn(values)});
+  };
+  JOINEST_CHECK(
+      catalog.AddTable("D", doubles("x", {1.5, 2.0, -0.0, 7.25})).ok());
+  JOINEST_CHECK(catalog
+                    .AddTable("E", doubles("y", {4609434218613702656.0, 2.0,
+                                                 0.0, 7.25, 7.25}))
+                    .ok());
+  QuerySpec spec = MakeCountSpec(catalog, 2);
+  spec.predicates = {Join(0, 0, 1, 0)};
+  EXPECT_EQ(ExpectCountParity(catalog, spec, "double join"), 4);
+  ExpectBatchParity(catalog, spec, "double join");
 }
 
 }  // namespace

@@ -1,17 +1,20 @@
-// Tests for storage/: Table, Catalog, ANALYZE, data generators, indexes,
-// canonical datasets.
+// Tests for storage/: Table, the string dictionary, Catalog, ANALYZE, data
+// generators, canonical datasets.
 
 #include <algorithm>
+#include <atomic>
 #include <set>
+#include <thread>
 
 #include "common/random.h"
+#include "executor/execute.h"
 #include "gtest/gtest.h"
 #include "storage/analyze.h"
 #include "storage/catalog.h"
 #include "storage/datagen.h"
 #include "storage/datasets.h"
-#include "storage/index.h"
 #include "storage/table.h"
+#include "tests/test_util.h"
 
 namespace joinest {
 namespace {
@@ -51,13 +54,87 @@ TEST(TableTest, RowMaterialisation) {
   EXPECT_EQ(row[1].AsString(), "q");
 }
 
-TEST(TableTest, ColumnAccess) {
+TEST(TableTest, CellAccess) {
   Table table = Table::FromColumns(
       Schema({{"v", TypeKind::kInt64}}),
       {ToValueColumn(std::vector<int64_t>{5, 6, 7})});
-  const std::vector<Value>& col = table.column(0);
+  const std::vector<Cell>& col = table.cells(0);
   EXPECT_EQ(col.size(), 3u);
-  EXPECT_EQ(col[1].AsInt64(), 6);
+  EXPECT_EQ(col[1], 6);
+}
+
+// One string holds one code, whichever table interned it first.
+TEST(StringDictionaryTest, EqualStringsShareACodeAcrossTables) {
+  const Schema schema({{"s", TypeKind::kString}});
+  Table a = Table::FromColumns(
+      schema, {ToValueColumn(std::vector<std::string>{"dict-x", "dict-y"})});
+  Table b = Table::FromColumns(
+      schema, {ToValueColumn(std::vector<std::string>{"dict-y", "dict-x"})});
+  EXPECT_EQ(a.cells(0)[0], b.cells(0)[1]);
+  EXPECT_EQ(a.cells(0)[1], b.cells(0)[0]);
+  EXPECT_NE(a.cells(0)[0], a.cells(0)[1]);
+  EXPECT_EQ(StringDictionary::Global().Lookup(a.cells(0)[1]), "dict-y");
+  EXPECT_EQ(StringDictionary::Global().Find("dict-x"),
+            std::optional<Cell>(a.cells(0)[0]));
+  EXPECT_EQ(StringDictionary::Global().Find("dict-never-stored"),
+            std::nullopt);
+}
+
+// Builder threads intern overlapping strings into new tables while another
+// thread counts a string join between two tables built before them: the
+// dictionary is the only state they share. Every count stays exact, and
+// every built table reads back its own strings.
+TEST(StringDictionaryTest, ConcurrentInterningKeepsJoinsExact) {
+  Catalog catalog;
+  std::vector<std::string> left;
+  std::vector<std::string> right;
+  for (int i = 0; i < 200; ++i) {
+    left.push_back("race-" + std::to_string(i % 40));
+    right.push_back("race-" + std::to_string((i * 7) % 60));
+  }
+  const Schema schema({{"s", TypeKind::kString}});
+  ASSERT_TRUE(
+      catalog.AddTable("L", Table::FromColumns(schema, {ToValueColumn(left)}))
+          .ok());
+  ASSERT_TRUE(
+      catalog.AddTable("R", Table::FromColumns(schema, {ToValueColumn(right)}))
+          .ok());
+  QuerySpec spec = MakeCountSpec(catalog, 2);
+  spec.predicates = {Predicate::Join(ColumnRef{0, 0}, ColumnRef{1, 0})};
+  const int64_t expected = EnumerateJoin(catalog, spec, {}).rows;
+  ASSERT_GT(expected, 0);
+
+  std::atomic<bool> mismatch{false};
+  std::vector<std::thread> builders;
+  for (int t = 0; t < 3; ++t) {
+    builders.emplace_back([t, &schema, &mismatch] {
+      for (int round = 0; round < 20; ++round) {
+        std::vector<std::string> strings;
+        for (int i = 0; i < 50; ++i) {
+          strings.push_back("race-" +
+                            std::to_string((round * 13 + i * t) % 90));
+        }
+        const Table table =
+            Table::FromColumns(schema, {ToValueColumn(strings)});
+        for (int64_t r = 0; r < table.num_rows(); ++r) {
+          if (table.at(r, 0).AsString() != strings[static_cast<size_t>(r)]) {
+            mismatch = true;
+          }
+        }
+      }
+    });
+  }
+  std::thread counter([&] {
+    for (int round = 0; round < 20; ++round) {
+      auto truth = TrueResultSize(catalog, spec);
+      if (!truth.ok() || *truth != expected) mismatch = true;
+      auto plan = ExecutePlan(catalog, spec, *CanonicalSafePlan(spec));
+      if (!plan.ok() || plan->count != expected) mismatch = true;
+    }
+  });
+  for (std::thread& builder : builders) builder.join();
+  counter.join();
+  EXPECT_FALSE(mismatch);
 }
 
 TEST(TableTest, EmptyTable) {
@@ -327,32 +404,6 @@ TEST(DatagenTest, StringColumnShape) {
   std::set<std::string> distinct(data.begin(), data.end());
   EXPECT_LE(distinct.size(), 5u);
   for (const std::string& s : data) EXPECT_EQ(s.rfind("v", 0), 0u);
-}
-
-// ---------------------------------------------------------------- Indexes
-
-Table SmallIndexTable() {
-  return Table::FromColumns(
-      Schema({{"k", TypeKind::kInt64}}),
-      {ToValueColumn(std::vector<int64_t>{5, 3, 5, 1, 3, 5})});
-}
-
-TEST(HashIndexTest, LookupFindsAllRows) {
-  Table table = SmallIndexTable();
-  HashIndex index(table, 0);
-  EXPECT_EQ(index.Lookup(Value(int64_t{5})).size(), 3u);
-  EXPECT_EQ(index.Lookup(Value(int64_t{3})).size(), 2u);
-  EXPECT_EQ(index.Lookup(Value(int64_t{1})).size(), 1u);
-  EXPECT_TRUE(index.Lookup(Value(int64_t{9})).empty());
-  EXPECT_EQ(index.num_keys(), 3u);
-}
-
-TEST(HashIndexTest, RowIdsPointToMatchingRows) {
-  Table table = SmallIndexTable();
-  HashIndex index(table, 0);
-  for (int64_t row : index.Lookup(Value(int64_t{5}))) {
-    EXPECT_EQ(table.at(row, 0).AsInt64(), 5);
-  }
 }
 
 // ---------------------------------------------------------------- Datasets

@@ -192,9 +192,13 @@ inline ResultSummary EnumerateJoin(const Catalog& catalog,
                                    const QuerySpec& spec,
                                    const std::vector<ColumnRef>& layout) {
   const int n = spec.num_tables();
-  std::vector<const Table*> tables;
+  // Every table read back through the Value edge, row by row.
+  std::vector<std::vector<std::vector<Value>>> tables;
   for (const TableRef& ref : spec.tables) {
-    tables.push_back(&catalog.table(ref.catalog_id));
+    const Table& table = catalog.table(ref.catalog_id);
+    std::vector<std::vector<Value>> rows;
+    for (int64_t r = 0; r < table.num_rows(); ++r) rows.push_back(table.Row(r));
+    tables.push_back(std::move(rows));
   }
   // ready[t]: the predicates whose last-bound table is t.
   std::vector<std::vector<const Predicate*>> ready(static_cast<size_t>(n));
@@ -205,10 +209,10 @@ inline ResultSummary EnumerateJoin(const Catalog& catalog,
     }
     ready[static_cast<size_t>(last)].push_back(&p);
   }
-  std::vector<int64_t> bound(static_cast<size_t>(n), 0);
+  std::vector<size_t> bound(static_cast<size_t>(n), 0);
   auto cell = [&](ColumnRef ref) -> const Value& {
-    return tables[static_cast<size_t>(ref.table)]->at(
-        bound[static_cast<size_t>(ref.table)], ref.column);
+    const size_t t = static_cast<size_t>(ref.table);
+    return tables[t][bound[t]][static_cast<size_t>(ref.column)];
   };
   ResultSummary result;
   // Binds table t to each of its rows in turn, then recurses into t + 1.
@@ -221,7 +225,7 @@ inline ResultSummary EnumerateJoin(const Catalog& catalog,
       return;
     }
     const size_t ti = static_cast<size_t>(t);
-    for (int64_t r = 0; r < tables[ti]->num_rows(); ++r) {
+    for (size_t r = 0; r < tables[ti].size(); ++r) {
       bound[ti] = r;
       bool pass = true;
       for (const Predicate* p : ready[ti]) {
@@ -240,6 +244,17 @@ inline ResultSummary EnumerateJoin(const Catalog& catalog,
   return result;
 }
 
+// Row `i` of `batch`, read as Values per the producer's `types`.
+inline std::vector<Value> BatchRow(const RowBatch& batch,
+                                   const std::vector<TypeKind>& types, int i) {
+  std::vector<Value> row;
+  for (size_t c = 0; c < types.size(); ++c) {
+    row.push_back(
+        CellToValue(types[c], batch.column(static_cast<int>(c))[i]));
+  }
+  return row;
+}
+
 // Opens `op`, drains it through batches of `capacity` rows, closes it, and
 // summarises what it produced.
 inline ResultSummary DrainBatches(Operator& op,
@@ -250,7 +265,7 @@ inline ResultSummary DrainBatches(Operator& op,
   while (op.NextBatch(batch)) {
     out.rows += batch.size();
     for (int i = 0; i < batch.size(); ++i) {
-      out.checksum += HashRow(batch.row(i));
+      out.checksum += HashRow(BatchRow(batch, op.types(), i));
     }
   }
   op.Close();

@@ -47,6 +47,25 @@ TEST(ValueTest, OrderingMixedNumeric) {
   EXPECT_LT(Value(0.5), Value(int64_t{1}));
 }
 
+// int64 and double compare exactly: 2^53 + 1 has no double, so widening
+// it would round it onto 2^53.
+TEST(ValueTest, MixedNumericComparisonIsExact) {
+  const Value big_int(int64_t{9007199254740993});
+  const Value big_double(9007199254740992.0);
+  EXPECT_FALSE(big_int == big_double);
+  EXPECT_TRUE(big_int != big_double);
+  EXPECT_TRUE(big_double < big_int);
+  EXPECT_FALSE(big_int < big_double);
+  EXPECT_FALSE(big_int <= big_double);
+  EXPECT_TRUE(big_int > big_double);
+  EXPECT_TRUE(Value(int64_t{9007199254740992}) == big_double);
+  // Beyond the int64 range and between integers.
+  EXPECT_TRUE(Value(int64_t{INT64_MAX}) < Value(9223372036854775808.0));
+  EXPECT_TRUE(Value(-9223372036854777856.0) < Value(int64_t{INT64_MIN}));
+  EXPECT_TRUE(Value(int64_t{-3}) < Value(-2.5));
+  EXPECT_TRUE(Value(-3.5) < Value(int64_t{-3}));
+}
+
 TEST(ValueTest, ComparisonOperatorsConsistent) {
   const Value a(int64_t{1}), b(int64_t{2});
   EXPECT_TRUE(a <= b);

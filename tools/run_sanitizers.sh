@@ -10,7 +10,9 @@
 #     shared work-stealing pool (thread_pool_test hammers stealing, nested
 #     submission, and shutdown-with-pending-tasks directly),
 #     the partitioned sketch ANALYZE path (pool tasks per row-range
-#     partition), the executor and parity suites (executor_test,
+#     partition), the process-wide string dictionary (storage_test's
+#     builder threads intern overlapping strings while another thread
+#     counts a string join), the executor and parity suites (executor_test,
 #     parity_test, kept as a guard), and the estimation service (service_test
 #     races sessions against concurrent ANALYZE snapshot republishes and
 #     hammers the sharded result cache), the query flight recorder
