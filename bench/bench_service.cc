@@ -10,10 +10,13 @@
 //                      shard lookup;
 //   optimize_cold_1t / optimize_warm_1t — same contrast for full
 //                      cost-based optimization;
-//   mixed_8t         — 7 query threads with the cache on racing 1 ANALYZE
-//                      thread that republishes snapshots (each republish
-//                      invalidates, so the hit rate is the interesting
-//                      number, exported as service_cache_hit_rate);
+//   mixed_8t         — 7 query threads with the cache on racing 1 writer
+//                      thread that republishes snapshots. The writer
+//                      republishes S's statistics unchanged, so no table
+//                      digest changes and no entry is invalidated: the
+//                      mode measures the no-op republish path, and its hit
+//                      rate (exported as service_cache_hit_rate) should
+//                      stay near 1;
 //   mixed_32t        — the same race with 31 query threads: far more
 //                      clients than cores or shared-pool workers, so the
 //                      sessions' batch drains oversubscribe the executor
@@ -179,7 +182,8 @@ int64_t OptimizeSweep(const Fixture& f, bool use_cache, int rounds) {
 }
 
 // `clients` query threads (cache on, re-Preparing so they follow
-// republishes) race 1 writer thread that keeps publishing new snapshots.
+// republishes) race 1 writer thread that keeps publishing new snapshots
+// with S's statistics unchanged (digests equal, so nothing is reclaimed).
 // With clients >> cores this doubles as the oversubscription check: every
 // session funnels into the one shared executor pool, whose bounded
 // submission must degrade to inline execution instead of queue blow-up.

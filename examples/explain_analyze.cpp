@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
   }
   if (!trace_path.empty()) {
     JOINEST_CHECK(!report->trace_json.empty())
-        << "no trace captured (was a session already active?)";
+        << "no trace captured (was trace capture off?)";
     JOINEST_CHECK(WriteTextFile(trace_path, report->trace_json))
         << "cannot write " << trace_path;
     std::fprintf(stderr, "trace written to %s\n", trace_path.c_str());

@@ -73,8 +73,8 @@ void FeedbackStore::Record(uint64_t fingerprint, uint64_t snapshot_version,
     } else {
       Observation& obs = it->second;
       const double scale = std::max(std::fabs(obs.rows), std::fabs(rows));
-      changed = std::fabs(obs.rows - rows) > kSameRowsTolerance * scale ||
-                obs.snapshot_version != snapshot_version;
+      // A new version stamp alone is no change: estimates read the rows.
+      changed = std::fabs(obs.rows - rows) > kSameRowsTolerance * scale;
       obs.rows = rows;
       obs.snapshot_version = snapshot_version;
       obs.last_recorded = record_seq_;

@@ -14,15 +14,17 @@
 //
 // Consistency:
 //   * Every observation is stamped with the catalog snapshot version it was
-//     measured against. `InvalidateBefore(version)` drops observations from
-//     older snapshots — the service calls it when ANALYZE republishes, so no
-//     observation survives a statistics rebuild (data edits republish too,
-//     making surviving observations at best conservative, never wrong-keyed:
-//     the fingerprint pins the exact query shape).
+//     last measured against. `InvalidateBefore(version)` drops observations
+//     from older snapshots — the service calls it when a republish changes
+//     some table's digest (new statistics), so no observation survives a
+//     statistics change. A republish that changes no digest (a re-ANALYZE
+//     of unchanged data) ages nothing. Aging is all-or-nothing, not per
+//     table: the keys are whole sub-plans.
 //   * Every materially new observation bumps a monotone epoch, and the epoch
 //     is mixed into the estimation-options digest (service/fingerprint.cc) —
 //     a cached estimate can never be served across a feedback refresh,
-//     mirroring RuntimeSelectivityStore.
+//     mirroring RuntimeSelectivityStore. Re-recording equal rows under a
+//     newer snapshot version updates the stamp without bumping the epoch.
 //   * The store is thread-safe (one mutex; lookups on the estimation hot
 //     path short-circuit through an atomic size when the store is empty) and
 //     shared by every session of a Database. Sessions without the feedback
@@ -79,8 +81,9 @@ class FeedbackStore {
 
   // Records an observed cardinality for the sub-plan `fingerprint`, measured
   // against catalog snapshot `snapshot_version`. Negative/non-finite rows
-  // are ignored. Bumps the epoch only when the stored value materially
-  // changes, so re-executing a converged workload keeps cache keys stable.
+  // are ignored. Bumps the epoch only when the stored rows materially
+  // change (a new stamp alone does not), so re-executing a converged
+  // workload keeps cache keys stable across republishes.
   void Record(uint64_t fingerprint, uint64_t snapshot_version, double rows);
 
   // The observed cardinality for `fingerprint`, if any. Counts a hit or a
@@ -90,7 +93,7 @@ class FeedbackStore {
 
   // Drops every observation measured against a snapshot older than
   // `snapshot_version`; bumps the epoch iff something was dropped. Called by
-  // the service when ANALYZE rebuilds statistics.
+  // the service when a republish changes some table's statistics.
   void InvalidateBefore(uint64_t snapshot_version);
 
   void Clear();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace joinest {
 
@@ -64,12 +65,19 @@ int64_t RuntimeSelectivityStore::size() const {
   return static_cast<int64_t>(tables_.size() + columns_.size());
 }
 
-void RuntimeSelectivityStore::Clear() {
+void RuntimeSelectivityStore::ForgetTables(
+    const std::vector<std::string>& tables) {
   MutexLock lock(mutex_);
-  if (tables_.empty() && columns_.empty()) return;
-  tables_.clear();
-  columns_.clear();
-  epoch_.fetch_add(1, std::memory_order_acq_rel);
+  bool dropped = false;
+  for (const std::string& table : tables) {
+    dropped |= tables_.erase(table) > 0;
+    auto it = columns_.lower_bound({table, std::numeric_limits<int>::min()});
+    while (it != columns_.end() && it->first.first == table) {
+      it = columns_.erase(it);
+      dropped = true;
+    }
+  }
+  if (dropped) epoch_.fetch_add(1, std::memory_order_acq_rel);
 }
 
 }  // namespace joinest

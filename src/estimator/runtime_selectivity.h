@@ -34,6 +34,7 @@
 #include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/thread_annotations.h"
 
@@ -62,7 +63,9 @@ class RuntimeSelectivityStore {
   uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
 
   int64_t size() const;
-  void Clear();
+  // Drops every rate recorded for the named tables (their statistics
+  // changed). Bumps the epoch iff something was dropped.
+  void ForgetTables(const std::vector<std::string>& tables);
 
  private:
   mutable Mutex mutex_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -88,12 +89,13 @@ double QErrorValue(double estimated, double actual) {
 StatusOr<ExplainAnalyzeReport> ExplainAnalyzePlan(
     const Catalog& catalog, const QuerySpec& spec, const PlanNode& plan,
     const ExplainAnalyzeOptions& options) {
-  // Reuse an ambient session when the caller traces a larger scope; only a
-  // session we activate ourselves is exported into the report.
-  std::unique_ptr<TraceSession> owned_session;
-  if (options.capture_trace && TraceSession::Active() == nullptr) {
-    owned_session = std::make_unique<TraceSession>();
-    owned_session->Activate();
+  // The per-call session records this thread's spans only, so concurrent
+  // calls never adopt, collide on or free one another's session.
+  std::unique_ptr<TraceSession> session;
+  std::optional<ThreadTraceScope> scope;
+  if (options.capture_trace) {
+    session = std::make_unique<TraceSession>();
+    scope.emplace(session.get());
   }
 
   ExplainAnalyzeReport report;
@@ -196,7 +198,7 @@ StatusOr<ExplainAnalyzeReport> ExplainAnalyzePlan(
                        report.operators);
   }  // Close the explain_analyze span before snapshotting the trace.
 
-  if (TraceSession* session = TraceSession::Active()) {
+  if (session != nullptr) {
     const std::vector<TraceSession::Event> events = session->Snapshot();
     report.trace_events = static_cast<int64_t>(events.size());
     report.trace_dropped = session->dropped();
@@ -215,9 +217,7 @@ StatusOr<ExplainAnalyzeReport> ExplainAnalyzePlan(
                  const ExplainAnalyzeReport::SpanSummary& b) {
                 return a.total_seconds > b.total_seconds;
               });
-    if (owned_session != nullptr) {
-      report.trace_json = session->ToChromeTraceJson();
-    }
+    report.trace_json = session->ToChromeTraceJson();
   }
   return report;
 }

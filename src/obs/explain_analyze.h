@@ -18,10 +18,12 @@
 // registry's `estimator_qerror{rule=...}` histograms, accumulating a
 // workload-level error distribution across calls.
 //
-// Unless a TraceSession is already active, ExplainAnalyze activates its own
-// for the duration of the run; the report carries a per-span-name timing
-// summary plus the full Chrome trace-event JSON (validate or load it with
-// tools/check_trace.py / chrome://tracing).
+// With trace capture on, ExplainAnalyze traces the run into a session of
+// its own, activated for the calling thread only (ThreadTraceScope): it
+// records that thread's spans, shadowing any process-wide session there,
+// so concurrent calls stay independent. The report carries a per-span-name
+// timing summary plus the full Chrome trace-event JSON (validate or load it
+// with tools/check_trace.py / chrome://tracing).
 
 #ifndef JOINEST_OBS_EXPLAIN_ANALYZE_H_
 #define JOINEST_OBS_EXPLAIN_ANALYZE_H_
@@ -60,7 +62,7 @@ struct ExplainAnalyzeOptions {
   // only the executed plan's own actual row counts remain.
   bool with_true_cardinalities = true;
   // Capture a trace of the full run (estimation + execution + ground
-  // truth). When a session is already active, it is reused and left active.
+  // truth) on the calling thread, into a session owned by the call.
   bool capture_trace = true;
   // Predicate-transfer row-id selections the plan's scans are restricted
   // to, and the probe statistics to report. The ground-truth counting
@@ -121,8 +123,7 @@ struct ExplainAnalyzeReport {
 
   int64_t trace_events = 0;
   int64_t trace_dropped = 0;
-  // Chrome trace-event JSON of the run; empty when tracing was off or an
-  // external session was active (the caller owns that one).
+  // Chrome trace-event JSON of the run; empty when tracing was off.
   std::string trace_json;
 
   // Human-readable rendering: operator tree, join-level table, span table.

@@ -10,6 +10,9 @@ namespace joinest {
 namespace {
 
 std::atomic<TraceSession*> g_active_session{nullptr};
+// The calling thread's own session (ThreadTraceScope); shadows the
+// process-wide one for spans on this thread.
+thread_local TraceSession* tls_session = nullptr;
 
 // Small sequential per-OS-thread id for the Chrome export's "tid" field.
 int32_t ThreadTraceId() {
@@ -50,8 +53,16 @@ void TraceSession::Deactivate() {
 }
 
 TraceSession* TraceSession::Active() {
+  if (tls_session != nullptr) return tls_session;
   return g_active_session.load(std::memory_order_acquire);
 }
+
+ThreadTraceScope::ThreadTraceScope(TraceSession* session)
+    : previous_(tls_session) {
+  tls_session = session;
+}
+
+ThreadTraceScope::~ThreadTraceScope() { tls_session = previous_; }
 
 const char* TraceSession::Intern(const std::string& name) {
   MutexLock lock(mutex_);

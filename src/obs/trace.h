@@ -4,9 +4,13 @@
 // Activating a session makes it the process-wide recording target; Span
 // objects constructed anywhere (the parser, the rewrite passes, the
 // estimator, operator Open/Close, pool tasks) then record one complete
-// event each on destruction. With no active session a Span costs one
-// relaxed atomic load — instrumentation can stay compiled in on hot-ish
-// paths (per operator open, per pool task; never per row).
+// event each on destruction. A ThreadTraceScope instead makes a session the
+// target of the calling thread's spans only, shadowing any process-wide
+// session there: concurrent callers each trace their own work without
+// sharing, adopting or freeing one another's session. With no active
+// session a Span costs a thread-local read and one atomic load —
+// instrumentation can stay compiled in on hot-ish paths (per operator
+// open, per pool task; never per row).
 //
 // Spans nest: each thread keeps a span stack, so events carry their parent
 // span id and depth, and the Chrome trace-event export renders the nesting
@@ -67,6 +71,8 @@ class TraceSession {
   // One active session at a time; the destructor deactivates implicitly.
   void Activate();
   void Deactivate();
+  // The session a Span constructed on this thread records into: the
+  // thread's own (ThreadTraceScope), else the process-wide one.
   static TraceSession* Active();
 
   // Copies `name` into session-owned storage and returns a pointer stable
@@ -144,6 +150,21 @@ class Span {
   int64_t id_ = 0;
   int64_t parent_id_ = -1;
   int32_t depth_ = 0;
+};
+
+// Scoped per-thread activation: while alive, Spans constructed on the
+// calling thread record into `session`; other threads never see it. Nests:
+// the destructor restores the thread's previous session. The session must
+// outlive the scope.
+class ThreadTraceScope {
+ public:
+  explicit ThreadTraceScope(TraceSession* session);
+  ~ThreadTraceScope();
+  ThreadTraceScope(const ThreadTraceScope&) = delete;
+  ThreadTraceScope& operator=(const ThreadTraceScope&) = delete;
+
+ private:
+  TraceSession* previous_;
 };
 
 // Registers the CheckFailure hook that dumps the active trace session (if

@@ -28,7 +28,8 @@ ServiceCache::ServiceCache(int64_t capacity, int shards,
           "entries evicted by the LRU policy", CacheLabels(label))),
       invalidated_metric_(MetricsRegistry::Global().GetCounter(
           "service_cache_invalidated_total",
-          "entries dropped by snapshot republish", CacheLabels(label))),
+          "entries dropped because a republish changed a table they read",
+          CacheLabels(label))),
       size_metric_(MetricsRegistry::Global().GetGauge(
           "service_cache_size", "entries currently cached",
           CacheLabels(label))) {
@@ -66,7 +67,8 @@ std::shared_ptr<const void> ServiceCache::Lookup(const ServiceCacheKey& key) {
 }
 
 void ServiceCache::Insert(const ServiceCacheKey& key,
-                          std::shared_ptr<const void> value) {
+                          std::shared_ptr<const void> value,
+                          std::vector<SourceTable> tables) {
   JOINEST_CHECK(value != nullptr);
   int64_t evicted = 0;
   // Destroy displaced values outside the shard lock.
@@ -79,9 +81,10 @@ void ServiceCache::Insert(const ServiceCacheKey& key,
       // Refresh in place (two threads raced on the same cold key).
       graveyard.push_back(std::move(it->second->value));
       it->second->value = std::move(value);
+      it->second->tables = std::move(tables);
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     } else {
-      shard.lru.push_front(Entry{key, std::move(value)});
+      shard.lru.push_front(Entry{key, std::move(value), std::move(tables)});
       shard.index[key] = shard.lru.begin();
       while (static_cast<int64_t>(shard.lru.size()) > per_shard_capacity_) {
         graveyard.push_back(std::move(shard.lru.back().value));
@@ -98,13 +101,22 @@ void ServiceCache::Insert(const ServiceCacheKey& key,
   size_metric_.Set(static_cast<double>(size()));
 }
 
-int64_t ServiceCache::InvalidateBefore(uint64_t version) {
+int64_t ServiceCache::Reclaim(const std::vector<uint64_t>& table_digests) {
+  const auto stale = [&table_digests](const Entry& entry) {
+    for (const SourceTable& table : entry.tables) {
+      const size_t id = static_cast<size_t>(table.table_id);
+      if (id >= table_digests.size() || table_digests[id] != table.digest) {
+        return true;
+      }
+    }
+    return false;
+  };
   int64_t dropped = 0;
   std::vector<std::shared_ptr<const void>> graveyard;
   for (const std::unique_ptr<Shard>& shard : shards_) {
     MutexLock lock(shard->mutex);
     for (auto it = shard->lru.begin(); it != shard->lru.end();) {
-      if (it->key.snapshot_version < version) {
+      if (stale(*it)) {
         graveyard.push_back(std::move(it->value));
         shard->index.erase(it->key);
         it = shard->lru.erase(it);

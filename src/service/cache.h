@@ -1,12 +1,17 @@
 // Sharded LRU cache for analyzed queries, estimates and optimized plans.
 //
-// Keys are (query fingerprint, snapshot version, options digest, kind):
-// everything that can change a result participates, so a hit is always
-// safe to serve — a cached value for key K is, by construction, what the
-// cold path would recompute for K (the service tests assert bit-identical
-// doubles). Entries for superseded snapshot versions can never hit (the
-// version is in the key); InvalidateBefore() reclaims their memory eagerly
-// when a new snapshot is published.
+// Keys are (query fingerprint, tables digest, options digest, kind), where
+// the tables digest folds the digests of the tables the query reads
+// (CatalogSnapshot::table_digest) in the query's table order: everything
+// that can change a result participates, so a hit is always safe to serve
+// — a cached value for key K is, by construction, what the cold path would
+// recompute for K (the service tests assert bit-identical doubles). The
+// snapshot version does not participate, so a republish that leaves a
+// query's tables alone (a re-ANALYZE of unchanged data, a new table) keeps
+// its entries hitting. Each entry also records the catalog ids and digests
+// of the tables it read; when a publish changes some table's digest,
+// Reclaim() drops the entries that read it: no query prepared on the new
+// snapshot can hit them.
 //
 // Concurrency: the key space is hash-partitioned over N independent
 // shards, each protected by its own mutex and maintaining its own LRU
@@ -45,13 +50,14 @@ enum class CacheEntryKind {
 
 struct ServiceCacheKey {
   uint64_t query_fingerprint = 0;
-  uint64_t snapshot_version = 0;
+  // Digest of the read tables' digests, in the query's table order.
+  uint64_t tables_digest = 0;
   uint64_t options_digest = 0;
   CacheEntryKind kind = CacheEntryKind::kAnalysis;
 
   bool operator==(const ServiceCacheKey& other) const {
     return query_fingerprint == other.query_fingerprint &&
-           snapshot_version == other.snapshot_version &&
+           tables_digest == other.tables_digest &&
            options_digest == other.options_digest && kind == other.kind;
   }
 };
@@ -60,11 +66,18 @@ struct ServiceCacheKeyHash {
   size_t operator()(const ServiceCacheKey& key) const {
     // The components are already FNV digests; a cheap combine suffices.
     uint64_t h = key.query_fingerprint;
-    h = h * 1099511628211ull ^ key.snapshot_version;
+    h = h * 1099511628211ull ^ key.tables_digest;
     h = h * 1099511628211ull ^ key.options_digest;
     h = h * 1099511628211ull ^ static_cast<uint64_t>(key.kind);
     return static_cast<size_t>(h);
   }
+};
+
+// One table a cached value was computed from: its catalog id and its
+// digest in the snapshot the value was computed on.
+struct SourceTable {
+  int table_id = 0;
+  uint64_t digest = 0;
 };
 
 // Point-in-time counter snapshot (Database::cache_stats()).
@@ -72,6 +85,7 @@ struct ServiceCacheStats {
   int64_t hits = 0;
   int64_t misses = 0;
   int64_t evictions = 0;
+  // Entries Reclaim dropped: they read a table a republish changed.
   int64_t invalidated = 0;
   int64_t size = 0;
 
@@ -99,14 +113,17 @@ class ServiceCache {
   // nullptr on miss. Counts a hit/miss.
   std::shared_ptr<const void> Lookup(const ServiceCacheKey& key);
 
-  // Inserts (or replaces) the value for `key`, evicting least-recently-used
-  // entries of the same shard while over budget.
-  void Insert(const ServiceCacheKey& key, std::shared_ptr<const void> value);
+  // Inserts (or replaces) the value for `key`, computed from `tables`,
+  // evicting least-recently-used entries of the same shard while over
+  // budget.
+  void Insert(const ServiceCacheKey& key, std::shared_ptr<const void> value,
+              std::vector<SourceTable> tables);
 
-  // Drops every entry whose snapshot version precedes `version` (they can
-  // never hit again — the version is part of the key). Returns the number
-  // of entries dropped.
-  int64_t InvalidateBefore(uint64_t version);
+  // Drops every entry that read a table whose digest is no longer
+  // `table_digests[table_id]` (the newly published snapshot's digests,
+  // indexed by catalog id): no query prepared on that snapshot can hit it.
+  // Walks every entry. Returns the number of entries dropped.
+  int64_t Reclaim(const std::vector<uint64_t>& table_digests);
 
   int64_t size() const;
   int64_t capacity() const { return capacity_; }
@@ -116,6 +133,7 @@ class ServiceCache {
   struct Entry {
     ServiceCacheKey key;
     std::shared_ptr<const void> value;
+    std::vector<SourceTable> tables;
   };
   struct Shard {
     Mutex mutex;

@@ -333,7 +333,54 @@ Status CheckPrepared(const PreparedQuery& prepared) {
   return Status::OK();
 }
 
+// The cache key's table component: the pinned snapshot's digests of the
+// tables `prepared` reads, in spec.tables order. Every lookup builds it, and
+// the digests are already FNV outputs, so one multiply per table combines
+// them (as ServiceCacheKeyHash does) where Fingerprint would take eight.
+uint64_t TablesDigest(const PreparedQuery& prepared) {
+  uint64_t digest = 14695981039346656037ull;
+  for (const TableRef& table : prepared.spec.tables) {
+    digest = digest * 1099511628211ull ^
+             prepared.snapshot->table_digest(table.catalog_id);
+  }
+  return digest;
+}
+
+// What a cache entry records for Reclaim: the tables `prepared` reads and
+// their digests in its pinned snapshot.
+std::vector<SourceTable> SourceTables(const PreparedQuery& prepared) {
+  std::vector<SourceTable> tables;
+  tables.reserve(prepared.spec.tables.size());
+  for (const TableRef& table : prepared.spec.tables) {
+    tables.push_back(SourceTable{
+        table.catalog_id, prepared.snapshot->table_digest(table.catalog_id)});
+  }
+  return tables;
+}
+
 }  // namespace
+
+Session::Session(Database* database, Options options)
+    : database_(database), options_(std::move(options)) {
+  // The stores' epochs are the only inputs of the options digests that
+  // move after this point.
+  const EstimationOptions estimation = EffectiveEstimation();
+  if (estimation.runtime_selectivities == nullptr &&
+      estimation.feedback.store == nullptr) {
+    estimation_digest_ = EstimationOptionsDigest(estimation);
+    optimizer_digest_ = OptimizerOptionsDigest(EffectiveOptimizer());
+  }
+}
+
+uint64_t Session::EstimationDigest(const EstimationOptions& estimation) const {
+  return estimation_digest_.has_value() ? *estimation_digest_
+                                        : EstimationOptionsDigest(estimation);
+}
+
+uint64_t Session::OptimizerDigest(const OptimizerOptions& optimizer) const {
+  return optimizer_digest_.has_value() ? *optimizer_digest_
+                                       : OptimizerOptionsDigest(optimizer);
+}
 
 EstimationOptions Session::EffectiveEstimation() const {
   EstimationOptions estimation = options_.estimation();
@@ -433,9 +480,8 @@ StatusOr<EstimateResult> Session::EstimateImpl(const PreparedQuery& prepared,
   };
   JOINEST_RETURN_IF_ERROR(CheckPrepared(prepared));
   const EstimationOptions estimation = EffectiveEstimation();
-  const ServiceCacheKey key{prepared.fingerprint,
-                            prepared.snapshot->version(),
-                            EstimationOptionsDigest(estimation),
+  const ServiceCacheKey key{prepared.fingerprint, TablesDigest(prepared),
+                            EstimationDigest(estimation),
                             CacheEntryKind::kAnalysis};
   if (options_.use_cache()) {
     if (std::shared_ptr<const void> hit = database_->cache().Lookup(key)) {
@@ -482,7 +528,9 @@ StatusOr<EstimateResult> Session::EstimateImpl(const PreparedQuery& prepared,
                        {"M", rules.m.back()},
                        {"SS", rules.ss.back()}};
 
-  if (options_.use_cache()) database_->cache().Insert(key, payload);
+  if (options_.use_cache()) {
+    database_->cache().Insert(key, payload, SourceTables(prepared));
+  }
 
   const double cold_seconds = elapsed();
   EstimateSeconds(/*warm=*/false).Observe(cold_seconds);
@@ -501,9 +549,8 @@ StatusOr<EstimateResult> Session::Estimate(const std::string& sql) const {
 StatusOr<PlannedQuery> Session::Optimize(const PreparedQuery& prepared) const {
   JOINEST_RETURN_IF_ERROR(CheckPrepared(prepared));
   const OptimizerOptions optimizer = EffectiveOptimizer();
-  const ServiceCacheKey key{prepared.fingerprint,
-                            prepared.snapshot->version(),
-                            OptimizerOptionsDigest(optimizer),
+  const ServiceCacheKey key{prepared.fingerprint, TablesDigest(prepared),
+                            OptimizerDigest(optimizer),
                             CacheEntryKind::kPlan};
   if (options_.use_cache()) {
     if (std::shared_ptr<const void> hit = database_->cache().Lookup(key)) {
@@ -521,7 +568,9 @@ StatusOr<PlannedQuery> Session::Optimize(const PreparedQuery& prepared) const {
   auto payload = std::make_shared<PlannedQuery::Payload>(PlannedQuery::Payload{
       prepared.snapshot, prepared.spec, std::move(plan)});
 
-  if (options_.use_cache()) database_->cache().Insert(key, payload);
+  if (options_.use_cache()) {
+    database_->cache().Insert(key, payload, SourceTables(prepared));
+  }
 
   PlannedQuery result;
   result.payload_ = std::move(payload);
@@ -782,17 +831,40 @@ Status Database::Mutate(Fn&& mutate) {
 
 void Database::Publish(std::shared_ptr<const CatalogSnapshot> snapshot) {
   const uint64_t version = snapshot->version();
+  // Tables whose digest this publish changed. Ids are stable and new tables
+  // only append, so only the previous snapshot's ids can have changed.
+  std::vector<std::string> changed;
+  if (const std::shared_ptr<const CatalogSnapshot> previous =
+          this->snapshot()) {
+    const std::vector<uint64_t>& before = previous->table_digests();
+    for (size_t t = 0; t < before.size(); ++t) {
+      if (snapshot->table_digest(static_cast<int>(t)) != before[t]) {
+        changed.push_back(snapshot->catalog().table_name(static_cast<int>(t)));
+      }
+    }
+  }
 #if JOINEST_SERVICE_ATOMIC_SNAPSHOT
-  snapshot_.store(std::move(snapshot), std::memory_order_release);
+  snapshot_.store(snapshot, std::memory_order_release);
 #else
   {
     MutexLock lock(snapshot_mutex_);
-    snapshot_ = std::move(snapshot);
+    snapshot_ = snapshot;
   }
 #endif
-  // Entries keyed to superseded versions can never hit again; reclaim them
-  // eagerly rather than waiting for LRU pressure.
-  cache_->InvalidateBefore(version);
+  // A publish that changed no digest (a re-ANALYZE of unchanged data, a new
+  // table) invalidates nothing and ages nothing.
+  if (!changed.empty()) {
+    // Entries that read a changed table cannot hit a query prepared on this
+    // snapshot; reclaim them eagerly rather than waiting for LRU pressure.
+    cache_->Reclaim(snapshot->table_digests());
+    // Observations recorded against the old statistics may describe a
+    // statistical view that no longer holds, so both stores age together.
+    // Runtime rates are keyed by table name, so only the changed tables'
+    // go; feedback keys are whole sub-plans, so every observation older
+    // than this snapshot goes.
+    runtime_selectivities_->ForgetTables(changed);
+    feedback_store_->InvalidateBefore(version);
+  }
   MetricsRegistry::Global()
       .GetGauge("service_snapshot_version",
                 "version of the currently published catalog snapshot",
@@ -842,45 +914,27 @@ Status Database::ImportTables(Catalog source) {
 
 Status Database::Analyze() { return Analyze(options_.analyze()); }
 
-// Statistics were re-collected: observations recorded against the old
-// statistics may describe data (or a statistical view of it) that no longer
-// exists, so BOTH runtime stores age together — the runtime-selectivity
-// store drops everything (its keys are table names, not snapshot-stamped),
-// and the feedback store drops observations older than the snapshot the
-// re-ANALYZE just published. Plain LoadTable/ImportTables do NOT age:
-// adding a table invalidates nothing previously observed.
-void Database::AgeObservations() {
-  runtime_selectivities_->Clear();
-  feedback_store_->InvalidateBefore(snapshot()->version());
-}
-
 Status Database::Analyze(const AnalyzeOptions& options) {
   JOINEST_RETURN_IF_ERROR(ValidateAnalyzeOptions(options));
-  JOINEST_RETURN_IF_ERROR(Mutate([&](SnapshotBuilder& builder) -> Status {
+  return Mutate([&](SnapshotBuilder& builder) -> Status {
     return builder.ReanalyzeAll(options);
-  }));
-  AgeObservations();
-  return Status::OK();
+  });
 }
 
 Status Database::AnalyzeTable(const std::string& name,
                               const AnalyzeOptions& options) {
   JOINEST_RETURN_IF_ERROR(ValidateAnalyzeOptions(options));
-  JOINEST_RETURN_IF_ERROR(Mutate([&](SnapshotBuilder& builder) -> Status {
+  return Mutate([&](SnapshotBuilder& builder) -> Status {
     JOINEST_ASSIGN_OR_RETURN(int id, builder.ResolveTable(name));
     return builder.Reanalyze(id, options);
-  }));
-  AgeObservations();
-  return Status::OK();
+  });
 }
 
 Status Database::SetTableStats(const std::string& name, TableStats stats) {
-  JOINEST_RETURN_IF_ERROR(Mutate([&](SnapshotBuilder& builder) -> Status {
+  return Mutate([&](SnapshotBuilder& builder) -> Status {
     JOINEST_ASSIGN_OR_RETURN(int id, builder.ResolveTable(name));
     return builder.SetStats(id, std::move(stats));
-  }));
-  AgeObservations();
-  return Status::OK();
+  });
 }
 
 void Database::RecordQuery(const QueryRecord& record) const {

@@ -25,9 +25,12 @@
 //     against the pinned snapshot — consistent even while ANALYZE
 //     republishes concurrently.
 //   * Results are memoised in a sharded LRU keyed by (canonical query
-//     fingerprint, snapshot version, options digest) — see
-//     service/fingerprint.h and service/cache.h. Cache hits return values
-//     bit-identical to what the cold path computes.
+//     fingerprint, digests of the tables the query reads, options digest)
+//     — see service/fingerprint.h and service/cache.h. Cache hits return
+//     values bit-identical to what the cold path computes. A republish
+//     reclaims only the entries that read a table whose digest changed, so
+//     a re-ANALYZE of unchanged data keeps every entry, and a hit may carry
+//     a value computed on an earlier snapshot with equal digests.
 //   * A Database and its snapshots/caches are fully thread-safe. A Session
 //     is a lightweight view (Database pointer + validated options) that is
 //     itself safe to share across threads, but the intended pattern is one
@@ -43,6 +46,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -136,6 +140,9 @@ class EstimateResult {
   const AnalyzedQuery& analysis() const;
 
   bool cache_hit() const { return cache_hit_; }
+  // The snapshot the value was computed on. A cache hit may name an earlier
+  // snapshot than the prepared query's, one whose digests of the query's
+  // tables are equal.
   uint64_t snapshot_version() const;
 
  private:
@@ -160,6 +167,8 @@ class PlannedQuery {
   std::string ToString() const;
 
   bool cache_hit() const { return cache_hit_; }
+  // The snapshot the plan was computed on; as for EstimateResult, a hit
+  // may name an earlier snapshot with equal digests.
   uint64_t snapshot_version() const;
 
  private:
@@ -270,8 +279,7 @@ class Session {
 
  private:
   friend class Database;
-  Session(Database* database, Options options)
-      : database_(database), options_(std::move(options)) {}
+  Session(Database* database, Options options);
 
   // The session's estimation/optimizer options with the database's
   // runtime-selectivity store injected when predicate transfer is on. Used
@@ -296,8 +304,18 @@ class Session {
   QueryRecord BaseRecord(const PreparedQuery& prepared,
                          const EstimateResult& estimate) const;
 
+  // The options digests of the cache keys. When the effective options hold
+  // no observation store they never change, so the constructor takes both
+  // digests once and every lookup reuses them; a store's epoch moves, so
+  // with one attached these stay empty and each call digests its own
+  // EffectiveEstimation()/EffectiveOptimizer().
+  uint64_t EstimationDigest(const EstimationOptions& estimation) const;
+  uint64_t OptimizerDigest(const OptimizerOptions& optimizer) const;
+
   Database* database_;
   Options options_;
+  std::optional<uint64_t> estimation_digest_;
+  std::optional<uint64_t> optimizer_digest_;
 };
 
 class Database {
@@ -429,10 +447,10 @@ class Database {
   // every session of this database and keyed by canonical sub-plan
   // fingerprint (service/fingerprint.h's SubPlanFingerprint). Populated by
   // Execute/ExplainAnalyze in sessions with EstimatorFeatures::feedback;
-  // consulted by Estimate/Optimize in those same sessions. Re-ANALYZE
-  // (Analyze/AnalyzeTable/SetTableStats) invalidates observations from
-  // older snapshots — statistics changed, so remembered actuals may
-  // describe data that no longer exists.
+  // consulted by Estimate/Optimize in those same sessions. A republish that
+  // changes some table's digest (Analyze/AnalyzeTable/SetTableStats with
+  // new statistics) invalidates observations from older snapshots; one
+  // that changes no digest keeps them.
   FeedbackStore& feedback_store() const { return *feedback_store_; }
 
   // The work-stealing pool this database's data-parallel stages (parallel
@@ -452,16 +470,14 @@ class Database {
   void RecordQuery(const QueryRecord& record) const;
 
   // Runs `mutate` on a builder seeded from the current snapshot, then
-  // publishes the result as the next version and invalidates superseded
-  // cache entries. Serialised by writer_mutex_.
+  // publishes the result as the next version. Serialised by writer_mutex_.
   template <typename Fn>
   Status Mutate(Fn&& mutate);
 
+  // Makes `snapshot` current. When it changes some table's digest, reclaims
+  // the cache entries that read a changed table and ages the runtime-
+  // selectivity and feedback stores together.
   void Publish(std::shared_ptr<const CatalogSnapshot> snapshot);
-
-  // Ages the runtime-selectivity and feedback stores together after a
-  // statistics mutation (Analyze/AnalyzeTable/SetTableStats) republished.
-  void AgeObservations();
 
   Options options_;
   std::unique_ptr<ServiceCache> cache_;

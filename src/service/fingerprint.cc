@@ -213,8 +213,15 @@ uint64_t AnalyzeOptionsDigest(const AnalyzeOptions& options) {
   return fp.digest();
 }
 
-uint64_t TableStatsDigest(const TableStats& stats) {
+uint64_t TableDigest(const std::string& name, const Schema& schema,
+                     const TableStats& stats) {
   Fingerprint fp;
+  fp.MixString(name);
+  fp.MixInt(schema.num_columns());
+  for (int c = 0; c < schema.num_columns(); ++c) {
+    fp.MixString(schema.column(c).name);
+    fp.MixInt(static_cast<int>(schema.column(c).type));
+  }
   fp.MixDouble(stats.row_count);
   fp.MixInt(static_cast<int>(stats.source));
   fp.MixU64(stats.columns.size());

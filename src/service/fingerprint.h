@@ -15,7 +15,12 @@
 //   * EstimationOptionsDigest / OptimizerOptionsDigest / AnalyzeOptionsDigest
 //     — field-wise digests of the knob structs. Any knob that can change a
 //     result participates.
-//   * TableStatsDigest / tie-breaking digests used by CatalogSnapshot.
+//   * TableDigest — one table's name, schema and statistics: everything
+//     Estimate and Optimize read from the catalog about it. CatalogSnapshot
+//     computes one per table, and the service cache keys and reclaims its
+//     entries by the digests of the tables a query reads (service/cache.h),
+//     so a republish that leaves a table's digest alone keeps every cached
+//     analysis and plan over it.
 //
 // All digests are FNV-1a over the fields' raw bytes — deterministic within
 // a process run and across runs (no pointer values, no container addresses).
@@ -32,6 +37,7 @@
 #include "query/query_spec.h"
 #include "stats/column_stats.h"
 #include "storage/analyze.h"
+#include "types/schema.h"
 
 namespace joinest {
 
@@ -89,10 +95,13 @@ uint64_t EstimationOptionsDigest(const EstimationOptions& options);
 uint64_t OptimizerOptionsDigest(const OptimizerOptions& options);
 uint64_t AnalyzeOptionsDigest(const AnalyzeOptions& options);
 
-// Digest of one table's statistics (row count, per-column d/min/max/
-// source/histogram shape). CatalogSnapshot folds these per-table digests
-// (plus names and schemas) into its stats_digest.
-uint64_t TableStatsDigest(const TableStats& stats);
+// Digest of one catalog table as the estimator and optimizer see it: the
+// name, each column's name and type, the row count and statistics source,
+// and per column d, min, max, the distinct-count relative error and the
+// histogram (kind and every bucket). Rows do not participate: a table's
+// rows never change once it is registered.
+uint64_t TableDigest(const std::string& name, const Schema& schema,
+                     const TableStats& stats);
 
 }  // namespace joinest
 

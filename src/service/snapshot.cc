@@ -9,45 +9,37 @@
 
 namespace joinest {
 
-namespace {
-
-uint64_t CatalogStatsDigest(const Catalog& catalog) {
-  Fingerprint fp;
-  fp.MixInt(catalog.num_tables());
-  for (int t = 0; t < catalog.num_tables(); ++t) {
-    fp.MixString(catalog.table_name(t));
-    const Schema& schema = catalog.table(t).schema();
-    fp.MixInt(schema.num_columns());
-    for (int c = 0; c < schema.num_columns(); ++c) {
-      fp.MixString(schema.column(c).name);
-      fp.MixInt(static_cast<int>(schema.column(c).type));
-    }
-    fp.MixU64(TableStatsDigest(catalog.stats(t)));
-  }
-  return fp.digest();
-}
-
-}  // namespace
-
 CatalogSnapshot::CatalogSnapshot(Catalog catalog, uint64_t version)
     : catalog_(std::move(catalog)), version_(version) {
   // Published snapshots are deeply immutable: the catalog must have been
   // sealed by the builder before it got here.
   JOINEST_DCHECK(catalog_.sealed())
       << "CatalogSnapshot over an unsealed catalog";
-  stats_digest_ = CatalogStatsDigest(catalog_);
+  table_digests_.reserve(static_cast<size_t>(catalog_.num_tables()));
+  for (int t = 0; t < catalog_.num_tables(); ++t) {
+    table_digests_.push_back(TableDigest(catalog_.table_name(t),
+                                         catalog_.table(t).schema(),
+                                         catalog_.stats(t)));
+  }
+}
+
+uint64_t CatalogSnapshot::table_digest(int table_id) const {
+  JOINEST_CHECK_GE(table_id, 0);
+  JOINEST_CHECK_LT(table_id, catalog_.num_tables());
+  return table_digests_[static_cast<size_t>(table_id)];
 }
 
 std::string CatalogSnapshot::DebugString() const {
   std::ostringstream os;
-  os << "snapshot v" << version_ << " (stats digest " << std::hex
-     << stats_digest_ << std::dec << "): " << catalog_.num_tables()
+  os << "snapshot v" << version_ << ": " << catalog_.num_tables()
      << " table(s)";
   for (int t = 0; t < catalog_.num_tables(); ++t) {
     os << "\n  " << catalog_.table_name(t) << ": "
        << catalog_.stats(t).row_count << " rows, "
        << catalog_.table(t).num_columns() << " column(s), "
-       << StatsSourceName(catalog_.stats(t).source) << " stats";
+       << StatsSourceName(catalog_.stats(t).source) << " stats (digest "
+       << std::hex << table_digests_[static_cast<size_t>(t)] << std::dec
+       << ")";
   }
   return os.str();
 }

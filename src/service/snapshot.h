@@ -7,7 +7,11 @@
 // atomically publishes that. Readers that grabbed the previous snapshot
 // keep a shared_ptr to it and continue unperturbed; the last reference
 // frees it. This is the Glue-style "compute per-table artifacts once,
-// reuse across queries" lifecycle: a snapshot version is the reuse unit.
+// reuse across queries" lifecycle: a table's digest is the reuse unit.
+// Every table gets one digest (service/fingerprint.h's TableDigest) when
+// the snapshot is built, and the service cache keys results by the digests
+// of the tables a query reads, so a republish that leaves those digests
+// equal leaves the query's cached analysis and plan in place.
 //
 // Invariants:
 //   * A CatalogSnapshot's catalog is sealed (Catalog::Seal) before the
@@ -28,6 +32,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 #include "storage/analyze.h"
@@ -43,10 +48,13 @@ class CatalogSnapshot {
   const Catalog& catalog() const { return catalog_; }
   // Publisher-assigned, strictly increasing.
   uint64_t version() const { return version_; }
-  // Digest of every table's name, schema and statistics — changes iff the
-  // estimator-visible state changed. Two snapshots with equal stats_digest
-  // produce identical estimates for identical queries and options.
-  uint64_t stats_digest() const { return stats_digest_; }
+  // Digest of table `table_id`'s name, schema and statistics: everything
+  // Estimate and Optimize read about it. Two snapshots whose digests agree
+  // on the tables a query reads produce identical estimates and plans for
+  // it under identical options. Computed once, when the snapshot is built.
+  uint64_t table_digest(int table_id) const;
+  // Indexed by catalog id.
+  const std::vector<uint64_t>& table_digests() const { return table_digests_; }
 
   std::string DebugString() const;
 
@@ -56,7 +64,7 @@ class CatalogSnapshot {
 
   Catalog catalog_;
   uint64_t version_ = 0;
-  uint64_t stats_digest_ = 0;
+  std::vector<uint64_t> table_digests_;
 };
 
 // Accumulates catalog mutations, then freezes the result into a snapshot.

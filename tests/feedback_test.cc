@@ -85,7 +85,13 @@ TEST(FeedbackStore, EpochBumpsOnlyOnMaterialChange) {
   EXPECT_EQ(store.epoch(), e1);
   // Materially different value: bump.
   store.Record(7, 1, 250.0);
-  EXPECT_GT(store.epoch(), e1);
+  const uint64_t e2 = store.epoch();
+  EXPECT_GT(e2, e1);
+  // Same rows under a newer snapshot: the stamp moves, the epoch does not.
+  store.Record(7, 2, 250.0);
+  EXPECT_EQ(store.epoch(), e2);
+  store.InvalidateBefore(2);
+  EXPECT_TRUE(store.Lookup(7).has_value());
 }
 
 TEST(FeedbackStore, InvalidateBeforeDropsOldSnapshots) {
@@ -565,23 +571,64 @@ TEST(FeedbackService, PinnedPaperFaithfulEstimates) {
   EXPECT_EQ(estimate->rows(), reference->EstimateFullJoin());
 }
 
-TEST(FeedbackService, ReanalyzeAgesBothStoresConsistently) {
+TEST(FeedbackService, ReanalyzeWithNewStatsAgesBothStores) {
   auto db = OpenExample1();
   const Session session = MakeSession(*db, FeedbackOptions());
   ASSERT_TRUE(session.Execute(kJoinSql).ok());
   ASSERT_GT(db->feedback_store().size(), 0);
   db->runtime_selectivities().RecordTableSurvival("R1", 0.5);
-  ASSERT_GT(db->runtime_selectivities().size(), 0);
+  db->runtime_selectivities().RecordColumnPassRate("R1", 1, 0.5);
+  db->runtime_selectivities().RecordTableSurvival("R2", 0.25);
+  const uint64_t feedback_epoch = db->feedback_store().epoch();
+  const uint64_t runtime_epoch = db->runtime_selectivities().epoch();
 
-  // Re-ANALYZE republishes: observations from the old snapshot die in BOTH
-  // stores (satellite fix: they previously aged on different schedules).
-  ASSERT_TRUE(db->Analyze().ok());
+  // Re-ANALYZE R1 with histograms: its digest changes, so observations from
+  // the old snapshot die in BOTH stores. The runtime rates are keyed by
+  // table, so only R1's go; feedback keys span tables, so all of it goes.
+  AnalyzeOptions histograms;
+  histograms.histogram_kind = AnalyzeOptions::HistogramKind::kEquiDepth;
+  ASSERT_TRUE(db->AnalyzeTable("R1", histograms).ok());
   EXPECT_EQ(db->feedback_store().size(), 0);
-  EXPECT_EQ(db->runtime_selectivities().size(), 0);
+  EXPECT_GT(db->feedback_store().epoch(), feedback_epoch);
+  EXPECT_FALSE(db->runtime_selectivities().TableSurvival("R1").has_value());
+  EXPECT_FALSE(db->runtime_selectivities().ColumnPassRate("R1", 1).has_value());
+  EXPECT_EQ(db->runtime_selectivities().TableSurvival("R2"), 0.25);
+  EXPECT_GT(db->runtime_selectivities().epoch(), runtime_epoch);
 
   // Fresh observations against the new snapshot stick.
   ASSERT_TRUE(session.Execute(kJoinSql).ok());
   EXPECT_GT(db->feedback_store().size(), 0);
+}
+
+// A re-ANALYZE of unchanged data changes no table's digest: both stores,
+// their epochs, and so the cached entries of the sessions using them, stay.
+TEST(FeedbackService, NoOpReanalyzeKeepsBothStoresAndEpochs) {
+  auto db = OpenExample1();
+  const Session session = MakeSession(*db, FeedbackOptions());
+  ASSERT_TRUE(session.Execute(kJoinSql).ok());
+  db->runtime_selectivities().RecordTableSurvival("R1", 0.5);
+  const int64_t feedback_size = db->feedback_store().size();
+  const int64_t runtime_size = db->runtime_selectivities().size();
+  ASSERT_GT(feedback_size, 0);
+  const uint64_t feedback_epoch = db->feedback_store().epoch();
+  const uint64_t runtime_epoch = db->runtime_selectivities().epoch();
+  auto warm = session.Estimate(kJoinSql);
+  ASSERT_TRUE(warm.ok());
+
+  ASSERT_TRUE(db->Analyze().ok());
+  ASSERT_TRUE(db->AnalyzeTable("R2", db->options().analyze()).ok());
+  EXPECT_EQ(db->feedback_store().size(), feedback_size);
+  EXPECT_EQ(db->runtime_selectivities().size(), runtime_size);
+  EXPECT_EQ(db->feedback_store().epoch(), feedback_epoch);
+  EXPECT_EQ(db->runtime_selectivities().epoch(), runtime_epoch);
+
+  // Re-recording the same actual on the new snapshot moves only the stamp.
+  ASSERT_TRUE(session.Execute(kJoinSql).ok());
+  EXPECT_EQ(db->feedback_store().epoch(), feedback_epoch);
+  auto estimate = session.Estimate(kJoinSql);
+  ASSERT_TRUE(estimate.ok());
+  EXPECT_TRUE(estimate->cache_hit());
+  EXPECT_EQ(estimate->rows(), warm->rows());
 }
 
 TEST(FeedbackService, SetTableStatsAgesObservations) {
@@ -615,7 +662,7 @@ TEST(FeedbackService, RecordsCarrySubPlanFingerprints) {
 }
 
 // tsan: concurrent ingestion (Execute/ExplainAnalyze), consultation
-// (Estimate) and aging (Analyze) over one shared store.
+// (Estimate) and aging (SetTableStats/Analyze) over one shared store.
 TEST(FeedbackService, ConcurrentIngestConsultAndAge) {
   auto db = OpenExample1();
   constexpr int kIterations = 25;
@@ -640,7 +687,14 @@ TEST(FeedbackService, ConcurrentIngestConsultAndAge) {
   });
   std::thread age([&] {
     for (int i = 0; i < 5 && !failed; ++i) {
-      if (!db->Analyze().ok()) failed = true;
+      // Material changes, so aging still races ingestion: new R1
+      // statistics, then a re-ANALYZE that restores them.
+      TableStats stats = db->snapshot()->catalog().stats(0);
+      stats.row_count *= 2;
+      if (!db->SetTableStats("R1", std::move(stats)).ok() ||
+          !db->Analyze().ok()) {
+        failed = true;
+      }
     }
   });
   ingest.join();

@@ -335,12 +335,12 @@ TEST(RuntimeSelectivityStoreTest, EpochBumpsOnMaterialChangeOnly) {
   EXPECT_EQ(store.TableSurvival("S").value(), 0.25);
   EXPECT_FALSE(store.TableSurvival("M").has_value());
   EXPECT_EQ(store.size(), 2);
-  const uint64_t before_clear = store.epoch();
-  store.Clear();
-  EXPECT_GT(store.epoch(), before_clear);
+  const uint64_t before_forget = store.epoch();
+  store.ForgetTables({"S"});
+  EXPECT_GT(store.epoch(), before_forget);
   EXPECT_EQ(store.size(), 0);
-  store.Clear();  // Clearing an empty store is a no-op.
-  EXPECT_EQ(store.epoch(), before_clear + 1);
+  store.ForgetTables({"S"});  // Forgetting nothing is a no-op.
+  EXPECT_EQ(store.epoch(), before_forget + 1);
 }
 
 TEST(RuntimeSelectivityStoreTest, ClampsRates) {
