@@ -13,12 +13,18 @@
 //   * worst-case relative distinct-count error against exact statistics.
 //
 // Results land in BENCH_analyze.json alongside the human table.
+//
+// Usage: bench_analyze [ROWS]   (ROWS: a whole number >= 1000; default
+// 1000000). Any other argument is a usage error.
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -133,11 +139,34 @@ double MaxDistinctError(const TableStats& exact, const TableStats& stats) {
   return worst;
 }
 
+constexpr int64_t kMinRows = 1000;
+
+// The row count `text` spells: all of it a whole number >= kMinRows.
+std::optional<int64_t> ParseRows(std::string_view text) {
+  int64_t rows = 0;
+  const char* last = text.data() + text.size();
+  const auto [end, error] = std::from_chars(text.data(), last, rows);
+  if (error != std::errc() || end != last || rows < kMinRows) {
+    return std::nullopt;
+  }
+  return rows;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   int64_t rows = 1'000'000;
-  if (argc > 1) rows = std::max<int64_t>(1000, std::atoll(argv[1]));
+  if (argc > 1) {
+    const std::optional<int64_t> parsed = ParseRows(argv[1]);
+    if (argc > 2 || !parsed) {
+      std::fprintf(stderr,
+                   "usage: %s [ROWS]   (ROWS: a whole number >= %lld; "
+                   "default 1000000)\n",
+                   argv[0], static_cast<long long>(kMinRows));
+      return 2;
+    }
+    rows = *parsed;
+  }
 
   std::printf("== ANALYZE scalability: exact vs sampled vs sketch "
               "(%lld rows) ==\n",

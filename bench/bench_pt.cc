@@ -153,9 +153,6 @@ int main(int argc, char** argv) {
   std::printf("== predicate transfer: %lld base rows%s ==\n",
               static_cast<long long>(f.total_rows), smoke ? " (smoke)" : "");
 
-  PtOptions pt_options;
-  pt_options.publish_metrics = false;  // Keep the timed loop scrape-free.
-
   std::vector<ModeResult> results;
   results.push_back(
       TimeMode("pt_off", repeats, f.total_rows, [&](ModeResult&) {
@@ -165,7 +162,7 @@ int main(int argc, char** argv) {
       }));
   results.push_back(
       TimeMode("pt_on", repeats, f.total_rows, [&](ModeResult& mode) {
-        auto pt = RunPredicateTransfer(f.catalog, f.spec, pt_options);
+        auto pt = RunPredicateTransfer(f.catalog, f.spec);
         JOINEST_CHECK(pt.ok()) << pt.status();
         mode.rows_pruned = pt->rows_pruned();
         auto run = ExecutePlan(f.catalog, f.spec, *plan, &pt->selections);

@@ -18,11 +18,9 @@
 //                      rate (exported as service_cache_hit_rate) should
 //                      stay near 1;
 //   mixed_32t        — the same race with 31 query threads: far more
-//                      clients than cores or shared-pool workers, so the
-//                      sessions' batch drains oversubscribe the executor
-//                      pool (bounded submission degrades to inline runs).
-//                      The mode exists to catch convoying or starvation
-//                      under contention, not to show speedup.
+//                      clients than cores, so the sessions oversubscribe
+//                      the machine. The mode exists to catch convoying or
+//                      starvation under contention, not to show speedup.
 //
 // Before timing, every workload query's warm estimate is checked
 // bit-identical (==, not within-epsilon) to the cache-bypassing cold path;

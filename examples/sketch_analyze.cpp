@@ -7,7 +7,8 @@
 // count), a Count-Min sketch + top-k tracker (heavy hitters for the
 // end-biased histogram), and a reservoir sample (histogram tail, min/max) —
 // fixed-size state that merges exactly across row-range partitions, so the
-// scan runs on `num_partitions` threads.
+// scan splits into `num_partitions` partitions that ParallelFor
+// (common/thread_pool.h) spreads over up to NumPoolThreads() threads.
 
 #include <cstdio>
 
@@ -45,8 +46,8 @@ int main() {
   const double exact_estimate = estimate();
   std::printf("ELS estimate: %.0f\n\n", exact_estimate);
 
-  // 2. Re-collect every table's statistics from sketches, four partition
-  //    threads per table. Distinct counts become HLL estimates and each
+  // 2. Re-collect every table's statistics from sketches, four partitions
+  //    per table. Distinct counts become HLL estimates and each
   //    column records its a-priori relative standard error (1.04/sqrt(2^p)).
   AnalyzeOptions analyze;
   analyze.stats_mode = AnalyzeOptions::StatsMode::kSketch;

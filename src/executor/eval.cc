@@ -5,24 +5,6 @@
 
 namespace joinest {
 
-bool EvalCompare(const Value& left, CompareOp op, const Value& right) {
-  switch (op) {
-    case CompareOp::kEq:
-      return left == right;
-    case CompareOp::kNe:
-      return left != right;
-    case CompareOp::kLt:
-      return left < right;
-    case CompareOp::kLe:
-      return left <= right;
-    case CompareOp::kGt:
-      return left > right;
-    case CompareOp::kGe:
-      return left >= right;
-  }
-  return false;
-}
-
 std::vector<BoundPredicate> BindPredicates(
     const std::vector<Predicate>& predicates,
     const std::vector<ColumnRef>& layout, const std::vector<TypeKind>& types) {

@@ -1,5 +1,4 @@
-// Predicate evaluation: over Values at the API edge, and column-at-a-time
-// over typed cells in the executor.
+// Predicate evaluation, column-at-a-time over typed cells.
 
 #ifndef JOINEST_EXECUTOR_EVAL_H_
 #define JOINEST_EXECUTOR_EVAL_H_
@@ -13,9 +12,6 @@
 #include "types/value.h"
 
 namespace joinest {
-
-// Evaluates `left op right`.
-bool EvalCompare(const Value& left, CompareOp op, const Value& right);
 
 // A local predicate (column vs constant, or column vs column) bound to the
 // positions and types of its operands. Comparisons are exact across int64

@@ -60,7 +60,6 @@ StatusOr<ExecutionResult> ExecutePlan(const Catalog& catalog,
   result.seconds = std::chrono::duration<double>(end - start).count();
   for (Operator* op : registry) {
     result.operators.push_back(SnapshotOperatorStats(*op));
-    ++result.operators_total;
   }
   result.node_stats.reserve(node_roots.size());
   for (const PlanNodeOperator& entry : node_roots) {

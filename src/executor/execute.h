@@ -35,8 +35,6 @@ struct ExecutionResult {
     OperatorStats stats;
   };
   std::vector<PlanNodeStats> node_stats;
-  // Operators in the compiled tree, for the flight recorder.
-  int64_t operators_total = 0;
 };
 
 // Compiles and runs `plan`, topping it with the query's projection or

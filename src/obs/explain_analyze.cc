@@ -169,6 +169,7 @@ StatusOr<ExplainAnalyzeReport> ExplainAnalyzePlan(
         ExecutePlan(catalog, spec, plan, options.scan_selections));
     report.count = result.count;
     report.seconds = result.seconds;
+    report.operators_total = static_cast<int64_t>(result.operators.size());
     report.predicate_transfer = options.predicate_transfer;
 
     std::map<const PlanNode*, const OperatorStats*> stats_of;

@@ -96,6 +96,9 @@ struct ExplainAnalyzeReport {
     int64_t batch_rows = 0;
   };
   std::vector<OperatorRow> operators;
+  // Operators in the executed plan, selected (predicate-transfer) scans and
+  // the top aggregation included; the flight recorder's operators_total.
+  int64_t operators_total = 0;
 
   // One row per join level along the plan's leaf order: level k covers the
   // first k+1 tables. Estimates and q-errors under each of the paper's

@@ -34,10 +34,6 @@
   X(executor_hashjoin_build_rows_total)                                      \
   X(executor_hashjoin_builds_total)                                          \
   X(executor_morsel_rows_total)             /* ground-truth rows scanned */ \
-  /* --- shared thread pool (obs/pool_obs.cc) --------------------------- */ \
-  X(pool_queue_depth)                                                        \
-  X(pool_steals_total)                                                       \
-  X(pool_tasks_total)                       /* label: source= */             \
   /* --- predicate transfer --------------------------------------------- */ \
   X(pt_pass_rate)                           /* labels: table=,column= */     \
   X(pt_rows_pruned)                                                          \

@@ -3,14 +3,14 @@
 // A TraceSession owns a fixed-capacity ring buffer of 64-byte span events.
 // Activating a session makes it the process-wide recording target; Span
 // objects constructed anywhere (the parser, the rewrite passes, the
-// estimator, operator Open/Close, pool tasks) then record one complete
-// event each on destruction. A ThreadTraceScope instead makes a session the
+// estimator, operator Open/Close) then record one complete event each on
+// destruction. A ThreadTraceScope instead makes a session the
 // target of the calling thread's spans only, shadowing any process-wide
 // session there: concurrent callers each trace their own work without
 // sharing, adopting or freeing one another's session. With no active
 // session a Span costs a thread-local read and one atomic load —
 // instrumentation can stay compiled in on hot-ish paths (per operator
-// open, per pool task; never per row).
+// open; never per row).
 //
 // Spans nest: each thread keeps a span stack, so events carry their parent
 // span id and depth, and the Chrome trace-event export renders the nesting

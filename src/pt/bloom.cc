@@ -67,13 +67,4 @@ void BlockedBloomFilter::Probe(const uint64_t* hashes, int count,
   }
 }
 
-Status BlockedBloomFilter::MergeFrom(const BlockedBloomFilter& other) {
-  if (other.num_blocks_ != num_blocks_) {
-    return InvalidArgument("bloom merge requires identical geometry");
-  }
-  for (size_t i = 0; i < words_.size(); ++i) words_[i] |= other.words_[i];
-  keys_added_ += other.keys_added_;
-  return Status::OK();
-}
-
 }  // namespace joinest

@@ -1,4 +1,4 @@
-// Mergeable blocked (split-block) Bloom filter for predicate transfer.
+// Blocked (split-block) Bloom filter for predicate transfer.
 //
 // The filter is the carrier of sideways information passing: each join
 // column that participates in an equivalence class gets a filter built from
@@ -11,16 +11,13 @@
 // array is an array of 256-bit blocks (8 x 32-bit words); a key hashes to
 // one block and sets/tests one bit per word, each chosen by an odd-constant
 // multiply of the low hash half. Every probe touches exactly one cache
-// line, and two filters with identical geometry merge by OR-ing words —
-// the property the parallel build path relies on.
+// line.
 
 #ifndef JOINEST_PT_BLOOM_H_
 #define JOINEST_PT_BLOOM_H_
 
 #include <cstdint>
 #include <vector>
-
-#include "common/status.h"
 
 namespace joinest {
 
@@ -40,11 +37,6 @@ class BlockedBloomFilter {
   // Batch probe: keep[i] = 1 if hashes[i] might be present, else 0. The
   // native RowBatch-sized path the reducer drives.
   void Probe(const uint64_t* hashes, int count, char* keep) const;
-
-  // ORs `other` into this filter. Requires identical geometry (same block
-  // count); built for merging per-morsel partial filters after a parallel
-  // build.
-  Status MergeFrom(const BlockedBloomFilter& other);
 
   int64_t num_blocks() const { return num_blocks_; }
   int64_t size_bytes() const {

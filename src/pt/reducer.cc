@@ -7,12 +7,12 @@
 #include <memory>
 #include <utility>
 
-#include "common/check.h"
-#include "common/thread_pool.h"
+#include "common/logging.h"
 #include "executor/eval.h"
+#include "executor/join_ops.h"
 #include "obs/metrics.h"
-#include "obs/pool_obs.h"
 #include "pt/bloom.h"
+#include "types/cell.h"
 
 namespace joinest {
 
@@ -27,100 +27,35 @@ constexpr int64_t kChunkRows = 4096;
 // distinct-count statistic undershoots.
 constexpr int64_t kMinFilterKeys = 64;
 
-uint64_t HashValueAt(const Table& table, int64_t row, int column) {
-  return static_cast<uint64_t>(table.at(row, column).Hash());
-}
-
 // Rows of `table` satisfying every closed local predicate on query table
-// `table_index`. Sorted ascending by construction.
+// `table_index`, filtered column-at-a-time over the typed cells as a scan's
+// filter does. Sorted ascending by construction.
 std::vector<int64_t> LocalAliveRows(const Table& table, int table_index,
                                     const std::vector<Predicate>& predicates) {
-  std::vector<const Predicate*> local;
+  std::vector<Predicate> local;
   for (const Predicate& p : predicates) {
-    if (p.kind == Predicate::Kind::kJoin) continue;
-    if (p.left.table != table_index) continue;
-    local.push_back(&p);
+    if (p.kind != Predicate::Kind::kJoin && p.left.table == table_index) {
+      local.push_back(p);
+    }
   }
-  std::vector<int64_t> alive;
+  const TableColumns columns(table, table_index);
   const int64_t rows = table.num_rows();
+  std::vector<char> keep;
+  EvaluatePredicates(BindPredicates(local, columns.layout, columns.types),
+                     columns, rows, keep);
+  std::vector<int64_t> alive;
   alive.reserve(static_cast<size_t>(rows));
   for (int64_t r = 0; r < rows; ++r) {
-    bool pass = true;
-    for (const Predicate* p : local) {
-      const Value& left = table.at(r, p->left.column);
-      const Value& right = p->kind == Predicate::Kind::kLocalConst
-                               ? p->constant
-                               : table.at(r, p->right.column);
-      if (!EvalCompare(left, p->op, right)) {
-        pass = false;
-        break;
-      }
-    }
-    if (pass) alive.push_back(r);
+    if (keep[static_cast<size_t>(r)] != 0) alive.push_back(r);
   }
   return alive;
-}
-
-// Serial filter build over `rows` of `column`.
-void BuildFilterSerial(const Table& table, int column,
-                       const std::vector<int64_t>& rows,
-                       BlockedBloomFilter& filter) {
-  for (const int64_t r : rows) filter.Add(HashValueAt(table, r, column));
-}
-
-// Morsel-parallel build on the shared pool: slices fill private
-// same-geometry filters, then the slices OR-merge into `filter` in fixed
-// slice order. Bit-identical to the serial build — the final bit set does
-// not depend on insertion order.
-void BuildFilterParallel(const Table& table, int column,
-                         const std::vector<int64_t>& rows,
-                         int64_t expected_keys, BlockedBloomFilter& filter) {
-  ThreadPool& pool = SharedThreadPool();
-  const int slices = std::max(
-      1, std::min(pool.num_workers() + 1,
-                  static_cast<int>(rows.size() / static_cast<size_t>(
-                                       kChunkRows)) + 1));
-  if (slices <= 1) {
-    BuildFilterSerial(table, column, rows, filter);
-    return;
-  }
-  // Partials sized with the target's own parameters get identical geometry
-  // (the ctor derives the block count deterministically from expected keys
-  // and bits per key), which MergeFrom requires.
-  std::vector<BlockedBloomFilter> partials;
-  partials.reserve(static_cast<size_t>(slices));
-  for (int i = 0; i < slices; ++i) {
-    partials.emplace_back(expected_keys, filter.bits_per_key());
-  }
-  const size_t stride = (rows.size() + static_cast<size_t>(slices) - 1) /
-                        static_cast<size_t>(slices);
-  auto fill = [&table, column, &rows, &partials, stride](int i) {
-    const size_t begin = static_cast<size_t>(i) * stride;
-    const size_t end = std::min(rows.size(), begin + stride);
-    BlockedBloomFilter& partial = partials[static_cast<size_t>(i)];
-    for (size_t j = begin; j < end; ++j) {
-      partial.Add(HashValueAt(table, rows[j], column));
-    }
-  };
-  {
-    TaskGroup group(pool);
-    for (int i = 1; i < slices; ++i) {
-      group.Run([&fill, i] { fill(i); });
-    }
-    fill(0);  // The caller is a worker too.
-  }
-  for (const BlockedBloomFilter& p : partials) {
-    const Status merged = filter.MergeFrom(p);
-    JOINEST_CHECK(merged.ok()) << merged;
-  }
 }
 
 // Bits per key from the build side's expected cardinality: a small filter
 // is cache-resident anyway, so extra bits are nearly free and cut the
 // false-positive rate; a huge filter overflows cache, where fewer bits per
 // key keeps more of the probe path resident. Deterministic in `expected`,
-// so every build of the same side (serial, parallel, repeated) derives
-// identical geometry.
+// so every build of the same side derives identical geometry.
 double AdaptiveBitsPerKey(int64_t expected) {
   const double log_keys =
       std::log2(static_cast<double>(std::max<int64_t>(expected, 2)));
@@ -128,17 +63,6 @@ double AdaptiveBitsPerKey(int64_t expected) {
 }
 
 }  // namespace
-
-Status PtOptions::Validate() const {
-  if (!std::isfinite(bits_per_key) || bits_per_key < 1.0 ||
-      bits_per_key > 64.0) {
-    return InvalidArgument("pt bits_per_key must be in [1, 64]");
-  }
-  if (parallel_build_threshold < 0) {
-    return InvalidArgument("pt parallel_build_threshold must be >= 0");
-  }
-  return Status::OK();
-}
 
 int64_t PtResult::rows_pruned() const {
   int64_t pruned = 0;
@@ -149,10 +73,7 @@ int64_t PtResult::rows_pruned() const {
 }
 
 StatusOr<PtResult> RunPredicateTransfer(const Catalog& catalog,
-                                        const QuerySpec& spec,
-                                        const PtOptions& options) {
-  JOINEST_RETURN_IF_ERROR(options.Validate());
-  EnsureThreadPoolMetrics();
+                                        const QuerySpec& spec) {
   const auto start = std::chrono::steady_clock::now();
 
   PtResult result;
@@ -212,6 +133,8 @@ StatusOr<PtResult> RunPredicateTransfer(const Catalog& catalog,
       stats.forward = step.forward;
       stats.probed = static_cast<int64_t>(ids.size());
 
+      const TypeKind type = table.schema().column(probe.column).type;
+      const Cell* cells = table.cells(probe.column).data();
       size_t out = 0;
       for (size_t base = 0; base < ids.size();
            base += static_cast<size_t>(kChunkRows)) {
@@ -219,8 +142,7 @@ StatusOr<PtResult> RunPredicateTransfer(const Catalog& catalog,
             std::min(static_cast<size_t>(kChunkRows), ids.size() - base));
         for (int i = 0; i < count; ++i) {
           hashes[static_cast<size_t>(i)] =
-              HashValueAt(table, ids[base + static_cast<size_t>(i)],
-                          probe.column);
+              HashCell(type, cells[ids[base + static_cast<size_t>(i)]]);
         }
         filter->Probe(hashes.data(), count, keep.data());
         for (int i = 0; i < count; ++i) {
@@ -251,17 +173,11 @@ StatusOr<PtResult> RunPredicateTransfer(const Catalog& catalog,
           std::min(static_cast<int64_t>(ids.size()),
                    static_cast<int64_t>(std::llround(
                        std::max(1.0, stat_distinct)))));
-      const double bits_per_key = options.adaptive_bits_per_key
-                                      ? AdaptiveBitsPerKey(expected)
-                                      : options.bits_per_key;
-      auto filter =
-          std::make_unique<BlockedBloomFilter>(expected, bits_per_key);
-      if (static_cast<int64_t>(ids.size()) >=
-          options.parallel_build_threshold) {
-        BuildFilterParallel(table, build.column, ids, expected, *filter);
-      } else {
-        BuildFilterSerial(table, build.column, ids, *filter);
-      }
+      auto filter = std::make_unique<BlockedBloomFilter>(
+          expected, AdaptiveBitsPerKey(expected));
+      const TypeKind type = table.schema().column(build.column).type;
+      const Cell* cells = table.cells(build.column).data();
+      for (const int64_t r : ids) filter->Add(HashCell(type, cells[r]));
       filters[static_cast<size_t>(build.class_id)] = std::move(filter);
     }
   }
@@ -293,22 +209,19 @@ StatusOr<PtResult> RunPredicateTransfer(const Catalog& catalog,
                        std::chrono::steady_clock::now() - start)
                        .count();
 
-  if (options.publish_metrics) {
-    MetricsRegistry& registry = MetricsRegistry::Global();
-    registry.GetCounter("pt_runs", "Predicate-transfer reductions executed")
-        .Increment();
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  registry.GetCounter("pt_runs", "Predicate-transfer reductions executed")
+      .Increment();
+  registry
+      .GetCounter("pt_rows_pruned",
+                  "Rows removed from base scans by predicate transfer")
+      .Add(result.rows_pruned());
+  for (const PtFilterStats& f : result.filters) {
     registry
-        .GetCounter("pt_rows_pruned",
-                    "Rows removed from base scans by predicate transfer")
-        .Add(result.rows_pruned());
-    for (const PtFilterStats& f : result.filters) {
-      registry
-          .GetGauge("pt_pass_rate",
-                    "Latest Bloom pass rate per probed join column",
-                    {{"table", f.table_name},
-                     {"column", f.column_name}})
-          .Set(f.pass_rate);
-    }
+        .GetGauge("pt_pass_rate",
+                  "Latest Bloom pass rate per probed join column",
+                  {{"table", f.table_name}, {"column", f.column_name}})
+        .Set(f.pass_rate);
   }
   return result;
 }

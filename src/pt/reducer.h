@@ -6,10 +6,10 @@
 // implied predicates; it also guarantees that same-table members of a class
 // are equal on surviving rows, so one member column per class suffices for
 // filter build/probe), then walks the schedule, probing and rebuilding
-// per-class Bloom filters. Large builds are morsel-parallel: each worker
-// fills a private filter over a slice of the surviving rows and the slices
-// are OR-merged — bit-identical to a serial build, since the final bit set
-// is order-independent.
+// per-class Bloom filters. Filters are built serially, and each filter's
+// bits per key follow from its build side's expected key count. Probes and
+// builds hash the typed cells directly (HashCell, types/cell.h), so cells
+// that join under the key rule hash alike whatever their column types.
 //
 // The output selections feed ExecutePlan/CompilePlan (SelectionScan swaps
 // in for SeqScan); pass-rate observations feed the metrics registry
@@ -31,25 +31,6 @@
 #include "storage/catalog.h"
 
 namespace joinest {
-
-struct PtOptions {
-  // Bloom bits per expected distinct key (~1-2% false positives at 10).
-  // Used only when adaptive_bits_per_key is off.
-  double bits_per_key = 10.0;
-  // Size bits-per-key from each build side's expected cardinality (the
-  // catalog's distinct-count statistic, the same figure the estimator
-  // uses): small filters stay cache-resident either way, so they take more
-  // bits for a lower false-positive rate; very large filters taper down to
-  // keep probes cache-resident. Deterministic in the expected key count, so
-  // serial and parallel builds derive identical geometry.
-  bool adaptive_bits_per_key = true;
-  // Publish pass-rate gauges and prune counters to the global registry.
-  bool publish_metrics = true;
-  // Surviving-row count above which a filter build is morsel-parallel.
-  int64_t parallel_build_threshold = 1 << 16;
-
-  Status Validate() const;
-};
 
 // One executed probe of the schedule.
 struct PtFilterStats {
@@ -91,10 +72,11 @@ struct PtResult {
 
 // Runs the two-pass reduction for `spec` over the catalog's tables.
 // Queries with fewer than two tables (or no multi-table equivalence class)
-// return an empty-selection result — nothing to transfer.
+// return an empty-selection result — nothing to transfer. A run that
+// transfers publishes its pass-rate gauges and prune counters to the
+// global registry.
 StatusOr<PtResult> RunPredicateTransfer(const Catalog& catalog,
-                                        const QuerySpec& spec,
-                                        const PtOptions& options = {});
+                                        const QuerySpec& spec);
 
 // Publishes the observed rates into `store`: per (table, column) the
 // product of that column's probe pass rates, per table the survival

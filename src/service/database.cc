@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "obs/pool_obs.h"
 #include "query/parser.h"
 #include "service/fingerprint.h"
 
@@ -454,6 +453,29 @@ QueryRecord Session::BaseRecord(const PreparedQuery& prepared,
   return record;
 }
 
+QueryRecord Session::ExecutedRecord(const PreparedQuery& prepared,
+                                    const EstimateResult& estimate,
+                                    double actual, const PtResult* pt,
+                                    int64_t operators_total) const {
+  QueryRecord record = BaseRecord(prepared, estimate);
+  record.actual_rows = actual;
+  record.q_error = QErrorValue(record.estimated_rows, actual);
+  for (QueryRecord::RuleEstimate& rule : record.per_rule) {
+    rule.q_error = QErrorValue(rule.rows, actual);
+  }
+  if (pt != nullptr) {
+    record.pt_seconds = pt->seconds;
+    record.pt_rows_pruned = static_cast<double>(pt->rows_pruned());
+    record.pt_filters.reserve(pt->filters.size());
+    for (const PtFilterStats& f : pt->filters) {
+      record.pt_filters.push_back(
+          QueryRecord::PtFilter{f.table_name, f.column_name, f.pass_rate});
+    }
+  }
+  record.operators_total = operators_total;
+  return record;
+}
+
 StatusOr<EstimateResult> Session::Estimate(
     const PreparedQuery& prepared) const {
   double seconds = 0.0;
@@ -585,21 +607,6 @@ StatusOr<PlannedQuery> Session::Optimize(const std::string& sql) const {
 
 namespace {
 
-// Copies the predicate-transfer evidence and plan size into a record.
-void FillRuntimeFields(const PtResult* pt, const ExecutionResult& execution,
-                       QueryRecord& record) {
-  if (pt != nullptr) {
-    record.pt_seconds = pt->seconds;
-    record.pt_rows_pruned = static_cast<double>(pt->rows_pruned());
-    record.pt_filters.reserve(pt->filters.size());
-    for (const PtFilterStats& f : pt->filters) {
-      record.pt_filters.push_back(
-          QueryRecord::PtFilter{f.table_name, f.column_name, f.pass_rate});
-    }
-  }
-  record.operators_total = execution.operators_total;
-}
-
 // Bitmask covering every query-local table.
 uint64_t FullTableMask(int num_tables) {
   return num_tables >= 64 ? ~uint64_t{0}
@@ -645,17 +652,12 @@ StatusOr<ExecuteResult> Session::Execute(const PreparedQuery& prepared) const {
             subplan, prepared.snapshot->version(), actual);
       }
       if (database_->recorder().enabled()) {
-        QueryRecord record = BaseRecord(prepared, *estimate);
+        QueryRecord record = ExecutedRecord(
+            prepared, *estimate, actual, result.predicate_transfer.get(),
+            static_cast<int64_t>(result.execution.operators.size()));
         record.api = QueryRecord::Api::kExecute;
         record.cache_hit = result.plan.cache_hit();
-        record.actual_rows = actual;
         record.subplan_fingerprint = subplan;
-        record.q_error = QErrorValue(record.estimated_rows, actual);
-        for (QueryRecord::RuleEstimate& rule : record.per_rule) {
-          rule.q_error = QErrorValue(rule.rows, actual);
-        }
-        FillRuntimeFields(result.predicate_transfer.get(), result.execution,
-                          record);
         record.estimate_seconds = estimate_seconds;
         record.execute_seconds = result.execution.seconds;
         record.total_seconds =
@@ -743,15 +745,11 @@ StatusOr<ExplainAnalyzeReport> Session::ExplainAnalyze(
       }
 
       if (database_->recorder().enabled()) {
-        QueryRecord record = BaseRecord(prepared, *estimate);
+        QueryRecord record = ExecutedRecord(prepared, *estimate, actual,
+                                            pt.get(), report.operators_total);
         record.api = QueryRecord::Api::kExplainAnalyze;
         record.cache_hit = planned.cache_hit();
-        record.actual_rows = actual;
         record.subplan_fingerprint = subplan;
-        record.q_error = QErrorValue(record.estimated_rows, actual);
-        for (QueryRecord::RuleEstimate& rule : record.per_rule) {
-          rule.q_error = QErrorValue(rule.rows, actual);
-        }
         record.join_levels.reserve(report.join_levels.size());
         for (size_t k = 0; k < report.join_levels.size(); ++k) {
           const ExplainAnalyzeReport::JoinLevel& level = report.join_levels[k];
@@ -759,15 +757,6 @@ StatusOr<ExplainAnalyzeReport> Session::ExplainAnalyze(
               level.level, static_cast<double>(level.actual), level.est_ls,
               level.est_m, level.est_ss, level.q_ls, level.q_m, level.q_ss,
               prefixes[k]});
-        }
-        if (pt != nullptr) {
-          record.pt_seconds = pt->seconds;
-          record.pt_rows_pruned = static_cast<double>(pt->rows_pruned());
-          record.pt_filters.reserve(pt->filters.size());
-          for (const PtFilterStats& f : pt->filters) {
-            record.pt_filters.push_back(QueryRecord::PtFilter{
-                f.table_name, f.column_name, f.pass_rate});
-          }
         }
         record.estimate_seconds = estimate_seconds;
         record.execute_seconds = report.seconds;
@@ -811,14 +800,9 @@ Database::Database(Options options) : options_(std::move(options)) {
   feedback_store_ = std::make_shared<FeedbackStore>(feedback_options);
   recorder_ = std::make_unique<FlightRecorder>(options_.recorder());
   accuracy_monitor_ = std::make_unique<AccuracyMonitor>(options_.accuracy());
-  // Opening a database is the service's natural "threads will be used"
-  // moment: install the pool metrics observer before any stage submits.
-  EnsureThreadPoolMetrics();
   // Version 0: the empty bootstrap snapshot, so snapshot() is never null.
   Publish(SnapshotBuilder().Build(0));
 }
-
-ThreadPool& Database::thread_pool() const { return SharedThreadPool(); }
 
 template <typename Fn>
 Status Database::Mutate(Fn&& mutate) {

@@ -53,7 +53,6 @@
 
 #include "common/status.h"
 #include "common/thread_annotations.h"
-#include "common/thread_pool.h"
 #include "estimator/analyzed_query.h"
 #include "estimator/features.h"
 #include "estimator/feedback_store.h"
@@ -303,6 +302,14 @@ class Session {
   // headline rule name, per-rule estimates).
   QueryRecord BaseRecord(const PreparedQuery& prepared,
                          const EstimateResult& estimate) const;
+  // BaseRecord plus what every executed query's record carries (Execute and
+  // ExplainAnalyze alike): the measured count against each estimate, the
+  // predicate-transfer evidence (`pt` may be null) and the executed plan's
+  // operator count.
+  QueryRecord ExecutedRecord(const PreparedQuery& prepared,
+                             const EstimateResult& estimate, double actual,
+                             const PtResult* pt,
+                             int64_t operators_total) const;
 
   // The options digests of the cache keys. When the effective options hold
   // no observation store they never change, so the constructor takes both
@@ -452,13 +459,6 @@ class Database {
   // new statistics) invalidates observations from older snapshots; one
   // that changes no digest keeps them.
   FeedbackStore& feedback_store() const { return *feedback_store_; }
-
-  // The work-stealing pool this database's data-parallel stages (parallel
-  // counting, predicate-transfer builds, partitioned ANALYZE) run on. The
-  // pool is process-wide — every Database returns the same one — so
-  // concurrent sessions and concurrent databases share workers instead of
-  // oversubscribing cores. Sized by JOINEST_THREADS/hardware_concurrency.
-  ThreadPool& thread_pool() const;
 
  private:
   friend class Session;

@@ -186,18 +186,9 @@ SketchProfile BuildSketchProfile(const Table& table,
     }
   };
 
-  if (partitions == 1) {
-    build_partition(0);
-  } else {
-    // Partitions 1..n-1 go to the shared pool; the caller builds partition
-    // 0 and then helps drain the rest. Partials merge in fixed order below,
-    // so the split is invisible in the result.
-    TaskGroup group(SharedThreadPool());
-    for (int p = 1; p < partitions; ++p) {
-      group.Run([&build_partition, p] { build_partition(p); });
-    }
-    build_partition(0);
-  }
+  // Partials merge in fixed order below, so which thread built which
+  // partition is invisible in the result.
+  ParallelFor(partitions, build_partition);
 
   SketchProfile merged = std::move(partials[0]);
   for (int p = 1; p < partitions; ++p) merged.Merge(partials[p]);

@@ -49,7 +49,8 @@ struct AnalyzeOptions {
   uint64_t sample_seed = 1;
 
   // kSketch: sketch sizing, and the number of row-range partitions to
-  // stream in parallel (each on its own thread) before merging profiles.
+  // stream through ParallelFor (common/thread_pool.h) before merging
+  // profiles; at most NumPoolThreads() of them run at once.
   SketchOptions sketch;
   int num_partitions = 1;
 };
@@ -58,8 +59,10 @@ TableStats AnalyzeTable(const Table& table,
                         const AnalyzeOptions& options = AnalyzeOptions());
 
 // The kSketch scan core: builds one mergeable SketchProfile per row-range
-// partition (concurrently when num_partitions > 1) and folds them. Exposed
-// so benchmarks and shard coordinators can reuse partial profiles.
+// partition (concurrently when num_partitions > 1) and folds them in
+// partition order, so the result does not depend on which thread built
+// which partition. Exposed so benchmarks and shard coordinators can reuse
+// partial profiles.
 SketchProfile BuildSketchProfile(const Table& table,
                                  const AnalyzeOptions& options);
 

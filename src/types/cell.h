@@ -119,6 +119,15 @@ inline bool EncodeKey(KeyEncoding encoding, Cell cell, int64_t* key) {
   return false;
 }
 
+// The hash of a key cell. An int64 or double cell hashes as Value::Hash of
+// its value, so an integral double and the int64 it equals hash alike; a
+// string cell hashes its dictionary code. Cells that join under the key
+// rule therefore hash alike.
+inline uint64_t HashCell(TypeKind type, Cell cell) {
+  return type == TypeKind::kDouble ? HashDouble(CellDouble(cell))
+                                   : HashInt64(cell);
+}
+
 // Inverts EncodeKey for the encodings a column takes against its own type
 // (kInt64, kDouble, kString): a group key back to a cell.
 Cell DecodeKey(KeyEncoding encoding, int64_t key);

@@ -108,26 +108,20 @@ bool Value::operator<=(const Value& other) const {
   return *this < other || *this == other;
 }
 
+uint64_t HashDouble(double d) {
+  // ExactInt64 range-checks before casting; doubles beyond int64 range
+  // (where the unguarded cast would be UB) fall through to the plain double
+  // hash, and can never equal an int64 anyway.
+  if (const std::optional<int64_t> i = ExactInt64(d)) return HashInt64(*i);
+  return std::hash<double>()(d);
+}
+
 size_t Value::Hash() const {
   switch (type()) {
-    case TypeKind::kInt64: {
-      // Mix so that dense key ranges spread across buckets.
-      uint64_t x = static_cast<uint64_t>(std::get<int64_t>(data_));
-      x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-      x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-      return static_cast<size_t>(x ^ (x >> 31));
-    }
-    case TypeKind::kDouble: {
-      // Hash doubles that hold in-range integral values identically to the
-      // int64, so mixed-type equality is consistent with hashing.
-      // ExactInt64 range-checks before casting; doubles beyond int64 range
-      // (where the unguarded cast would be UB) fall through to the plain
-      // double hash, and can never equal an int64 anyway.
-      if (const std::optional<int64_t> i = ExactInt64(AsDouble())) {
-        return Value(*i).Hash();
-      }
-      return std::hash<double>()(std::get<double>(data_));
-    }
+    case TypeKind::kInt64:
+      return HashInt64(std::get<int64_t>(data_));
+    case TypeKind::kDouble:
+      return HashDouble(std::get<double>(data_));
     case TypeKind::kString:
       return std::hash<std::string>()(std::get<std::string>(data_));
   }

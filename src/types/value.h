@@ -70,6 +70,19 @@ std::optional<int64_t> ExactInt64(double d);
 // Exact three-way comparison (-1, 0, 1) of an int64 with a non-NaN double.
 int CompareInt64Double(int64_t a, double b);
 
+// Value::Hash of an int64: splitmix64's finalizer, so dense key ranges
+// spread across buckets.
+inline uint64_t HashInt64(int64_t v) {
+  uint64_t x = static_cast<uint64_t>(v);
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+// Value::Hash of a double: one that equals an int64 exactly (-0.0 included)
+// hashes as that int64, so mixed-type equality is consistent with hashing.
+uint64_t HashDouble(double d);
+
 struct ValueHash {
   size_t operator()(const Value& v) const { return v.Hash(); }
 };

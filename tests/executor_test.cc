@@ -42,19 +42,6 @@ Table MakeTable(const std::string& column,
                             {ToValueColumn(values)});
 }
 
-// ---------------------------------------------------------------- Eval
-
-TEST(EvalTest, AllOperators) {
-  EXPECT_TRUE(EvalCompare(V(3), CompareOp::kEq, V(3)));
-  EXPECT_FALSE(EvalCompare(V(3), CompareOp::kEq, V(4)));
-  EXPECT_TRUE(EvalCompare(V(3), CompareOp::kNe, V(4)));
-  EXPECT_TRUE(EvalCompare(V(3), CompareOp::kLt, V(4)));
-  EXPECT_TRUE(EvalCompare(V(3), CompareOp::kLe, V(3)));
-  EXPECT_TRUE(EvalCompare(V(4), CompareOp::kGt, V(3)));
-  EXPECT_TRUE(EvalCompare(V(3), CompareOp::kGe, V(3)));
-  EXPECT_FALSE(EvalCompare(V(2), CompareOp::kGe, V(3)));
-}
-
 // ---------------------------------------------------------------- Scan
 
 TEST(SeqScanTest, EmitsAllRowsInOrder) {

@@ -311,6 +311,26 @@ TEST(ServiceRecorderTest, ColdAndWarmCallsBothLeaveRecords) {
   EXPECT_NE(db->QueryLogJson().find("\"count\":4"), std::string::npos);
 }
 
+// An EXPLAIN ANALYZE record counts the operators it ran, as an Execute
+// record of the same plan does.
+TEST(ServiceRecorderTest, ExplainAnalyzeRecordCountsOperators) {
+  auto db = OpenExample1(Database::Options().set_recorder(
+      FlightRecorder::Options().set_enabled(true)));
+  auto session = db->CreateSession();
+  ASSERT_TRUE(session.ok());
+  auto report = session->ExplainAnalyze(kJoinSql);
+  ASSERT_TRUE(report.ok());
+  ASSERT_TRUE(session->Execute(kJoinSql).ok());
+
+  const std::vector<QueryRecord> records = db->QueryLog();
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].api, QueryRecord::Api::kExplainAnalyze);
+  EXPECT_GT(records[0].operators_total, 0);
+  EXPECT_EQ(records[0].operators_total, report->operators_total);
+  EXPECT_EQ(records[1].api, QueryRecord::Api::kExecute);
+  EXPECT_EQ(records[0].operators_total, records[1].operators_total);
+}
+
 TEST(ServiceRecorderTest, ForcedDataShiftRaisesDriftAlert) {
   auto db = OpenExample1(
       Database::Options()

@@ -21,7 +21,6 @@
 #include "obs/explain_analyze.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
-#include "obs/pool_obs.h"
 #include "obs/trace.h"
 #include "query/parser.h"
 #include "storage/datasets.h"
@@ -37,8 +36,8 @@ TEST(MetricsTest, ConcurrentIncrementsScrapeToExactTotals) {
   HistogramMetric& histogram = registry.GetHistogram(
       "obs_test_values", "", HistogramBuckets::Exponential(1.0, 2.0, 10));
 
-  // The shared pool's thread budget, so the test exercises the concurrency
-  // the pool produces (JOINEST_THREADS honoured).
+  // At least the process's thread budget, so the test exercises the
+  // concurrency ParallelFor produces (JOINEST_THREADS honoured).
   const int num_threads = std::max(NumPoolThreads(), 4);
   constexpr int kPerThread = 20000;
   std::vector<std::thread> workers;
@@ -202,31 +201,6 @@ TEST(TraceTest, SpanNestingRoundTripsThroughExport) {
     if (c == '}') --balance;
   }
   EXPECT_EQ(balance, 0);
-}
-
-// Regression: a pool task's ThreadPool::task span used to close after its
-// TaskGroup had reported completion, so a caller that waited on the group
-// and then destroyed its session let the worker record into freed memory
-// (ASan: heap-use-after-free). Each claimed task's span now closes before
-// the group can complete, so every task is in the session once Wait()
-// returns — including the ones the waiting thread ran itself.
-TEST(TraceTest, PoolTaskSpansCloseBeforeTheirGroupCompletes) {
-  EnsureThreadPoolMetrics();
-  ThreadPool pool(3);
-  constexpr int kTasks = 6;
-  for (int i = 0; i < 3000; ++i) {
-    TraceSession session(/*capacity=*/64);
-    session.Activate();
-    {
-      TaskGroup group(pool);
-      for (int t = 0; t < kTasks; ++t) group.Run([] {});
-    }
-    int task_spans = 0;
-    for (const TraceSession::Event& event : session.Snapshot()) {
-      if (std::string(event.name) == "ThreadPool::task") ++task_spans;
-    }
-    ASSERT_EQ(task_spans, kTasks) << "iteration " << i;
-  }
 }
 
 TEST(TraceTest, RingOverwritesOldestAndCountsDropped) {
@@ -454,7 +428,7 @@ TEST(ExplainAnalyzeTest, CountingJoinReportsRowsWithoutBatches) {
 // every declared name used — is the metric-name-registry lint checker.)
 TEST(MetricNamesTest, RuntimeViewMatchesTable) {
   EXPECT_TRUE(IsDeclaredMetricName("estimator_qerror"));
-  EXPECT_TRUE(IsDeclaredMetricName("pool_tasks_total"));
+  EXPECT_TRUE(IsDeclaredMetricName("pt_rows_pruned"));
   EXPECT_TRUE(IsDeclaredMetricName("service_snapshot_version"));
   EXPECT_TRUE(IsDeclaredMetricName("bench_service_warm_speedup"));
   EXPECT_FALSE(IsDeclaredMetricName("estimator_qerorr"));  // Typo.

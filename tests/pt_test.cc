@@ -1,7 +1,8 @@
 // Predicate-transfer subsystem tests: Bloom filter guarantees (no false
-// negatives, bounded false positives, merge = union), DAG schedule shape,
-// reducer soundness (only non-joining rows dropped), PT-on/PT-off result
-// parity through the service facade, and the runtime-selectivity feedback
+// negatives, bounded false positives), DAG schedule shape, reducer
+// soundness (only non-joining rows dropped), PT-on/PT-off result parity
+// through the service facade and against the brute-force oracle on int64,
+// mixed int64/double and string keys, and the runtime-selectivity feedback
 // into the estimator and its cache digest.
 
 #include <algorithm>
@@ -70,27 +71,6 @@ TEST(BloomFilterTest, BatchProbeMatchesScalar) {
   for (size_t i = 0; i < hashes.size(); ++i) {
     EXPECT_EQ(keep[i] != 0, filter.MightContain(hashes[i]));
   }
-}
-
-TEST(BloomFilterTest, MergeIsUnion) {
-  BlockedBloomFilter a(1000), b(1000);
-  ASSERT_EQ(a.num_blocks(), b.num_blocks());
-  std::mt19937_64 rng(11);
-  std::vector<uint64_t> in_a, in_b;
-  for (int i = 0; i < 500; ++i) in_a.push_back(rng());
-  for (int i = 0; i < 500; ++i) in_b.push_back(rng());
-  for (uint64_t k : in_a) a.Add(k);
-  for (uint64_t k : in_b) b.Add(k);
-  ASSERT_TRUE(a.MergeFrom(b).ok());
-  for (uint64_t k : in_a) EXPECT_TRUE(a.MightContain(k));
-  for (uint64_t k : in_b) EXPECT_TRUE(a.MightContain(k));
-  EXPECT_EQ(a.keys_added(), 1000);
-}
-
-TEST(BloomFilterTest, MergeRejectsGeometryMismatch) {
-  BlockedBloomFilter small(100), big(1000000);
-  ASSERT_NE(small.num_blocks(), big.num_blocks());
-  EXPECT_FALSE(small.MergeFrom(big).ok());
 }
 
 // ------------------------------------------------------------------ DAG
@@ -199,49 +179,129 @@ TEST(PtReducerTest, SingleTableIsNoOp) {
   EXPECT_TRUE(result->filters.empty());
 }
 
-TEST(PtReducerTest, RejectsInvalidOptions) {
-  const Catalog catalog = PaperCatalog();
-  auto spec =
-      ParseQuery(catalog, "SELECT COUNT(*) FROM S, M WHERE S.s = M.m");
-  ASSERT_TRUE(spec.ok());
-  PtOptions options;
-  options.bits_per_key = 0.0;
-  EXPECT_FALSE(RunPredicateTransfer(catalog, *spec, options).ok());
-  options.bits_per_key = 10.0;
-  options.parallel_build_threshold = -1;
-  EXPECT_FALSE(RunPredicateTransfer(catalog, *spec, options).ok());
+// ------------------------------------------------------- Typed join keys
+
+QuerySpec CountOver(const Catalog& catalog,
+                    const std::vector<std::string>& tables) {
+  QuerySpec spec;
+  spec.count_star = true;
+  for (const std::string& name : tables) {
+    JOINEST_CHECK(spec.AddTable(catalog, name).ok());
+  }
+  return spec;
 }
 
-TEST(PtReducerTest, ParallelBuildMatchesSerial) {
-  const Catalog catalog = PaperCatalog();
-  auto spec = ParseQuery(
-      catalog,
-      "SELECT COUNT(*) FROM B, G WHERE B.b = G.g AND G.g < 25000");
-  ASSERT_TRUE(spec.ok());
-  PtOptions serial;
-  serial.parallel_build_threshold = int64_t{1} << 60;  // Never parallel.
-  serial.publish_metrics = false;
-  PtOptions parallel;
-  parallel.parallel_build_threshold = 0;  // Always parallel.
-  parallel.publish_metrics = false;
-  auto a = RunPredicateTransfer(catalog, *spec, serial);
-  auto b = RunPredicateTransfer(catalog, *spec, parallel);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  // OR-merge of per-slice filters is order-independent, so the surviving
-  // row sets are bit-identical.
-  ASSERT_EQ(a->tables.size(), b->tables.size());
-  for (size_t t = 0; t < a->tables.size(); ++t) {
-    EXPECT_EQ(a->tables[t].final_rows, b->tables[t].final_rows);
-    const std::vector<int64_t>* rows_a =
-        a->selections.ForTable(static_cast<int>(t));
-    const std::vector<int64_t>* rows_b =
-        b->selections.ForTable(static_cast<int>(t));
-    ASSERT_EQ(rows_a == nullptr, rows_b == nullptr);
-    if (rows_a != nullptr) {
-      EXPECT_EQ(*rows_a, *rows_b);
-    }
-  }
+// PT on, PT off and the brute-force oracle agree on `spec`'s count, and the
+// reduction pruned something, so the filters really ran.
+void ExpectTransferParity(const Catalog& catalog, const QuerySpec& spec,
+                          const std::string& label) {
+  const std::unique_ptr<PlanNode> plan = CanonicalSafePlan(spec);
+  auto pt = RunPredicateTransfer(catalog, spec);
+  ASSERT_TRUE(pt.ok()) << label << ": " << pt.status();
+  auto off = ExecutePlan(catalog, spec, *plan);
+  auto on = ExecutePlan(catalog, spec, *plan, &pt->selections);
+  ASSERT_TRUE(off.ok()) << label << ": " << off.status();
+  ASSERT_TRUE(on.ok()) << label << ": " << on.status();
+  EXPECT_EQ(on->count, off->count) << label;
+  EXPECT_EQ(off->count, EnumerateJoin(catalog, spec, {}).rows) << label;
+  EXPECT_GT(pt->rows_pruned(), 0) << label;
+}
+
+// One class over an int64 column and two double columns. An integral double
+// meets the int64 it equals and a fractional one meets no int64; -0.0 meets
+// 0 and 0.0; 2^53 + 1 has no double twin, so it must not meet 2^53.
+TEST(PtTypedKeyTest, Int64AndDoubleKeysMatchTheOracle) {
+  Catalog catalog;
+  const std::vector<int64_t> ints = {0,  1,  2,  3,          5,
+                                     -7, 11, 12, 4000000000, 9007199254740992,
+                                     9007199254740993};
+  const std::vector<double> doubles = {
+      -0.0, 1.0,  2.5, 3.0, 3.0, 5.0, -7.0, 1e19, 4000000000.0,
+      0.5,  13.0, 9007199254740992.0};
+  const std::vector<double> others = {0.0,  -0.0, 2.5, 3.0, 0.5,
+                                      1e19, 99.5, 9007199254740992.0,
+                                      9007199254740994.0};
+  ASSERT_TRUE(catalog
+                  .AddTable("I", Table::FromColumns(
+                                     Schema({{"a", TypeKind::kInt64}}),
+                                     {ToValueColumn(ints)}))
+                  .ok());
+  ASSERT_TRUE(catalog
+                  .AddTable("D", Table::FromColumns(
+                                     Schema({{"b", TypeKind::kDouble}}),
+                                     {ToValueColumn(doubles)}))
+                  .ok());
+  ASSERT_TRUE(catalog
+                  .AddTable("E", Table::FromColumns(
+                                     Schema({{"c", TypeKind::kDouble}}),
+                                     {ToValueColumn(others)}))
+                  .ok());
+
+  QuerySpec int_double = CountOver(catalog, {"I", "D"});
+  int_double.predicates = {Predicate::Join({0, 0}, {1, 0})};
+  ExpectTransferParity(catalog, int_double, "int64 = double");
+  // 0/-0.0, 1, 3 (twice), 5, -7, 4e9 and 2^53.
+  EXPECT_EQ(EnumerateJoin(catalog, int_double, {}).rows, 8);
+
+  QuerySpec double_double = CountOver(catalog, {"D", "E"});
+  double_double.predicates = {Predicate::Join({0, 0}, {1, 0})};
+  ExpectTransferParity(catalog, double_double, "double = double");
+
+  QuerySpec chain = CountOver(catalog, {"I", "D", "E"});
+  chain.predicates = {Predicate::Join({0, 0}, {1, 0}),
+                      Predicate::Join({1, 0}, {2, 0})};
+  ExpectTransferParity(catalog, chain, "int64 = double = double");
+
+  // Local predicates with constants of the other type, which closure
+  // carries to every member of the class.
+  QuerySpec filtered = chain;
+  filtered.predicates.push_back(
+      Predicate::LocalConst({1, 0}, CompareOp::kLt, Value(1e18)));
+  filtered.predicates.push_back(
+      Predicate::LocalConst({0, 0}, CompareOp::kGe, Value(int64_t{0})));
+  ExpectTransferParity(catalog, filtered, "filtered mixed chain");
+}
+
+TEST(PtTypedKeyTest, StringKeysMatchTheOracle) {
+  Catalog catalog;
+  const auto strings = [](const char* column,
+                          const std::vector<std::string>& values) {
+    return Table::FromColumns(Schema({{column, TypeKind::kString}}),
+                              {ToValueColumn(values)});
+  };
+  ASSERT_TRUE(catalog
+                  .AddTable("F", strings("s", {"pt-apple", "pt-pear",
+                                               "pt-kiwi", "pt-apple",
+                                               "pt-fig", "pt-quince"}))
+                  .ok());
+  ASSERT_TRUE(catalog
+                  .AddTable("G", strings("t", {"pt-kiwi", "pt-apple",
+                                               "pt-lime", "pt-plum",
+                                               "pt-apple"}))
+                  .ok());
+  ASSERT_TRUE(catalog
+                  .AddTable("H", strings("u", {"pt-apple", "pt-date",
+                                               "pt-kiwi", "pt-olive"}))
+                  .ok());
+
+  QuerySpec pair = CountOver(catalog, {"F", "G"});
+  pair.predicates = {Predicate::Join({0, 0}, {1, 0})};
+  ExpectTransferParity(catalog, pair, "string = string");
+  EXPECT_EQ(EnumerateJoin(catalog, pair, {}).rows, 5);  // 2 x 2 + 1.
+
+  QuerySpec chain = CountOver(catalog, {"F", "G", "H"});
+  chain.predicates = {Predicate::Join({0, 0}, {1, 0}),
+                      Predicate::Join({1, 0}, {2, 0})};
+  ExpectTransferParity(catalog, chain, "string chain");
+
+  // A range read through the strings and an inequality with a constant no
+  // table holds.
+  QuerySpec filtered = chain;
+  filtered.predicates.push_back(Predicate::LocalConst(
+      {0, 0}, CompareOp::kLt, Value(std::string("pt-j"))));
+  filtered.predicates.push_back(Predicate::LocalConst(
+      {1, 0}, CompareOp::kNe, Value(std::string("pt-absent"))));
+  ExpectTransferParity(catalog, filtered, "filtered string chain");
 }
 
 // ---------------------------------------------------------------- Parity

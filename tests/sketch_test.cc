@@ -299,11 +299,14 @@ TEST(SketchAnalyzeTest, PartitionCountDoesNotChangeDistinct) {
   options.stats_mode = AnalyzeOptions::StatsMode::kSketch;
   options.num_partitions = 1;
   const TableStats one = AnalyzeTable(table, options);
-  options.num_partitions = 8;
-  const TableStats eight = AnalyzeTable(table, options);
-  EXPECT_DOUBLE_EQ(one.column(0).distinct_count,
-                   eight.column(0).distinct_count);
-  EXPECT_DOUBLE_EQ(one.row_count, eight.row_count);
+  for (const int partitions : {4, 8}) {
+    options.num_partitions = partitions;
+    const TableStats split = AnalyzeTable(table, options);
+    EXPECT_DOUBLE_EQ(one.column(0).distinct_count,
+                     split.column(0).distinct_count)
+        << partitions;
+    EXPECT_DOUBLE_EQ(one.row_count, split.row_count) << partitions;
+  }
 }
 
 TEST(SketchAnalyzeTest, EndBiasedHistogramFindsHotKeys) {

@@ -1,234 +1,114 @@
-// Tests for the shared work-stealing thread pool (common/thread_pool.h):
-// fork/join completeness, stealing under contention, nested submission,
-// bounded submission, drain-on-destruction, and the zero-worker inline
-// configuration. Runs under tsan (tools/run_sanitizers.sh) — every
-// assertion here is also a data-race probe.
+// Tests for ParallelFor (common/thread_pool.h) and the annotated mutex
+// wrappers (common/thread_annotations.h). Runs under tsan
+// (tools/run_sanitizers.sh): every assertion here is also a data-race probe.
 
 #include "common/thread_pool.h"
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
+#include <optional>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/thread_annotations.h"
+
 namespace joinest {
 namespace {
 
-void SpinUntil(const std::atomic<int>& counter, int target) {
-  while (counter.load(std::memory_order_acquire) < target) {
-    std::this_thread::yield();
+// Sets JOINEST_THREADS for one scope, then restores what was there.
+class ScopedThreadBudget {
+ public:
+  explicit ScopedThreadBudget(int threads) {
+    if (const char* old = std::getenv("JOINEST_THREADS")) saved_ = old;
+    setenv("JOINEST_THREADS", std::to_string(threads).c_str(), 1);
+  }
+  ~ScopedThreadBudget() {
+    if (saved_) {
+      setenv("JOINEST_THREADS", saved_->c_str(), 1);
+    } else {
+      unsetenv("JOINEST_THREADS");
+    }
+  }
+
+  ScopedThreadBudget(const ScopedThreadBudget&) = delete;
+  ScopedThreadBudget& operator=(const ScopedThreadBudget&) = delete;
+
+ private:
+  std::optional<std::string> saved_;
+};
+
+// Each index writes only its own plain slot, and the caller reads every
+// slot after the call: an index run twice reads 2, one never run reads 0,
+// and under tsan a missing join shows as a race.
+void ExpectEveryIndexOnce(int n) {
+  std::vector<int> runs(static_cast<size_t>(n), 0);
+  ParallelFor(n, [&runs](int i) { ++runs[static_cast<size_t>(i)]; });
+  for (int i = 0; i < n; ++i) {
+    EXPECT_EQ(runs[static_cast<size_t>(i)], 1) << "index " << i << " of " << n;
   }
 }
 
-TEST(ThreadPoolTest, ExecutesAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  {
-    TaskGroup group(pool);
-    for (int i = 0; i < 1000; ++i) {
-      group.Run([&counter] {
-        counter.fetch_add(1, std::memory_order_relaxed);
-      });
-    }
-    // Destructor waits (and helps).
+TEST(ParallelForTest, RunsEveryIndexExactlyOnce) {
+  for (const int threads : {1, 4}) {
+    const ScopedThreadBudget budget(threads);
+    ASSERT_EQ(NumPoolThreads(), threads);
+    for (const int n : {0, 1, 2, threads + 3, 1000}) ExpectEveryIndexOnce(n);
   }
-  // Claim tickets for tasks the waiter helped with may still be queued
-  // (they no-op when a worker pops them), so `pending` is not asserted.
-  EXPECT_EQ(counter.load(), 1000);
 }
 
-TEST(ThreadPoolTest, StealingUnderContention) {
-  ThreadPool pool(2);
-  constexpr int kSubtasks = 50;
-  std::atomic<int> sub_done{0};
-  std::atomic<int> hog_done{0};
-  // The hog lands on one worker, submits its subtasks — nested submission
-  // routes them to the hog's OWN deque — then spins without helping. Only
-  // the other worker can drain the deque, and it can only do so by
-  // stealing from the front.
-  pool.Submit([&] {
-    for (int i = 0; i < kSubtasks; ++i) {
-      pool.Submit([&sub_done] {
-        sub_done.fetch_add(1, std::memory_order_release);
-      });
-    }
-    SpinUntil(sub_done, kSubtasks);
-    hog_done.fetch_add(1, std::memory_order_release);
+TEST(ParallelForTest, BudgetOfOneRunsInlineInOrder) {
+  const ScopedThreadBudget budget(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<int> order;
+  std::vector<std::thread::id> ran_on;
+  ParallelFor(64, [&](int i) {
+    order.push_back(i);
+    ran_on.push_back(std::this_thread::get_id());
   });
-  SpinUntil(hog_done, 1);
-  EXPECT_EQ(sub_done.load(), kSubtasks);
-  EXPECT_GE(pool.stats().tasks_stolen, kSubtasks);
-}
-
-TEST(ThreadPoolTest, NestedSubmissionWithWorkers) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  {
-    TaskGroup outer(pool);
-    for (int i = 0; i < 4; ++i) {
-      outer.Run([&pool, &counter] {
-        // A pool task forking its own group must not deadlock: Wait()
-        // helps, so progress never depends on a free worker existing.
-        TaskGroup inner(pool);
-        for (int j = 0; j < 8; ++j) {
-          inner.Run([&counter] {
-            counter.fetch_add(1, std::memory_order_relaxed);
-          });
-        }
-      });
-    }
+  ASSERT_EQ(order.size(), 64u);
+  for (int i = 0; i < 64; ++i) {
+    EXPECT_EQ(order[static_cast<size_t>(i)], i);
+    EXPECT_EQ(ran_on[static_cast<size_t>(i)], caller);
   }
-  EXPECT_EQ(counter.load(), 32);
 }
 
-TEST(ThreadPoolTest, NestedSubmissionZeroWorkers) {
-  ThreadPool pool(0);
-  std::atomic<int> counter{0};
-  {
-    TaskGroup outer(pool);
-    for (int i = 0; i < 4; ++i) {
-      outer.Run([&pool, &counter] {
-        TaskGroup inner(pool);
-        for (int j = 0; j < 8; ++j) {
-          inner.Run([&counter] {
-            counter.fetch_add(1, std::memory_order_relaxed);
-          });
-        }
-      });
-    }
-  }
-  EXPECT_EQ(counter.load(), 32);
-}
+// With a budget above one, indices spread over more than one thread, and
+// over no more threads than the budget.
+TEST(ParallelForTest, SpreadsOverThreadsWithinTheBudget) {
+  constexpr int kThreads = 4;
+  const ScopedThreadBudget budget(kThreads);
+  struct ThreadsSeen {
+    Mutex mu;
+    std::set<std::thread::id> ids JOINEST_GUARDED_BY(mu);
 
-TEST(ThreadPoolTest, ShutdownWithPendingTasksCompletesThem) {
-  std::atomic<int> counter{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 100; ++i) {
-      pool.Submit([&counter] {
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-        counter.fetch_add(1, std::memory_order_relaxed);
-      });
+    void Add(std::thread::id id) {
+      MutexLock lock(mu);
+      ids.insert(id);
     }
-    // Destroyed with most tasks still queued: the destructor must drain
-    // them, not drop them — a TaskGroup may have accounted for them.
-  }
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPoolTest, ZeroWorkersRunsInline) {
-  ThreadPool pool(0);
-  const std::thread::id self = std::this_thread::get_id();
-  std::thread::id ran_on;
-  pool.Submit([&ran_on] { ran_on = std::this_thread::get_id(); });
-  EXPECT_EQ(ran_on, self);
-  EXPECT_EQ(pool.stats().tasks_inline, 1);
-  EXPECT_EQ(pool.stats().tasks_run, 0);
-}
-
-TEST(ThreadPoolTest, BoundedSubmissionRunsInlineWhenSaturated) {
-  std::atomic<int> counter{0};
-  std::atomic<bool> release{false};
-  const int total =
-      static_cast<int>(ThreadPool::kMaxPendingPerWorker) + 10;
-  {
-    ThreadPool pool(1);
-    std::atomic<bool> blocked{false};
-    // Park the only worker so submissions pile up unconsumed.
-    pool.Submit([&blocked, &release] {
-      blocked.store(true, std::memory_order_release);
-      while (!release.load(std::memory_order_acquire)) {
-        std::this_thread::yield();
-      }
-    });
-    while (!blocked.load(std::memory_order_acquire)) {
-      std::this_thread::yield();
+    size_t Count() {
+      MutexLock lock(mu);
+      return ids.size();
     }
-    for (int i = 0; i < total; ++i) {
-      pool.Submit([&counter] {
-        counter.fetch_add(1, std::memory_order_relaxed);
-      });
-    }
-    // Beyond kMaxPendingPerWorker queued tasks the submitter must become
-    // the worker instead of queueing unboundedly.
-    EXPECT_GE(pool.stats().tasks_inline, 10);
-    release.store(true, std::memory_order_release);
-  }
-  EXPECT_EQ(counter.load(), total);
-}
-
-TEST(ThreadPoolTest, TaskGroupHelpsWhileWaiting) {
-  ThreadPool pool(1);
-  std::atomic<bool> release{false};
-  std::atomic<bool> blocked{false};
-  pool.Submit([&blocked, &release] {
-    blocked.store(true, std::memory_order_release);
-    while (!release.load(std::memory_order_acquire)) {
-      std::this_thread::yield();
-    }
-  });
-  while (!blocked.load(std::memory_order_acquire)) {
-    std::this_thread::yield();
-  }
-  // The only worker is parked, so Wait() can only finish by running the
-  // group's tasks on the waiting thread itself.
-  const std::thread::id self = std::this_thread::get_id();
-  std::atomic<int> on_waiter{0};
-  TaskGroup group(pool);
-  for (int i = 0; i < 20; ++i) {
-    group.Run([&on_waiter, self] {
-      if (std::this_thread::get_id() == self) {
-        on_waiter.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-  group.Wait();
-  EXPECT_EQ(on_waiter.load(), 20);
-  release.store(true, std::memory_order_release);
-}
-
-TEST(ThreadPoolTest, SharedPoolIsSingletonSizedByThreadBudget) {
-  ThreadPool& a = SharedThreadPool();
-  ThreadPool& b = SharedThreadPool();
-  EXPECT_EQ(&a, &b);
-  // The submitting thread is the last worker of the budget.
-  EXPECT_EQ(a.num_workers(), NumPoolThreads() - 1);
-}
-
-TEST(ThreadPoolTest, ObserverSeesTasksAndQueueDepth) {
-  class CountingObserver : public ThreadPoolObserver {
-   public:
-    void* TaskStarted(int, bool) override {
-      started.fetch_add(1, std::memory_order_relaxed);
-      return nullptr;
-    }
-    void TaskFinished(int, bool, void*) override {
-      finished.fetch_add(1, std::memory_order_relaxed);
-    }
-    void QueueDepth(int64_t depth) override {
-      if (depth > max_depth.load(std::memory_order_relaxed)) {
-        max_depth.store(depth, std::memory_order_relaxed);
-      }
-    }
-    std::atomic<int> started{0};
-    std::atomic<int> finished{0};
-    std::atomic<int64_t> max_depth{0};
   };
-  static CountingObserver observer;  // Outlives the pool below.
-  InstallThreadPoolObserver(&observer);
-  const int before = observer.finished.load();
-  {
-    ThreadPool pool(2);
-    TaskGroup group(pool);
-    for (int i = 0; i < 64; ++i) {
-      group.Run([] {});
+  ThreadsSeen seen;
+  // Each index waits until a second thread has one, so the first thread to
+  // start cannot run every index alone. The deadline turns a ParallelFor
+  // that never starts a thread into a failure, not a hang.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  ParallelFor(64, [&seen, deadline](int) {
+    seen.Add(std::this_thread::get_id());
+    while (seen.Count() < 2 && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
     }
-  }
-  EXPECT_GE(observer.finished.load() - before, 64);
-  EXPECT_EQ(observer.started.load(), observer.finished.load());
-  InstallThreadPoolObserver(nullptr);
+  });
+  EXPECT_GE(seen.Count(), 2u);
+  EXPECT_LE(seen.Count(), static_cast<size_t>(kThreads));
 }
 
 // Exercises the annotated Mutex/MutexLock/CondVar wrappers

@@ -1,6 +1,9 @@
 // Tests for types/: Value semantics and Schema resolution.
 
+#include <cstdint>
+
 #include "gtest/gtest.h"
+#include "types/cell.h"
 #include "types/schema.h"
 #include "types/value.h"
 
@@ -87,6 +90,32 @@ TEST(ValueTest, HashSpreadsDenseKeys) {
   std::set<size_t> hashes;
   for (int64_t i = 0; i < 1000; ++i) hashes.insert(Value(i).Hash());
   EXPECT_EQ(hashes.size(), 1000u);
+}
+
+// A numeric cell hashes as its Value does, so predicate transfer's filters
+// select the same rows whichever side of the edge hashed them; a string
+// cell hashes its dictionary code, and one code is one string.
+TEST(ValueTest, CellHashMatchesValueHash) {
+  for (const int64_t v : {int64_t{0}, int64_t{-7}, int64_t{4000000000},
+                          int64_t{9007199254740993}, INT64_MIN, INT64_MAX}) {
+    EXPECT_EQ(HashCell(TypeKind::kInt64, v), Value(v).Hash()) << v;
+  }
+  for (const double d : {0.0, -0.0, 3.0, 2.5, -7.0, 1e19, 9007199254740992.0,
+                         -9223372036854775808.0, 9223372036854775808.0}) {
+    EXPECT_EQ(HashCell(TypeKind::kDouble, DoubleCell(d)), Value(d).Hash())
+        << d;
+  }
+  EXPECT_EQ(HashCell(TypeKind::kDouble, DoubleCell(-0.0)),
+            HashCell(TypeKind::kInt64, 0));
+  EXPECT_NE(HashCell(TypeKind::kDouble, DoubleCell(9007199254740992.0)),
+            HashCell(TypeKind::kInt64, 9007199254740993));
+  const Cell pear = StringDictionary::Global().Intern("hash-pear");
+  EXPECT_EQ(HashCell(TypeKind::kString, pear),
+            HashCell(TypeKind::kString,
+                     StringDictionary::Global().Intern("hash-pear")));
+  EXPECT_NE(HashCell(TypeKind::kString, pear),
+            HashCell(TypeKind::kString,
+                     StringDictionary::Global().Intern("hash-plum")));
 }
 
 TEST(ValueTest, ToStringRendering) {

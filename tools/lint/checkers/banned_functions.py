@@ -6,8 +6,8 @@ Each ban exists because joinest already has (or requires) a better tool:
                       deterministic engines in common/random.h, which keep
                       experiments reproducible (ROADMAP: every number has a
                       seed).
-  strtok()            mutates a hidden static buffer; not reentrant under
-                      the shared thread pool — use string_view scanning
+  strtok()            mutates a hidden static buffer; not reentrant across
+                      threads — use string_view scanning
                       (see query/lexer.cc for the idiom).
   gmtime()/localtime() return pointers to shared static storage — use the
                       *_r variants.
@@ -40,7 +40,7 @@ BANS = [
     (re.compile(r"\b(?:std::)?srand\s*\("),
      "srand() seeds hidden global state; use common/random.h"),
     (re.compile(r"\b(?:std::)?strtok\s*\("),
-     "strtok() is not reentrant under the shared pool; "
+     "strtok() is not reentrant across threads; "
      "use string_view scanning"),
     (re.compile(r"\b(?:std::)?(?:gmtime|localtime)\s*\("),
      "gmtime()/localtime() return shared static storage; use gmtime_r/"

@@ -1,12 +1,11 @@
-"""no-raw-threads: no std::thread construction in src/ outside the pool.
+"""no-raw-threads: no std::thread construction in src/ outside ParallelFor.
 
-Every data-parallel subsystem (predicate-transfer reduction, partitioned
-ANALYZE, ...) must run its work on the shared
-work-stealing pool (src/common/thread_pool.{h,cc}); constructing
-std::thread anywhere else in src/ reintroduces per-call thread spawn cost
-and lets concurrent sessions oversubscribe the machine — exactly what the
-pool exists to prevent. Benches and tests ARE the concurrent clients, so
-they may spawn std::thread freely to simulate them.
+Data-parallel work in src/ (partitioned ANALYZE, ...) runs through
+ParallelFor (src/common/thread_pool.{h,cc}), which caps the threads of a
+call at the process's thread budget (JOINEST_THREADS) and joins them
+before it returns. A std::thread started anywhere else in src/ escapes
+that budget and its join. Benches and tests ARE the concurrent clients,
+so they may spawn std::thread freely to simulate them.
 
 Allowed uses of the token "std::thread" anywhere:
   * std::thread::hardware_concurrency()  (sizing queries)
@@ -27,10 +26,10 @@ from . import _util
 
 NAME = "no-raw-threads"
 DESCRIPTION = ("std::thread outside common/thread_pool.{h,cc}; "
-               "use ThreadPool/TaskGroup")
+               "use ParallelFor")
 FIXABLE = False
 
-# Files allowed to construct threads: the pool itself.
+# Files allowed to construct threads: ParallelFor itself.
 ALLOWED = {"src/common/thread_pool.h", "src/common/thread_pool.cc"}
 
 # The std::thread type NOT followed by :: (which would be
@@ -54,7 +53,7 @@ def run(ctx):
             if RAW_THREAD.search(code):
                 out.append(make_finding(
                     NAME, path, lineno,
-                    "raw std::thread; run the work on the shared pool "
-                    "(ThreadPool::Submit / TaskGroup, see docs/EXECUTOR.md): "
+                    "raw std::thread; run the work through ParallelFor "
+                    "(common/thread_pool.h, see docs/EXECUTOR.md): "
                     f"{raw.strip()}", repo=ctx.repo))
     return out

@@ -1,6 +1,6 @@
 // Fixture: every allowed use of the token "std::thread" — sizing queries,
-// this_thread, thread::id, comments — plus pool-based parallelism. The
-// no-raw-threads checker must stay silent.
+// this_thread, thread::id, comments. The no-raw-threads checker must stay
+// silent.
 #include <thread>
 
 // A comment mentioning std::thread construction is fine.

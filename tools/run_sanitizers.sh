@@ -3,14 +3,13 @@
 # configuration:
 #
 #   * asan_ubsan — AddressSanitizer + UndefinedBehaviorSanitizer over the
-#     full ctest suite (obs_test destroys a trace session right after each
-#     pool task group, so a task span outliving its session shows up as a
-#     heap-use-after-free);
-#   * tsan — ThreadSanitizer over the tests that exercise concurrency: the
-#     shared work-stealing pool (thread_pool_test hammers stealing, nested
-#     submission, and shutdown-with-pending-tasks directly),
-#     the partitioned sketch ANALYZE path (pool tasks per row-range
-#     partition), the process-wide string dictionary (storage_test's
+#     full ctest suite;
+#   * tsan — ThreadSanitizer over the tests that exercise concurrency:
+#     ParallelFor and the annotated mutex wrappers (thread_pool_test checks
+#     that every index runs once, that indices spread over threads, and
+#     that the caller sees every index's writes once the call returns),
+#     the partitioned sketch ANALYZE path (one ParallelFor index per
+#     row-range partition), the process-wide string dictionary (storage_test's
 #     builder threads intern overlapping strings while another thread
 #     counts a string join), the executor and parity suites (executor_test,
 #     parity_test, kept as a guard), and the estimation service (service_test
