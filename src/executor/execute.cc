@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
-#include <unordered_map>
+#include <numeric>
+#include <optional>
 #include <utility>
 
 #include "executor/compile.h"
@@ -155,19 +156,18 @@ std::unique_ptr<PlanNode> CanonicalSafePlan(const QuerySpec& spec) {
 
 namespace {
 
-// A join-key tuple: one encoded cell per equivalence class.
-using KeyTuple = std::vector<int64_t>;
+// Base-table rows ground-truth counting scanned. The registry's name lookup
+// takes a mutex, so the handle is looked up once.
+Counter& ScannedRows() {
+  static Counter& counter = MetricsRegistry::Global().GetCounter(
+      "executor_morsel_rows_total",
+      "Base-table rows scanned by ground-truth counting");
+  return counter;
+}
 
-struct KeyTupleHash {
-  size_t operator()(const KeyTuple& key) const {
-    uint64_t h = 0x9e3779b97f4a7c15ull;
-    for (int64_t k : key) h = HashUint64(h ^ static_cast<uint64_t>(k));
-    return static_cast<size_t>(h);
-  }
-};
-
-// Weighted row counts per key tuple: what a table sends its parent.
-using Message = std::unordered_map<KeyTuple, int64_t, KeyTupleHash>;
+Status CountOverflow() {
+  return OutOfRange("join count exceeds the int64 range");
+}
 
 // One table of the query as a node of the join tree.
 struct TreeNode {
@@ -226,10 +226,6 @@ std::vector<int> PeelJoinTree(std::vector<TreeNode>& nodes) {
   return order;
 }
 
-Status CountOverflow() {
-  return OutOfRange("join count exceeds the int64 range");
-}
-
 // COUNT(*) by message passing up the join tree: each table scans its rows
 // once, weighs each qualifying row by the product of its children's
 // counts for the row's key, and sums the weights per the key it shares
@@ -240,9 +236,8 @@ StatusOr<int64_t> CountJoinTree(const Catalog& catalog, const QuerySpec& spec,
                                 const std::vector<TreeNode>& nodes,
                                 const std::vector<int>& order,
                                 const std::vector<TypeKind>& class_types) {
-  std::vector<Message> sent(nodes.size());
+  std::vector<std::optional<CountMap>> sent(nodes.size());
   int64_t total = 0;
-  KeyTuple key;
   for (int t : order) {
     const TreeNode& node = nodes[static_cast<size_t>(t)];
     const TableColumns table(catalog.table(spec.tables[t].catalog_id), t);
@@ -256,6 +251,9 @@ StatusOr<int64_t> CountJoinTree(const Catalog& catalog, const QuerySpec& spec,
       int width = 0;
       std::vector<int64_t> keys;
       std::vector<char> valid;
+      const int64_t* of(size_t row) const {
+        return keys.data() + row * static_cast<size_t>(width);
+      }
     };
     auto encode = [&](const std::vector<int>& classes) {
       KeyColumns columns;
@@ -292,40 +290,294 @@ StatusOr<int64_t> CountJoinTree(const Catalog& catalog, const QuerySpec& spec,
           encode(nodes[static_cast<size_t>(child)].key_classes));
     }
     const EncodedKeys parent_keys = encode(node.key_classes);
-    auto key_of = [&key](const EncodedKeys& encoded, size_t row) {
-      const int64_t* begin = encoded.keys.data() + row * encoded.width;
-      key.assign(begin, begin + encoded.width);
-    };
+    std::optional<CountMap>& message = sent[static_cast<size_t>(t)];
+    if (node.parent >= 0) {
+      message.emplace(static_cast<int>(node.key_classes.size()),
+                      static_cast<size_t>(
+                          std::count(keep.begin(), keep.end(), 1)));
+    }
     for (size_t r = 0; r < static_cast<size_t>(rows); ++r) {
       if (!keep[r] || !parent_keys.valid[r]) continue;
       int64_t weight = 1;
       for (size_t c = 0; c < node.children.size() && weight > 0; ++c) {
-        if (!child_keys[c].valid[r]) {
-          weight = 0;
-          break;
-        }
-        key_of(child_keys[c], r);
-        const Message& counts = sent[static_cast<size_t>(node.children[c])];
-        const auto it = counts.find(key);
-        if (it == counts.end()) {
-          weight = 0;
-        } else if (__builtin_mul_overflow(weight, it->second, &weight)) {
+        const int64_t count =
+            child_keys[c].valid[r]
+                ? sent[static_cast<size_t>(node.children[c])]->Count(
+                      child_keys[c].of(r))
+                : 0;
+        if (__builtin_mul_overflow(weight, count, &weight)) {
           return CountOverflow();
         }
       }
       if (weight == 0) continue;
-      int64_t* sum = &total;
-      if (node.parent >= 0) {
-        key_of(parent_keys, r);
-        sum = &sent[static_cast<size_t>(t)][key];
+      if (node.parent < 0) {
+        if (__builtin_add_overflow(total, weight, &total)) {
+          return CountOverflow();
+        }
+      } else if (!message->Add(parent_keys.of(r), weight)) {
+        return CountOverflow();
       }
-      if (__builtin_add_overflow(*sum, weight, sum)) return CountOverflow();
     }
-    for (int child : node.children) {
-      Message().swap(sent[static_cast<size_t>(child)]);
-    }
+    for (int child : node.children) sent[static_cast<size_t>(child)].reset();
   }
   return total;
+}
+
+// The sub-query over the first k tables of `order`, keeping every predicate
+// fully contained in that prefix.
+QuerySpec PrefixSpec(const QuerySpec& spec, const std::vector<int>& order,
+                     size_t k) {
+  QuerySpec prefix;
+  prefix.count_star = true;
+  std::vector<int> remap(spec.num_tables(), -1);
+  for (size_t i = 0; i < k; ++i) {
+    prefix.tables.push_back(spec.tables[order[i]]);
+    remap[order[i]] = static_cast<int>(i);
+  }
+  for (const Predicate& p : spec.predicates) {
+    if (remap[p.left.table] < 0) continue;
+    Predicate mapped = p;
+    mapped.left.table = remap[p.left.table];
+    if (p.kind != Predicate::Kind::kLocalConst) {
+      if (remap[p.right.table] < 0) continue;
+      mapped.right.table = remap[p.right.table];
+    }
+    prefix.predicates.push_back(std::move(mapped));
+  }
+  return prefix;
+}
+
+// A join predicate between the table a walk step adds and the prefix: the
+// prefix's column at frontier position `slot` and the added table's
+// `column`, each encoded against the other's type (the key rule). Frontier
+// keys are stored under their own-type encoding, which differs from
+// prefix_encoding only for a double column against an int64 one.
+struct KeyPair {
+  int slot;
+  int column;
+  KeyEncoding prefix_encoding;
+  KeyEncoding column_encoding;
+
+  friend auto operator<=>(const KeyPair&, const KeyPair&) = default;
+};
+
+// Counts the prefixes of `order` in one left-to-right walk, appending the
+// size of order[0..k] for k = 1, 2, ... to `sizes`. The walk keeps the
+// prefix's count grouped by its frontier: the prefix's columns that meet a
+// table not yet added in a join predicate, each stored under its own-type
+// encoding. Adding table t scans t once with its local predicates, joins
+// its rows to the groups on the predicates between t and the prefix (and
+// on no others, so each prefix counts exactly the predicates inside it),
+// and regroups by the new frontier; the weights added sum to the new
+// prefix's size. Returns the number of tables added: order.size(), or the
+// step whose grouped counts outgrew its prefix's rows, where the caller
+// takes over.
+StatusOr<size_t> WalkPrefixes(const Catalog& catalog, const QuerySpec& spec,
+                              const std::vector<int>& order,
+                              std::vector<int64_t>& sizes) {
+  std::vector<Predicate> joins;
+  std::vector<std::vector<Predicate>> local(
+      static_cast<size_t>(spec.num_tables()));
+  for (const Predicate& p : spec.predicates) {
+    if (p.kind == Predicate::Kind::kJoin) {
+      joins.push_back(p);
+    } else {
+      local[static_cast<size_t>(p.left.table)].push_back(p);
+    }
+  }
+  auto type_of = [&](ColumnRef ref) {
+    return catalog.table(spec.tables[ref.table].catalog_id)
+        .schema()
+        .column(ref.column)
+        .type;
+  };
+  std::vector<char> added(static_cast<size_t>(spec.num_tables()), 0);
+  // Whether `ref` meets a table not yet added in a join predicate.
+  auto meets_later = [&](ColumnRef ref) {
+    return std::any_of(joins.begin(), joins.end(), [&](const Predicate& p) {
+      return (p.left == ref && !added[static_cast<size_t>(p.right.table)]) ||
+             (p.right == ref && !added[static_cast<size_t>(p.left.table)]);
+    });
+  };
+
+  // The empty prefix: one group, of the empty tuple, holding one row.
+  std::vector<ColumnRef> frontier;
+  CountMap groups(0, 1);
+  const int64_t empty_key = 0;
+  groups.Add(&empty_key, 1);
+  int64_t prefix_rows = 0;
+  for (size_t k = 0; k < order.size(); ++k) {
+    const int t = order[k];
+    const TableColumns table(catalog.table(spec.tables[t].catalog_id), t);
+    const int64_t rows = table.table.num_rows();
+    ScannedRows().Add(rows);
+    prefix_rows += rows;
+
+    std::vector<KeyPair> pairs;
+    for (const Predicate& p : joins) {
+      const bool left = p.left.table == t;
+      if (!left && p.right.table != t) continue;
+      const ColumnRef prefix_column = left ? p.right : p.left;
+      if (!added[static_cast<size_t>(prefix_column.table)]) continue;
+      const ColumnRef column = left ? p.left : p.right;
+      const auto slot =
+          std::find(frontier.begin(), frontier.end(), prefix_column);
+      JOINEST_CHECK(slot != frontier.end()) << "join column off the frontier";
+      const TypeKind prefix_type = type_of(prefix_column);
+      const TypeKind type = type_of(column);
+      pairs.push_back({static_cast<int>(slot - frontier.begin()),
+                       column.column, KeyEncodingFor(prefix_type, type),
+                       KeyEncodingFor(type, prefix_type)});
+    }
+    std::sort(pairs.begin(), pairs.end());
+    pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+
+    // The next frontier: the frontier columns that still meet a later
+    // table, then t's columns that do.
+    added[static_cast<size_t>(t)] = 1;
+    std::vector<ColumnRef> next_frontier;
+    std::vector<int> kept_slots;
+    for (size_t i = 0; i < frontier.size(); ++i) {
+      if (!meets_later(frontier[i])) continue;
+      kept_slots.push_back(static_cast<int>(i));
+      next_frontier.push_back(frontier[i]);
+    }
+    std::vector<const Cell*> grouped_cells;
+    std::vector<KeyEncoding> grouped_encodings;
+    for (const ColumnRef& column : table.layout) {
+      if (!meets_later(column)) continue;
+      grouped_cells.push_back(table.column(column.column));
+      const TypeKind type = type_of(column);
+      grouped_encodings.push_back(KeyEncodingFor(type, type));
+      next_frontier.push_back(column);
+    }
+
+    // When the groups' key is exactly the join key (at every chain step,
+    // and at a last step unless a frontier column meets t twice or is a
+    // double meeting an int64), t's rows probe the groups directly.
+    // Otherwise t's rows are counted by key first, and each group meets
+    // the counts of its join key: a group can meet many rows, and rows
+    // with one key meet the same groups.
+    bool direct = pairs.size() == frontier.size();
+    for (size_t i = 0; i < pairs.size() && direct; ++i) {
+      direct = pairs[i].slot == static_cast<int>(i) &&
+               pairs[i].prefix_encoding != KeyEncoding::kDoubleAsInt64;
+    }
+
+    std::vector<char> keep;
+    EvaluatePredicates(BindPredicates(local[static_cast<size_t>(t)],
+                                      table.layout, table.types),
+                       table, rows, keep);
+    std::vector<const Cell*> join_cells;
+    for (const KeyPair& pair : pairs) {
+      join_cells.push_back(table.column(pair.column));
+    }
+    const size_t kept_rows =
+        static_cast<size_t>(std::count(keep.begin(), keep.end(), 1));
+    // An empty frontier has one group, the prefix's total, added at the
+    // end of the step.
+    CountMap next(static_cast<int>(next_frontier.size()),
+                  next_frontier.empty() ? 1 : kept_rows);
+    std::vector<int64_t> next_key(next_frontier.size());
+    int64_t total = 0;
+    bool overflow = false;
+    // Adds `count` rows of the group with frontier key `group` joined to
+    // rows of t whose cells entering the frontier encode as `part`. False
+    // stops the walk: on overflow, or once the groups outnumber the
+    // prefix's rows (a cartesian prefix, a star whose centre comes last),
+    // which keeps memory bounded by rows.
+    auto add = [&](const int64_t* group, const int64_t* part, int64_t count) {
+      for (size_t j = 0; j < kept_slots.size(); ++j) {
+        next_key[j] = group[kept_slots[j]];
+      }
+      std::copy_n(part, grouped_cells.size(),
+                  next_key.data() + kept_slots.size());
+      overflow = __builtin_add_overflow(total, count, &total) ||
+                 (!next_frontier.empty() && !next.Add(next_key.data(), count));
+      return !overflow && next.size() <= static_cast<size_t>(prefix_rows);
+    };
+
+    // A row's key: its join key, then its cells entering the frontier.
+    std::vector<int64_t> key(pairs.size() + grouped_cells.size());
+    int64_t* const part = key.data() + pairs.size();
+    // Encodes row r's key; false when the row meets no group.
+    auto encode_row = [&](size_t r) {
+      for (size_t i = 0; i < pairs.size(); ++i) {
+        if (!EncodeKey(pairs[i].column_encoding, join_cells[i][r], &key[i])) {
+          return false;
+        }
+      }
+      for (size_t j = 0; j < grouped_cells.size(); ++j) {
+        EncodeKey(grouped_encodings[j], grouped_cells[j][r], &part[j]);
+      }
+      return true;
+    };
+    CountMap rows_by_key(static_cast<int>(key.size()), direct ? 0 : kept_rows);
+    for (size_t r = 0; r < static_cast<size_t>(rows); ++r) {
+      if (!keep[r] || !encode_row(r)) continue;
+      if (!direct) {
+        rows_by_key.Add(key.data(), 1);
+        continue;
+      }
+      // A match's frontier key is the join key itself.
+      const int64_t count = groups.Count(key.data());
+      if (count != 0 && !add(key.data(), part, count)) break;
+    }
+    if (!direct) {
+      // Probe the counts directly when their key is the join key (t brings
+      // no frontier columns), else through an index on their join keys.
+      std::vector<const int64_t*> counted;
+      std::vector<int64_t> counted_rows;
+      std::optional<JoinHashTable> index;
+      if (!grouped_cells.empty()) {
+        std::vector<int64_t> join_keys;
+        rows_by_key.ForEach([&](const int64_t* row_key, int64_t alike) {
+          counted.push_back(row_key);
+          counted_rows.push_back(alike);
+          join_keys.insert(join_keys.end(), row_key, row_key + pairs.size());
+        });
+        index.emplace(static_cast<int>(pairs.size()), join_keys,
+                      std::vector<char>(counted.size(), 1));
+      }
+      std::vector<int64_t> group_key(pairs.size());
+      groups.ForEach([&](const int64_t* group, int64_t count) {
+        if (overflow || next.size() > static_cast<size_t>(prefix_rows)) {
+          return;
+        }
+        // The group's join key, re-encoding a double column joined to an
+        // int64 one.
+        for (size_t i = 0; i < pairs.size(); ++i) {
+          int64_t& cell = group_key[i];
+          cell = group[pairs[i].slot];
+          if (pairs[i].prefix_encoding == KeyEncoding::kDoubleAsInt64 &&
+              !EncodeKey(pairs[i].prefix_encoding,
+                         DecodeKey(KeyEncoding::kDouble, cell), &cell)) {
+            return;
+          }
+        }
+        auto meet = [&](const int64_t* rows_part, int64_t alike) {
+          int64_t product = 0;
+          overflow = __builtin_mul_overflow(count, alike, &product);
+          return !overflow && add(group, rows_part, product);
+        };
+        if (!index) {
+          const int64_t alike = rows_by_key.Count(group_key.data());
+          if (alike != 0) meet(part, alike);
+          return;
+        }
+        for (uint32_t e : index->Probe(group_key.data())) {
+          if (!meet(counted[e] + pairs.size(), counted_rows[e])) return;
+        }
+      });
+    }
+    if (overflow) return CountOverflow();
+    if (next.size() > static_cast<size_t>(prefix_rows)) return k;
+    if (next_frontier.empty() && total > 0) next.Add(&empty_key, total);
+    if (k >= 1) sizes.push_back(total);
+    groups = std::move(next);
+    frontier = std::move(next_frontier);
+  }
+  return order.size();
 }
 
 }  // namespace
@@ -338,10 +590,7 @@ StatusOr<int64_t> TrueResultSize(const Catalog& catalog,
   for (const TableRef& ref : spec.tables) {
     base_rows += catalog.table(ref.catalog_id).num_rows();
   }
-  MetricsRegistry::Global()
-      .GetCounter("executor_morsel_rows_total",
-                  "Base-table rows scanned by ground-truth counting")
-      .Add(base_rows);
+  ScannedRows().Add(base_rows);
 
   // Each equivalence class of join columns is a variable; each table
   // covers the classes of its join columns.
@@ -390,32 +639,22 @@ StatusOr<std::vector<int64_t>> TruePrefixSizes(
     const Catalog& catalog, const QuerySpec& spec,
     const std::vector<int>& order) {
   JOINEST_RETURN_IF_ERROR(spec.Validate(catalog));
-  if (static_cast<int>(order.size()) != spec.num_tables()) {
+  std::vector<int> sorted = order;
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<int> tables(static_cast<size_t>(spec.num_tables()));
+  std::iota(tables.begin(), tables.end(), 0);
+  if (sorted != tables) {
     return InvalidArgument("order must cover every table exactly once");
   }
+  Span span("TruePrefixSizes", "tables", spec.num_tables());
   std::vector<int64_t> sizes;
-  for (size_t k = 2; k <= order.size(); ++k) {
-    // Sub-query over the first k tables of the order, keeping every
-    // predicate fully contained in that prefix.
-    QuerySpec prefix;
-    prefix.count_star = true;
-    std::vector<int> remap(spec.num_tables(), -1);
-    for (size_t i = 0; i < k; ++i) {
-      const TableRef& ref = spec.tables[order[i]];
-      prefix.tables.push_back(ref);
-      remap[order[i]] = static_cast<int>(i);
-    }
-    for (const Predicate& p : spec.predicates) {
-      if (remap[p.left.table] < 0) continue;
-      Predicate mapped = p;
-      mapped.left.table = remap[p.left.table];
-      if (p.kind != Predicate::Kind::kLocalConst) {
-        if (remap[p.right.table] < 0) continue;
-        mapped.right.table = remap[p.right.table];
-      }
-      prefix.predicates.push_back(std::move(mapped));
-    }
-    JOINEST_ASSIGN_OR_RETURN(int64_t size, TrueResultSize(catalog, prefix));
+  if (order.size() < 2) return sizes;
+  JOINEST_ASSIGN_OR_RETURN(const size_t walked,
+                           WalkPrefixes(catalog, spec, order, sizes));
+  for (size_t k = walked + 1; k <= order.size(); ++k) {
+    JOINEST_ASSIGN_OR_RETURN(
+        const int64_t size,
+        TrueResultSize(catalog, PrefixSpec(spec, order, k)));
     sizes.push_back(size);
   }
   return sizes;

@@ -76,9 +76,17 @@ StatusOr<int64_t> TrueResultSize(const Catalog& catalog,
                                  const QuerySpec& spec);
 
 // Exact sizes of every composite along a left-deep join order: entry i is
-// the true cardinality of joining order[0..i+1] with all applicable
-// predicates (the quantity the paper's "correct answer is exactly 100"
-// claims refer to). Executes order.size()-1 counting sub-queries.
+// the true cardinality of joining order[0..i+1] with the predicates inside
+// that prefix (the quantity the paper's "correct answer is exactly 100"
+// claims refer to). One left-to-right walk counts them all, scanning each
+// table once: the prefix's count stays grouped by its frontier (its
+// columns that meet a table not yet added in a join predicate), and adding
+// a table joins its rows to the groups on the predicates between it and
+// the prefix, then regroups. Should the groups outnumber the prefix's rows
+// (a cartesian prefix, a star whose centre comes last), that prefix and
+// every later one are counted by TrueResultSize each. InvalidArgument
+// unless `order` lists every table once; OutOfRange when a count exceeds
+// int64.
 StatusOr<std::vector<int64_t>> TruePrefixSizes(const Catalog& catalog,
                                                const QuerySpec& spec,
                                                const std::vector<int>& order);

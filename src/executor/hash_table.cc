@@ -9,15 +9,12 @@ namespace joinest {
 
 namespace {
 
-size_t NextPowerOfTwo(size_t n) {
-  size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
-// Load factor 1/2: capacity is the next power of two at or above 2·keys.
-size_t CapacityFor(size_t rows) {
-  return NextPowerOfTwo(rows < 8 ? 16 : rows * 2);
+// Slots for `keys` keys at load factor at most 1/2: a power of two, at
+// least 16.
+size_t HashCapacityFor(size_t keys) {
+  size_t capacity = 16;
+  while (capacity < 2 * keys) capacity <<= 1;
+  return capacity;
 }
 
 }  // namespace
@@ -25,15 +22,15 @@ size_t CapacityFor(size_t rows) {
 JoinHashTable::JoinHashTable(int width, const std::vector<int64_t>& keys,
                              const std::vector<char>& include)
     : width_(width) {
-  JOINEST_CHECK_GE(width, 1) << "a hash table needs a key";
+  JOINEST_CHECK_GE(width, 0);
   const size_t rows = include.size();
   JOINEST_CHECK_EQ(keys.size(), rows * static_cast<size_t>(width));
   const size_t included =
       static_cast<size_t>(std::count(include.begin(), include.end(), 1));
-  capacity_ = CapacityFor(included);
+  capacity_ = HashCapacityFor(included);
   mask_ = capacity_ - 1;
-  // Linear probing needs free slots to terminate; CapacityFor keeps the
-  // load factor at or below 1/2.
+  // Linear probing needs free slots to terminate; HashCapacityFor keeps
+  // the load factor at or below 1/2.
   JOINEST_DCHECK_GE(capacity_, included * 2)
       << "hash table overloaded: " << included << " rows in " << capacity_
       << " slots";
@@ -77,6 +74,24 @@ JoinHashTable::JoinHashTable(int width, const std::vector<int64_t>& keys,
     ++meta;
   }
   JOINEST_DCHECK_LE(num_keys_, included) << "more distinct keys than rows";
+}
+
+CountMap::CountMap(int width, size_t expected_keys)
+    : width_(width), capacity_(HashCapacityFor(expected_keys)) {
+  JOINEST_CHECK_GE(width, 0);
+  slots_.assign(capacity_ * stride(), 0);
+}
+
+void CountMap::Grow() {
+  std::vector<int64_t> old;
+  old.swap(slots_);
+  capacity_ *= 2;
+  slots_.assign(capacity_ * stride(), 0);
+  for (size_t at = 0; at < old.size(); at += stride()) {
+    const int64_t* entry = old.data() + at;
+    if (entry[width_] == 0) continue;
+    std::copy(entry, entry + stride(), Entry(Find(entry)));
+  }
 }
 
 }  // namespace joinest

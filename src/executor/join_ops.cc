@@ -45,10 +45,6 @@ std::vector<T> Concat(const std::vector<T>& a, const std::vector<T>& b) {
   return out;
 }
 
-bool EqualKeys(const int64_t* a, const int64_t* b, int width) {
-  return std::equal(a, a + width, b);
-}
-
 // Appends left row `l` of `left` joined with right row `r` of `right` to
 // `out`, left columns first.
 template <typename Left, typename Right>

@@ -78,6 +78,24 @@ void AppendOperatorRows(const PlanNode& node, const Catalog& catalog,
   }
 }
 
+// The q-error histograms of the paper's rules. The registry's name lookup
+// takes a mutex, so the handles are looked up once.
+struct QErrorHistograms {
+  HistogramMetric& ls;
+  HistogramMetric& m;
+  HistogramMetric& ss;
+};
+
+const QErrorHistograms& RuleQErrors() {
+  auto get = [](const char* rule) -> HistogramMetric& {
+    return MetricsRegistry::Global().GetHistogram(
+        "estimator_qerror", "EXPLAIN ANALYZE q-error per join level",
+        HistogramBuckets::QError(), {{"rule", rule}});
+  };
+  static const QErrorHistograms histograms{get("LS"), get("M"), get("SS")};
+  return histograms;
+}
+
 }  // namespace
 
 double QErrorValue(double estimated, double actual) {
@@ -130,17 +148,7 @@ StatusOr<ExplainAnalyzeReport> ExplainAnalyzePlan(
       JOINEST_CHECK_EQ(actual.size(), order.size() - 1);
       JOINEST_CHECK_EQ(rules.ls.size(), order.size());
 
-      MetricsRegistry& registry = MetricsRegistry::Global();
-      const char* kHelp = "EXPLAIN ANALYZE q-error per join level";
-      HistogramMetric& h_ls = registry.GetHistogram(
-          "estimator_qerror", kHelp, HistogramBuckets::QError(),
-          {{"rule", "LS"}});
-      HistogramMetric& h_m = registry.GetHistogram(
-          "estimator_qerror", kHelp, HistogramBuckets::QError(),
-          {{"rule", "M"}});
-      HistogramMetric& h_ss = registry.GetHistogram(
-          "estimator_qerror", kHelp, HistogramBuckets::QError(),
-          {{"rule", "SS"}});
+      const QErrorHistograms& qerrors = RuleQErrors();
       std::string prefix = spec.tables[order[0]].alias;
       for (size_t i = 0; i < actual.size(); ++i) {
         prefix += " x " + spec.tables[order[i + 1]].alias;
@@ -155,9 +163,9 @@ StatusOr<ExplainAnalyzeReport> ExplainAnalyzePlan(
         level.q_ls = QErrorValue(level.est_ls, act);
         level.q_m = QErrorValue(level.est_m, act);
         level.q_ss = QErrorValue(level.est_ss, act);
-        h_ls.Observe(level.q_ls);
-        h_m.Observe(level.q_m);
-        h_ss.Observe(level.q_ss);
+        qerrors.ls.Observe(level.q_ls);
+        qerrors.m.Observe(level.q_m);
+        qerrors.ss.Observe(level.q_ss);
         report.join_levels.push_back(std::move(level));
       }
     }

@@ -678,6 +678,7 @@ StatusOr<ExecuteResult> Session::Execute(const std::string& sql) const {
 
 StatusOr<ExplainAnalyzeReport> Session::ExplainAnalyze(
     const PreparedQuery& prepared) const {
+  const auto call_start = std::chrono::steady_clock::now();
   JOINEST_ASSIGN_OR_RETURN(PlannedQuery planned, Optimize(prepared));
   JOINEST_ASSIGN_OR_RETURN(std::shared_ptr<const PtResult> pt,
                            MaybeRunPredicateTransfer(prepared));
@@ -760,8 +761,10 @@ StatusOr<ExplainAnalyzeReport> Session::ExplainAnalyze(
         }
         record.estimate_seconds = estimate_seconds;
         record.execute_seconds = report.seconds;
-        record.total_seconds = record.estimate_seconds + record.pt_seconds +
-                               record.execute_seconds;
+        record.total_seconds =
+            std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          call_start)
+                .count();
         database_->RecordQuery(record);
       }
     }

@@ -639,6 +639,8 @@ TEST_F(ExecuteTest, TruePrefixSizesMatchIncrementalTruth) {
 TEST_F(ExecuteTest, TruePrefixSizesRejectsBadOrder) {
   QuerySpec spec = MakeCountSpec(catalog_, 2);
   EXPECT_FALSE(TruePrefixSizes(catalog_, spec, {0}).ok());
+  EXPECT_FALSE(TruePrefixSizes(catalog_, spec, {0, 0}).ok());
+  EXPECT_FALSE(TruePrefixSizes(catalog_, spec, {0, 2}).ok());
 }
 
 TEST_F(ExecuteTest, AllJoinMethodsAgree) {

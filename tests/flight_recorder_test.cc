@@ -331,6 +331,38 @@ TEST(ServiceRecorderTest, ExplainAnalyzeRecordCountsOperators) {
   EXPECT_EQ(records[0].operators_total, records[1].operators_total);
 }
 
+// An EXPLAIN ANALYZE record's total is the call's wall time: it covers the
+// optimizer and the ground truth the call counted, not only the estimate,
+// predicate-transfer and execution stages, so it is at least the call's
+// own explain_analyze span.
+TEST(ServiceRecorderTest, ExplainAnalyzeTotalCoversTheWholeCall) {
+  auto db = Database::Open(Database::Options().set_recorder(
+      FlightRecorder::Options().set_enabled(true)));
+  ASSERT_TRUE(db.ok());
+  {
+    Catalog staged;
+    ASSERT_TRUE(BuildPaperDataset(staged, PaperDatasetOptions()).ok());
+    ASSERT_TRUE((*db)->ImportTables(std::move(staged)).ok());
+  }
+  auto session =
+      (*db)->CreateSession(Session::Options().set_capture_trace(true));
+  ASSERT_TRUE(session.ok());
+  auto report = session->ExplainAnalyze(
+      "SELECT COUNT(*) FROM S, M, B, G WHERE S.s = M.m AND M.m = B.b AND "
+      "B.b = G.g AND S.s < 100");
+  ASSERT_TRUE(report.ok()) << report.status();
+  double span_seconds = 0.0;
+  for (const ExplainAnalyzeReport::SpanSummary& span : report->spans) {
+    if (span.name == "explain_analyze") span_seconds = span.total_seconds;
+  }
+  ASSERT_GT(span_seconds, 0.0);
+
+  const std::vector<QueryRecord> records = (*db)->QueryLog();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].api, QueryRecord::Api::kExplainAnalyze);
+  EXPECT_GE(records[0].total_seconds, span_seconds);
+}
+
 TEST(ServiceRecorderTest, ForcedDataShiftRaisesDriftAlert) {
   auto db = OpenExample1(
       Database::Options()

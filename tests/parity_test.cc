@@ -7,6 +7,7 @@
 // load-bearing — a divergence anywhere silently corrupts the paper
 // reproduction.
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -19,6 +20,7 @@
 #include "executor/plan.h"
 #include "executor/scan_ops.h"
 #include "gtest/gtest.h"
+#include "obs/metrics.h"
 #include "storage/table.h"
 #include "tests/test_util.h"
 #include "workloads/generator.h"
@@ -323,6 +325,294 @@ TEST(TrueCountTest, CountBeyondInt64IsOutOfRange) {
   count = TrueResultSize(catalog, spec);
   ASSERT_TRUE(count.ok()) << count.status();
   EXPECT_EQ(*count, int64_t{10000000000000000});
+}
+
+// ------------------------------------------------ Prefix sizes
+//
+// TruePrefixSizes counts every prefix of a join order in one walk over
+// grouped counts. Each prefix counts exactly the predicates inside it, so
+// every size must equal TrueResultSize of the prefix's own spec and the
+// enumeration of it.
+
+// The sub-query over the first k tables of `order`.
+QuerySpec PrefixOf(const QuerySpec& spec, const std::vector<int>& order,
+                   size_t k) {
+  QuerySpec prefix;
+  prefix.count_star = true;
+  std::vector<int> remap(static_cast<size_t>(spec.num_tables()), -1);
+  for (size_t i = 0; i < k; ++i) {
+    prefix.tables.push_back(spec.tables[order[i]]);
+    remap[order[i]] = static_cast<int>(i);
+  }
+  for (const Predicate& p : spec.predicates) {
+    const bool local = p.kind == Predicate::Kind::kLocalConst;
+    if (remap[p.left.table] < 0 || (!local && remap[p.right.table] < 0)) {
+      continue;
+    }
+    Predicate mapped = p;
+    mapped.left.table = remap[p.left.table];
+    if (!local) mapped.right.table = remap[p.right.table];
+    prefix.predicates.push_back(mapped);
+  }
+  return prefix;
+}
+
+std::string OrderName(const std::vector<int>& order) {
+  std::string name = "order";
+  for (int t : order) name += " " + std::to_string(t);
+  return name;
+}
+
+// Checks TruePrefixSizes along `order` against each prefix's own count;
+// returns the sizes.
+std::vector<int64_t> ExpectPrefixParity(const Catalog& catalog,
+                                        const QuerySpec& spec,
+                                        const std::vector<int>& order,
+                                        const std::string& what) {
+  const std::string label = what + ", " + OrderName(order);
+  auto sizes = TruePrefixSizes(catalog, spec, order);
+  EXPECT_TRUE(sizes.ok()) << label << ": " << sizes.status();
+  if (!sizes.ok()) return {};
+  EXPECT_EQ(sizes->size(), order.size() - 1) << label;
+  for (size_t k = 2; k <= order.size() && k - 2 < sizes->size(); ++k) {
+    const QuerySpec prefix = PrefixOf(spec, order, k);
+    auto truth = TrueResultSize(catalog, prefix);
+    EXPECT_TRUE(truth.ok()) << label << ": " << truth.status();
+    EXPECT_EQ((*sizes)[k - 2], truth.ok() ? *truth : -1)
+        << label << ", prefix " << k;
+    // Enumerated in a connected order, which keeps cartesian steps out
+    // of the nested loops.
+    std::vector<Predicate> joins;
+    for (const Predicate& p : prefix.predicates) {
+      if (p.kind == Predicate::Kind::kJoin) joins.push_back(p);
+    }
+    const QuerySpec connected =
+        PrefixOf(prefix, CanonicalJoinOrder(prefix.num_tables(), joins), k);
+    EXPECT_EQ((*sizes)[k - 2], EnumerateJoin(catalog, connected, {}).rows)
+        << label << ", prefix " << k;
+  }
+  return *sizes;
+}
+
+// Checks every order of the spec's tables.
+void ExpectPrefixParityInEveryOrder(const Catalog& catalog,
+                                    const QuerySpec& spec,
+                                    const std::string& what) {
+  std::vector<int> order(static_cast<size_t>(spec.num_tables()));
+  for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int>(i);
+  do {
+    ExpectPrefixParity(catalog, spec, order, what);
+  } while (std::next_permutation(order.begin(), order.end()));
+}
+
+int64_t ScannedRows() {
+  return MetricsRegistry::Global()
+      .GetCounter("executor_morsel_rows_total")
+      .Value();
+}
+
+int64_t BaseRows(const Catalog& catalog, const QuerySpec& spec) {
+  int64_t rows = 0;
+  for (const TableRef& ref : spec.tables) {
+    rows += catalog.table(ref.catalog_id).num_rows();
+  }
+  return rows;
+}
+
+TEST(PrefixSizesTest, MatchPerPrefixCountsOnParityCasesInEveryOrder) {
+  for (const ParityCase& c : ParityCases()) {
+    const GeneratedWorkload w = MakeWorkload(c);
+    ExpectPrefixParityInEveryOrder(
+        w.catalog, w.spec,
+        "shape " + std::to_string(static_cast<int>(c.shape)) + " seed " +
+            std::to_string(c.seed));
+  }
+}
+
+// Each table is scanned once per call: on a chain the grouped counts never
+// outgrow their prefix, so the counter rises by exactly the base rows.
+TEST(PrefixSizesTest, ScanEachTableOnce) {
+  const GeneratedWorkload w =
+      MakeWorkload({WorkloadOptions::Shape::kChain, 4, true, false, 7});
+  for (const std::vector<int>& order :
+       {std::vector<int>{0, 1, 2, 3}, std::vector<int>{3, 2, 1, 0}}) {
+    const int64_t before = ScannedRows();
+    ASSERT_TRUE(TruePrefixSizes(w.catalog, w.spec, order).ok());
+    EXPECT_EQ(ScannedRows() - before, BaseRows(w.catalog, w.spec))
+        << OrderName(order);
+  }
+}
+
+// Closure off: A.x = B.x AND B.x = C.x says nothing about A and C, so the
+// prefix A, C is their cartesian product, not a join on the class.
+TEST(PrefixSizesTest, PrefixJoinsOnlyItsOwnPredicates) {
+  Catalog catalog;
+  JOINEST_CHECK(
+      catalog.AddTable("A", IntTable({"x"}, {{1, 1, 2, 2, 2, 3}})).ok());
+  JOINEST_CHECK(catalog.AddTable("B", IntTable({"x"}, {{1, 2, 2, 4}})).ok());
+  JOINEST_CHECK(catalog.AddTable("C", IntTable({"x"}, {{2, 1, 2, 5, 2}})).ok());
+  QuerySpec spec = MakeCountSpec(catalog, 3);
+  spec.predicates = {Join(0, 0, 1, 0), Join(1, 0, 2, 0)};
+  // x = 1: 2 x 1 x 1; x = 2: 3 x 2 x 3.
+  EXPECT_EQ(ExpectPrefixParity(catalog, spec, {0, 2, 1}, "closure off"),
+            (std::vector<int64_t>{30, 20}));
+  ExpectPrefixParityInEveryOrder(catalog, spec, "closure off");
+}
+
+Table DoubleTable(const std::string& name, std::vector<double> values) {
+  return Table::FromColumns(Schema({{name, TypeKind::kDouble}}),
+                            {ToValueColumn(values)});
+}
+
+// D1.b = D2.b AND D2.b = I.a over double, double, int64: the prefix D1, D2
+// compares doubles as doubles, so 2.5 meets 2.5 there; only the int64
+// column drops the fraction, one level later.
+TEST(PrefixSizesTest, KeyTypeIsEachPredicatesOwn) {
+  Catalog catalog;
+  JOINEST_CHECK(catalog.AddTable("D1", DoubleTable("b", {2.5, 3.0, 1.0})).ok());
+  JOINEST_CHECK(catalog.AddTable("D2", DoubleTable("b", {2.5, 3.0, 3.0})).ok());
+  JOINEST_CHECK(catalog.AddTable("I", IntTable({"a"}, {{3, 1}})).ok());
+  QuerySpec spec = MakeCountSpec(catalog, 3);
+  spec.predicates = {Join(0, 0, 1, 0), Join(1, 0, 2, 0)};
+  EXPECT_EQ(ExpectPrefixParity(catalog, spec, {0, 1, 2}, "double prefix"),
+            (std::vector<int64_t>{3, 2}));
+  ExpectPrefixParityInEveryOrder(catalog, spec, "double prefix");
+}
+
+// -0.0 meets 0.0 and the int64 0; 2^53 + 1 meets no double, while 2^53
+// meets its double twin. Every order joins an int64 prefix column to a
+// double and a double prefix column to an int64 or a double.
+TEST(PrefixSizesTest, SignedZeroAndLargeIntegersAcrossTypes) {
+  Catalog catalog;
+  JOINEST_CHECK(
+      catalog
+          .AddTable("I", IntTable({"a"}, {{0, 9007199254740993,
+                                           9007199254740992, 5, 0}}))
+          .ok());
+  JOINEST_CHECK(catalog
+                    .AddTable("D", DoubleTable("b", {-0.0, 0.0,
+                                                     9007199254740992.0, 5.0,
+                                                     0.5}))
+                    .ok());
+  JOINEST_CHECK(catalog
+                    .AddTable("E", DoubleTable("c", {0.0, -0.0,
+                                                     9007199254740992.0,
+                                                     0.5}))
+                    .ok());
+  QuerySpec spec = MakeCountSpec(catalog, 3);
+  spec.predicates = {Join(0, 0, 1, 0), Join(1, 0, 2, 0)};
+  // I, D: zeros 2 x 2, 2^53 and 5 once each. All three: zeros 2 x 2 x 2,
+  // 2^53 once.
+  EXPECT_EQ(ExpectPrefixParity(catalog, spec, {0, 1, 2}, "zeros"),
+            (std::vector<int64_t>{6, 9}));
+  // D, E: zeros 2 x 2, 2^53 and 0.5 once each.
+  EXPECT_EQ(ExpectPrefixParity(catalog, spec, {1, 2, 0}, "zeros"),
+            (std::vector<int64_t>{6, 9}));
+  ExpectPrefixParityInEveryOrder(catalog, spec, "zeros");
+}
+
+// A cycle through three classes: the last table joins on two predicates
+// into the prefix at once.
+TEST(PrefixSizesTest, MultiClassTriangle) {
+  Catalog catalog;
+  const QuerySpec spec = MultiClassTriangle(catalog);
+  ExpectPrefixParityInEveryOrder(catalog, spec, "triangle");
+}
+
+// Satellites first, centre last: the prefix of two satellites groups by
+// both of their keys, more groups than the prefix has rows, so that
+// prefix and every later one are counted on their own.
+TEST(PrefixSizesTest, StarWithItsCentreLastFallsBack) {
+  Catalog catalog;
+  std::vector<int64_t> keys;
+  for (int64_t i = 0; i < 30; ++i) keys.push_back(i);
+  for (const char* name : {"S1", "S2", "S3"}) {
+    JOINEST_CHECK(catalog.AddTable(name, IntTable({"k"}, {keys})).ok());
+  }
+  JOINEST_CHECK(catalog
+                    .AddTable("C", IntTable({"a", "b", "c"},
+                                            {{1, 2, 3, 3, 40},
+                                             {1, 2, 3, 4, 4},
+                                             {1, 5, 3, 3, 4}}))
+                    .ok());
+  QuerySpec spec = MakeCountSpec(catalog, 4);
+  spec.predicates = {Join(3, 0, 0, 0), Join(3, 1, 1, 0), Join(3, 2, 2, 0)};
+  const int64_t before = ScannedRows();
+  EXPECT_EQ(ExpectPrefixParity(catalog, spec, {0, 1, 2, 3}, "star"),
+            (std::vector<int64_t>{900, 27000, 4}));
+  // The parity check counts each prefix once more; the call itself scanned
+  // more than the base rows.
+  EXPECT_GT(ScannedRows() - before, 2 * BaseRows(catalog, spec));
+  const int64_t centre_first = ScannedRows();
+  ASSERT_TRUE(TruePrefixSizes(catalog, spec, {3, 0, 1, 2}).ok());
+  EXPECT_EQ(ScannedRows() - centre_first, BaseRows(catalog, spec));
+}
+
+// A chain ordered with its ends first: the pair A, C shares no predicate,
+// and grouped by both their keys it outnumbers its rows.
+TEST(PrefixSizesTest, DisconnectedPairFallsBack) {
+  Catalog catalog;
+  std::vector<int64_t> keys;
+  for (int64_t i = 0; i < 20; ++i) keys.push_back(i);
+  JOINEST_CHECK(catalog.AddTable("A", IntTable({"x"}, {keys})).ok());
+  JOINEST_CHECK(catalog
+                    .AddTable("B", IntTable({"x", "y"},
+                                            {{1, 2, 2, 3}, {4, 4, 5, 30}}))
+                    .ok());
+  JOINEST_CHECK(catalog.AddTable("C", IntTable({"y"}, {keys})).ok());
+  QuerySpec spec = MakeCountSpec(catalog, 3);
+  spec.predicates = {Join(0, 0, 1, 0), Join(1, 1, 2, 0)};
+  const int64_t before = ScannedRows();
+  auto sizes = TruePrefixSizes(catalog, spec, {0, 2, 1});
+  ASSERT_TRUE(sizes.ok()) << sizes.status();
+  EXPECT_GT(ScannedRows() - before, BaseRows(catalog, spec));
+  EXPECT_EQ(*sizes, (std::vector<int64_t>{400, 3}));
+  ExpectPrefixParityInEveryOrder(catalog, spec, "disconnected pair");
+}
+
+// Five 10,000-row tables on one key: the fifth prefix holds 10^20 rows,
+// beyond int64.
+TEST(PrefixSizesTest, PrefixBeyondInt64IsOutOfRange) {
+  Catalog catalog;
+  QuerySpec spec;
+  spec.count_star = true;
+  for (int t = 0; t < 5; ++t) {
+    const std::string name = "T" + std::to_string(t);
+    JOINEST_CHECK(
+        catalog
+            .AddTable(name,
+                      IntTable({"k"}, {std::vector<int64_t>(10000, 7)}))
+            .ok());
+    JOINEST_CHECK(spec.AddTable(catalog, name).ok());
+    if (t > 0) spec.predicates.push_back(Join(t - 1, 0, t, 0));
+  }
+  auto sizes = TruePrefixSizes(catalog, spec, {4, 3, 2, 1, 0});
+  ASSERT_FALSE(sizes.ok());
+  EXPECT_EQ(sizes.status().code(), StatusCode::kOutOfRange);
+  spec.tables.pop_back();
+  spec.predicates.pop_back();
+  sizes = TruePrefixSizes(catalog, spec, {3, 2, 1, 0});
+  ASSERT_TRUE(sizes.ok()) << sizes.status();
+  EXPECT_EQ(*sizes, (std::vector<int64_t>{100000000, 1000000000000,
+                                          10000000000000000}));
+}
+
+TEST(PrefixSizesTest, EmptyTableAndEmptyingFilter) {
+  Catalog catalog;
+  JOINEST_CHECK(catalog.AddTable("A", IntTable({"x"}, {{1, 2, 3}})).ok());
+  JOINEST_CHECK(
+      catalog.AddTable("E", IntTable({"x"}, {std::vector<int64_t>{}})).ok());
+  JOINEST_CHECK(catalog.AddTable("B", IntTable({"x"}, {{1, 2}})).ok());
+  QuerySpec spec = MakeCountSpec(catalog, 3);
+  spec.predicates = {Join(0, 0, 1, 0), Join(1, 0, 2, 0)};
+  ExpectPrefixParityInEveryOrder(catalog, spec, "empty table");
+  // A filter no row of A passes empties the first table.
+  spec.predicates = {Join(0, 0, 2, 0),
+                     Predicate::LocalConst(ColumnRef{0, 0}, CompareOp::kGt,
+                                           Value(int64_t{10}))};
+  EXPECT_EQ(ExpectPrefixParity(catalog, spec, {0, 2, 1}, "emptied A"),
+            (std::vector<int64_t>{0, 0}));
+  ExpectPrefixParityInEveryOrder(catalog, spec, "emptied A");
 }
 
 TEST(TypedBatchParityTest, BatchMatchesEnumerationOnGeneratedWorkloads) {
