@@ -7,28 +7,32 @@
 //                   containers (unordered_map<vector<Value>, vector<Row>>
 //                   build, per-probe key vector allocation). Operators have
 //                   one drive now, so it and its scans run through the
-//                   batch hooks; the mode keeps its name for the gate;
+//                   batch hooks; the mode keeps its historical name;
 //   batch         — the batch driver over typed column-major batches;
 //   count         — Operator::Count on the same tree: the top hash join
 //                   adds its match-span sizes instead of emitting rows
 //                   (what a COUNT(*) plan runs);
 //   batch_recorder — batch plus the flight-recorder capture the service
 //                   layer performs per query (one QueryRecord per run into
-//                   an enabled recorder): the recorder-on overhead probe,
-//                   gated <= 2% over batch by check_bench_regression.py
-//                   --overhead-pair batch_recorder:batch;
+//                   an enabled recorder);
 //   truth         — TrueResultSize, the factorized count that never
 //                   enumerates the join.
 //
-// Each mode runs one warm-up plus `repeats` timed runs; the reported wall
-// time is the median. rows/sec normalises by total base-table rows so the
-// modes are comparable. Results land in BENCH_executor.json (see
-// tools/check_bench_regression.py for the CI gate).
+// Each mode runs one warm-up plus five timed runs, interleaved with
+// the other modes' runs; the reported wall time is the median
+// (bench/timing.h). rows/sec normalises by total
+// base-table rows so the modes are comparable. Two same-run checks fail
+// the run, in smoke and full mode alike:
+//   batch >= 2x seed_tuple        — the flat hash table's fast path is lost
+//                                   (e.g. every key hashes alike);
+//   batch_recorder >= 0.3x batch  — one recorder capture costs more than
+//                                   twice the query it records.
+// The second check cannot resolve a 2% recorder overhead: its reading
+// moves by more than that between runs of unchanged code.
 //
-// Usage: bench_executor [--smoke] [--out PATH]
+// Usage: bench_executor [--smoke]
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -39,7 +43,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/json_writer.h"
 #include "common/logging.h"
 #include "common/random.h"
 #include "common/table_printer.h"
@@ -48,10 +51,10 @@
 #include "executor/join_ops.h"
 #include "executor/scan_ops.h"
 #include "obs/flight_recorder.h"
-#include "obs/metrics.h"
 #include "storage/catalog.h"
 #include "storage/datagen.h"
 #include "storage/table.h"
+#include "timing.h"
 
 namespace joinest {
 namespace {
@@ -277,38 +280,6 @@ int64_t DriveCount(Operator& op) {
   return count;
 }
 
-// ------------------------------------------------------------ Harness
-
-struct ModeResult {
-  std::string mode;
-  double seconds = 0;
-  double rows_per_sec = 0;
-  int64_t count = 0;
-};
-
-template <typename Fn>
-ModeResult TimeMode(const std::string& mode, int repeats, int64_t total_rows,
-                    Fn&& run) {
-  ModeResult result;
-  result.mode = mode;
-  std::fprintf(stderr, "  [%s] warm-up...\n", mode.c_str());
-  result.count = run();  // Warm-up: touches every page, fills allocators.
-  std::vector<double> times;
-  times.reserve(repeats);
-  for (int i = 0; i < repeats; ++i) {
-    const auto start = std::chrono::steady_clock::now();
-    const int64_t count = run();
-    const auto end = std::chrono::steady_clock::now();
-    JOINEST_CHECK_EQ(count, result.count) << mode << " count drifted";
-    times.push_back(std::chrono::duration<double>(end - start).count());
-  }
-  std::sort(times.begin(), times.end());
-  result.seconds = times[times.size() / 2];  // Median.
-  result.rows_per_sec =
-      result.seconds > 0 ? total_rows / result.seconds : 0;
-  return result;
-}
-
 }  // namespace
 }  // namespace joinest
 
@@ -316,20 +287,17 @@ int main(int argc, char** argv) {
   using namespace joinest;
 
   bool smoke = false;
-  std::string out_path = "BENCH_executor.json";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
     } else {
-      std::fprintf(stderr, "usage: %s [--smoke] [--out PATH]\n", argv[0]);
+      std::fprintf(stderr, "usage: %s [--smoke]\n", argv[0]);
       return 2;
     }
   }
 
-  const int64_t scale = smoke ? 20000 : 200000;
-  const int repeats = smoke ? 3 : 5;
+  // The smoke scale keeps the batch window above 10 ms.
+  const int64_t scale = smoke ? 50000 : 200000;
   std::fprintf(stderr, "building fixture (scale %lld)...\n",
                static_cast<long long>(scale));
   const Fixture f = MakeFixture(scale);
@@ -337,120 +305,77 @@ int main(int argc, char** argv) {
   std::printf("== executor throughput: %lld base rows%s ==\n",
               static_cast<long long>(f.total_rows), smoke ? " (smoke)" : "");
 
-  std::vector<ModeResult> results;
-  results.push_back(TimeMode("seed_tuple", repeats, f.total_rows, [&] {
-    const auto tree = MakeSeedTree(f);
-    return DrainBatchCount(*tree);
-  }));
-  results.push_back(TimeMode("batch", repeats, f.total_rows, [&] {
-    const auto tree = MakeFlatTree(f);
-    return DrainBatchCount(*tree);
-  }));
-  results.push_back(TimeMode("count", repeats, f.total_rows, [&] {
-    const auto tree = MakeFlatTree(f);
-    return DriveCount(*tree);
-  }));
-  // The recorder-on path: same batch drive plus the one QueryRecord capture
+  // The recorder-on path: the batch drive plus the one QueryRecord capture
   // the service layer performs per executed query. Sequence numbers keep
   // incrementing across runs, exercising ring overwrite like a long-lived
   // server session would.
   FlightRecorder recorder(
       FlightRecorder::Options().set_enabled(true).set_capacity(256));
-  results.push_back(TimeMode("batch_recorder", repeats, f.total_rows, [&] {
-    const auto tree = MakeFlatTree(f);
-    const int64_t count = DrainBatchCount(*tree);
-    QueryRecord record;
-    record.api = QueryRecord::Api::kExecute;
-    record.fingerprint = 0x9e3779b97f4a7c15ull;
-    record.rule = "LS";
-    record.estimated_rows = static_cast<double>(count);
-    record.actual_rows = static_cast<double>(count);
-    record.q_error = 1.0;
-    recorder.Record(std::move(record));
-    return count;
-  }));
-  results.push_back(TimeMode("truth", repeats, f.total_rows, [&] {
-    auto count = TrueResultSize(f.catalog, f.spec);
-    JOINEST_CHECK(count.ok()) << count.status();
-    return *count;
-  }));
+  const std::vector<Timing> results = TimeModes({
+      {"seed_tuple",
+       [&] {
+         const auto tree = MakeSeedTree(f);
+         return DrainBatchCount(*tree);
+       }},
+      {"batch",
+       [&] {
+         const auto tree = MakeFlatTree(f);
+         return DrainBatchCount(*tree);
+       }},
+      {"count",
+       [&] {
+         const auto tree = MakeFlatTree(f);
+         return DriveCount(*tree);
+       }},
+      {"batch_recorder",
+       [&] {
+         const auto tree = MakeFlatTree(f);
+         const int64_t count = DrainBatchCount(*tree);
+         QueryRecord record;
+         record.api = QueryRecord::Api::kExecute;
+         record.fingerprint = 0x9e3779b97f4a7c15ull;
+         record.rule = "LS";
+         record.estimated_rows = static_cast<double>(count);
+         record.actual_rows = static_cast<double>(count);
+         record.q_error = 1.0;
+         recorder.Record(std::move(record));
+         return count;
+       }},
+      {"truth",
+       [&] {
+         auto count = TrueResultSize(f.catalog, f.spec);
+         JOINEST_CHECK(count.ok()) << count.status();
+         return *count;
+       }},
+  });
 
   // Bit-identical results across every mode, or the numbers are noise.
-  for (const ModeResult& r : results) {
-    JOINEST_CHECK_EQ(r.count, results[0].count)
+  for (const Timing& r : results) {
+    JOINEST_CHECK_EQ(r.result, results[0].result)
         << r.mode << " diverges from seed_tuple";
   }
 
-  const double seed_rate = results[0].rows_per_sec;
   TablePrinter printer({"mode", "wall s", "rows/sec", "vs seed_tuple"});
   char buf[64];
-  for (const ModeResult& r : results) {
+  for (const Timing& r : results) {
     std::vector<std::string> cells;
     cells.push_back(r.mode);
     std::snprintf(buf, sizeof buf, "%.4f", r.seconds);
     cells.push_back(buf);
-    std::snprintf(buf, sizeof buf, "%.0f", r.rows_per_sec);
+    std::snprintf(buf, sizeof buf, "%.0f", f.total_rows / r.seconds);
     cells.push_back(buf);
-    std::snprintf(buf, sizeof buf, "%.2fx",
-                  seed_rate > 0 ? r.rows_per_sec / seed_rate : 0);
+    std::snprintf(buf, sizeof buf, "%.2fx", results[0].seconds / r.seconds);
     cells.push_back(buf);
     printer.AddRow(std::move(cells));
   }
   printer.Print(std::cout);
 
-  // Publish every number through the metrics registry, then assemble the
-  // JSON from a registry read-back. The scrape is the source of truth for
-  // the file (one telemetry surface for benches and serving); doubles
-  // round-trip through the gauges bit-exactly, so BENCH_executor.json stays
-  // byte-compatible with the pre-registry format.
-  MetricsRegistry& registry = MetricsRegistry::Global();
-  auto mode_gauge = [&registry](const char* name,
-                                const std::string& mode) -> Gauge& {
-    return registry.GetGauge(name, "bench_executor per-mode result",
-                             {{"mode", mode}});
-  };
-  for (const ModeResult& r : results) {
-    mode_gauge("bench_executor_seconds", r.mode).Set(r.seconds);
-    mode_gauge("bench_executor_rows_per_sec", r.mode).Set(r.rows_per_sec);
-    mode_gauge("bench_executor_speedup_vs_seed_tuple", r.mode)
-        .Set(seed_rate > 0 ? r.rows_per_sec / seed_rate : 0);
-  }
-  Gauge& count_gauge = registry.GetGauge(
-      "bench_executor_count", "COUNT(*) agreed on by every mode");
-  count_gauge.Set(static_cast<double>(results[0].count));
-
-  JsonWriter json;
-  json.BeginObject();
-  json.Key("bench");
-  json.String("executor");
-  json.Key("smoke");
-  json.Bool(smoke);
-  json.Key("scale");
-  json.Int(scale);
-  json.Key("total_rows");
-  json.Int(f.total_rows);
-  json.Key("repeats");
-  json.Int(repeats);
-  json.Key("count");
-  json.Int(static_cast<int64_t>(count_gauge.Value()));
-  json.Key("modes");
-  json.BeginArray();
-  for (const ModeResult& r : results) {
-    json.BeginObject();
-    json.Key("mode");
-    json.String(r.mode);
-    json.Key("seconds");
-    json.Number(mode_gauge("bench_executor_seconds", r.mode).Value());
-    json.Key("rows_per_sec");
-    json.Number(mode_gauge("bench_executor_rows_per_sec", r.mode).Value());
-    json.Key("speedup_vs_seed_tuple");
-    json.Number(
-        mode_gauge("bench_executor_speedup_vs_seed_tuple", r.mode).Value());
-    json.EndObject();
-  }
-  json.EndArray();
-  json.EndObject();
-  if (!WriteTextFile(out_path, json.str())) return 1;
-  std::printf("wrote %s\n", out_path.c_str());
-  return 0;
+  // Rates over the same rows, so each ratio of rates is a ratio of times.
+  const Timing& seed = results[0];
+  const Timing& batch = results[1];
+  const Timing& batch_recorder = results[3];
+  return CheckRatios(
+      {{"batch / seed_tuple", seed.seconds / batch.seconds, 2.0},
+       {"batch_recorder / batch", batch.seconds / batch_recorder.seconds,
+        0.3}});
 }

@@ -4,11 +4,11 @@
 // src/, bench/ and examples/ must appear here, and every name here must be
 // used somewhere — enforced by the `metric-name-registry` checker in
 // tools/lint (ctest -L analysis). The point is typo-proofing the telemetry
-// contract: a bench JSON gate and the registry series it reads drift
-// silently when one side misspells a name, and nothing crashes — the gate
-// just compares against a permanently-zero series. With the table, the
-// misspelled side fails lint instead. (Tests are exempt: they exercise the
-// registry with ad-hoc names by design.)
+// contract: a series and whatever reads it (a scrape, a dashboard, a
+// bench's JSON) drift silently when one side misspells a name, and nothing
+// crashes — the reader just sees a permanently-zero series. With the
+// table, the misspelled side fails lint instead. (Tests are exempt: they
+// exercise the registry with ad-hoc names by design.)
 //
 // Kept as an X-macro so consumers can generate code over the list;
 // IsDeclaredMetricName() below is the runtime view, used by obs_test to
@@ -46,29 +46,14 @@
   X(recorder_skipped_total)                 /* label: policy= */             \
   /* --- estimation service --------------------------------------------- */ \
   X(service_cache_evictions_total)          /* label: cache= */              \
-  X(service_cache_hit_rate)                                                  \
   X(service_cache_hits_total)                                                \
   X(service_cache_invalidated_total)                                         \
   X(service_cache_misses_total)                                              \
   X(service_cache_size)                                                      \
   X(service_estimate_seconds)               /* label: path=cold|warm */      \
   X(service_snapshot_version)               /* label: db= */                 \
-  /* --- bench exports (BENCH_*.json gates read these) ------------------ */ \
-  X(bench_accuracy_gmean_ratio)                                              \
-  X(bench_executor_count)                                                    \
-  X(bench_executor_rows_per_sec)            /* label: mode= */               \
-  X(bench_executor_seconds)                                                  \
-  X(bench_executor_speedup_vs_seed_tuple)                                    \
-  X(bench_feedback_convergence_ratio)                                        \
-  X(bench_feedback_p95_qerror)              /* label: pass= */               \
-  X(bench_feedback_queries_per_sec)                                          \
-  X(bench_feedback_seconds)                                                  \
-  X(bench_pt_rows_per_sec)                                                   \
-  X(bench_pt_seconds)                                                        \
-  X(bench_pt_speedup)                                                        \
-  X(bench_service_queries_per_sec)                                           \
-  X(bench_service_seconds)                                                   \
-  X(bench_service_warm_speedup)
+  /* --- paper-table bench output (bench_accuracy_sweep) ---------------- */ \
+  X(bench_accuracy_gmean_ratio)
 // clang-format on
 
 namespace joinest {

@@ -430,7 +430,7 @@ TEST(MetricNamesTest, RuntimeViewMatchesTable) {
   EXPECT_TRUE(IsDeclaredMetricName("estimator_qerror"));
   EXPECT_TRUE(IsDeclaredMetricName("pt_rows_pruned"));
   EXPECT_TRUE(IsDeclaredMetricName("service_snapshot_version"));
-  EXPECT_TRUE(IsDeclaredMetricName("bench_service_warm_speedup"));
+  EXPECT_TRUE(IsDeclaredMetricName("bench_accuracy_gmean_ratio"));
   EXPECT_FALSE(IsDeclaredMetricName("estimator_qerorr"));  // Typo.
   EXPECT_FALSE(IsDeclaredMetricName(""));
 

@@ -1,10 +1,11 @@
 """metric-name-registry: metric family names match src/obs/metric_names.h.
 
-The telemetry contract between the registry, the bench JSON gates and the
-dashboards is carried entirely by string names. A typo on either side does
-not crash — it silently creates a second, permanently-zero series. This
-checker pins both directions against the single declaration table
-(JOINEST_METRIC_NAMES in src/obs/metric_names.h):
+The telemetry contract between the registry and whatever reads it
+(scrapes, dashboards, bench_accuracy_sweep's JSON) is carried entirely by
+string names. A typo on either side does not crash — it silently creates a
+second, permanently-zero series. This checker pins both directions against
+the single declaration table (JOINEST_METRIC_NAMES in
+src/obs/metric_names.h):
 
   * every name passed to MetricsRegistry::Get{Counter,Gauge,Histogram} —
     directly or through a *_gauge/*_counter helper with a literal first
@@ -34,8 +35,8 @@ FIXABLE = False
 
 TABLE_NAME = "metric_names.h"
 DECLARED_RE = re.compile(r"^\s*X\((\w+)\)")
-# Direct registry calls and literal-first-arg helpers (e.g. the benches'
-# mode_gauge("bench_executor_seconds", ...)).
+# Direct registry calls and literal-first-arg helpers (e.g. a
+# mode_gauge("some_family", ...) wrapper around GetGauge).
 USE_RES = [
     re.compile(r"Get(?:Counter|Gauge|Histogram)\s*\(\s*\"(\w+)\"", re.S),
     re.compile(r"\b\w*(?:gauge|counter|histogram)\w*\s*\(\s*\"(\w+)\"",

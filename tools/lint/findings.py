@@ -1,9 +1,9 @@
 """Shared finding model and reporting for joinest's analysis tooling.
 
 Everything that reports a problem against the tree — the lint.py checkers,
-check_trace.py, check_bench_regression.py — funnels through Finding so the
-output is uniformly `path:line: [checker] message`, greppable and clickable
-in editors, and machine-readable via to_json().
+check_trace.py, check_querylog.py — funnels through Finding so the output
+is uniformly `path:line: [checker] message`, greppable and clickable in
+editors, and machine-readable via to_json().
 """
 
 from __future__ import annotations
