@@ -32,7 +32,7 @@ const char* SelectivityRuleName(SelectivityRule rule) {
 
 StatusOr<AnalyzedQuery> AnalyzedQuery::Create(
     const Catalog& catalog, const QuerySpec& spec,
-    const EstimationOptions& options) {
+    const EstimationOptions& options, const AnalyzedQuery* closure_source) {
   JOINEST_RETURN_IF_ERROR(spec.Validate(catalog));
   if (spec.num_tables() > 64) {
     return InvalidArgument("at most 64 tables supported (bitmask width)");
@@ -49,18 +49,24 @@ StatusOr<AnalyzedQuery> AnalyzedQuery::Create(
       .Increment();
 
   // Steps 1-2: deduplicate + transitive closure (or just deduplicate when
-  // PTC is disabled).
-  {
+  // PTC is disabled), unless closure_source ran them under the same switch.
+  if (closure_source != nullptr &&
+      closure_source->options_.transitive_closure ==
+          options.transitive_closure) {
+    JOINEST_DCHECK(closure_source->spec_.predicates == spec.predicates)
+        << "closure source analyses another query";
+    query.closure_ = closure_source->closure_;
+  } else {
     Span span("estimator::transitive_closure");
     ClosureOptions closure_options;
     closure_options.enabled = options.transitive_closure;
-    ClosureResult closure =
-        ComputeTransitiveClosure(spec.predicates, closure_options);
-    query.predicates_ = std::move(closure.predicates);
-    query.classes_ = std::move(closure.classes);
+    query.closure_ = std::make_shared<const ClosureResult>(
+        ComputeTransitiveClosure(spec.predicates, closure_options));
     span.SetArg("closed_predicates",
-                static_cast<int64_t>(query.predicates_.size()));
+                static_cast<int64_t>(query.closure_->predicates.size()));
   }
+  const std::vector<Predicate>& predicates = query.predicates();
+  const EquivalenceClasses& classes = query.classes();
 
   // Steps 3-4: per-table effective statistics (local-predicate merge +
   // urn-model effective cardinalities inside BuildTableProfile).
@@ -69,10 +75,8 @@ StatusOr<AnalyzedQuery> AnalyzedQuery::Create(
               static_cast<int64_t>(spec.num_tables()));
     query.profiles_.reserve(spec.num_tables());
     for (int t = 0; t < spec.num_tables(); ++t) {
-      query.profiles_.push_back(BuildTableProfile(catalog, spec, t,
-                                                  query.predicates_,
-                                                  query.classes_,
-                                                  options.profile));
+      query.profiles_.push_back(BuildTableProfile(
+          catalog, spec, t, predicates, classes, options.profile));
     }
   }
 
@@ -105,19 +109,26 @@ StatusOr<AnalyzedQuery> AnalyzedQuery::Create(
   }
 
   // Step 5 (+ the §3.3 strawman's per-class constant): one edge per closed
-  // join predicate carrying its S_J, so step 6 never recomputes one; and the
-  // per-class representative.
+  // join predicate carrying its S_J, so step 6 never recomputes one; the
+  // per-class representative; and each table's edges.
   Span span("estimator::join_selectivities");
-  query.representative_selectivity_.assign(query.classes_.num_classes(), 1.0);
-  std::vector<bool> has_any(query.classes_.num_classes(), false);
-  for (const Predicate& p : query.predicates_) {
+  query.representative_selectivity_.assign(classes.num_classes(), 1.0);
+  std::vector<bool> has_any(classes.num_classes(), false);
+  query.table_edges_.resize(static_cast<size_t>(spec.num_tables()));
+  for (const Predicate& p : predicates) {
     if (p.kind != Predicate::Kind::kJoin) continue;
-    const int cls = query.classes_.ClassOf(p.left);
+    const int cls = classes.ClassOf(p.left);
     JOINEST_CHECK_GE(cls, 0);
     const double sel = query.JoinSelectivity(p);
     query.edges_.push_back(JoinEdge{sel, cls,
                                     static_cast<uint8_t>(p.left.table),
                                     static_cast<uint8_t>(p.right.table)});
+    query.table_edges_[p.left.table].neighbors |= uint64_t{1}
+                                                  << p.right.table;
+    query.table_edges_[p.right.table].neighbors |= uint64_t{1}
+                                                   << p.left.table;
+    ++query.table_edges_[p.left.table].end;
+    ++query.table_edges_[p.right.table].end;
     double& rep = query.representative_selectivity_[cls];
     if (!has_any[cls]) {
       rep = sel;
@@ -127,6 +138,20 @@ StatusOr<AnalyzedQuery> AnalyzedQuery::Create(
     } else {
       rep = std::min(rep, sel);
     }
+  }
+  // Each table's edges, in edges_ order: `end` counted them above, and
+  // becomes the running fill position.
+  uint32_t offset = 0;
+  for (TableEdges& table : query.table_edges_) {
+    table.begin = offset;
+    offset += table.end;
+    table.end = table.begin;
+  }
+  query.incident_.resize(offset);
+  for (uint32_t e = 0; e < query.edges_.size(); ++e) {
+    const JoinEdge& edge = query.edges_[e];
+    query.incident_[query.table_edges_[edge.left_table].end++] = e;
+    query.incident_[query.table_edges_[edge.right_table].end++] = e;
   }
   return query;
 }
@@ -196,7 +221,7 @@ std::optional<double> AnalyzedQuery::FeedbackCardinality(
   if (!feedback.enabled() || feedback.store->empty()) return std::nullopt;
   if (std::popcount(mask) < feedback.min_tables) return std::nullopt;
   return feedback.store->Lookup(
-      feedback.fingerprint(*catalog_, spec_, predicates_, mask));
+      feedback.fingerprint(*catalog_, spec_, predicates(), mask));
 }
 
 double AnalyzedQuery::BaseCardinality(int table_index) const {
@@ -216,7 +241,7 @@ std::vector<Predicate> AnalyzedQuery::EligiblePredicatesBetween(
     uint64_t left_mask, uint64_t right_mask) const {
   JOINEST_CHECK_EQ(left_mask & right_mask, 0u) << "composites overlap";
   std::vector<Predicate> eligible;
-  for (const Predicate& p : predicates_) {
+  for (const Predicate& p : predicates()) {
     if (p.kind != Predicate::Kind::kJoin) continue;
     const uint64_t lbit = uint64_t{1} << p.left.table;
     const uint64_t rbit = uint64_t{1} << p.right.table;
@@ -233,25 +258,56 @@ std::vector<Predicate> AnalyzedQuery::EligiblePredicates(
   return EligiblePredicatesBetween(mask, uint64_t{1} << next_table);
 }
 
-bool AnalyzedQuery::Crosses(const JoinEdge& edge, uint64_t left_mask,
-                            uint64_t right_mask) {
-  const uint64_t lbit = uint64_t{1} << edge.left_table;
-  const uint64_t rbit = uint64_t{1} << edge.right_table;
-  return ((left_mask & lbit) && (right_mask & rbit)) ||
-         ((left_mask & rbit) && (right_mask & lbit));
+template <typename Fn>
+void AnalyzedQuery::ForEachCrossingEdge(uint64_t left_mask,
+                                        uint64_t right_mask, Fn&& fn) const {
+  uint64_t single = right_mask;
+  uint64_t other = left_mask;
+  if ((single & (single - 1)) != 0) std::swap(single, other);
+  if (single != 0 && (single & (single - 1)) == 0) {
+    // Only the single table's edges can cross, and they are listed in
+    // edges_ order, so the walk meets the crossing edges in the order the
+    // whole-edge walk below does.
+    const int t = std::countr_zero(single);
+    const TableEdges& table = table_edges_[static_cast<size_t>(t)];
+    if ((table.neighbors & other) == 0) return;
+    for (uint32_t i = table.begin; i < table.end; ++i) {
+      const JoinEdge& edge = edges_[incident_[i]];
+      const int partner =
+          edge.left_table == t ? edge.right_table : edge.left_table;
+      if ((other >> partner) & 1) fn(edge);
+    }
+    return;
+  }
+  for (const JoinEdge& edge : edges_) {
+    const uint64_t lbit = uint64_t{1} << edge.left_table;
+    const uint64_t rbit = uint64_t{1} << edge.right_table;
+    if (((left_mask & lbit) && (right_mask & rbit)) ||
+        ((left_mask & rbit) && (right_mask & lbit))) {
+      fn(edge);
+    }
+  }
 }
 
 bool AnalyzedQuery::MasksConnected(uint64_t left_mask,
                                    uint64_t right_mask) const {
   JOINEST_CHECK_EQ(left_mask & right_mask, 0u) << "composites overlap";
-  for (const JoinEdge& edge : edges_) {
-    if (Crosses(edge, left_mask, right_mask)) return true;
+  // Test the neighbours of the side with fewer tables.
+  uint64_t side = left_mask;
+  uint64_t other = right_mask;
+  if (std::popcount(side) > std::popcount(other)) std::swap(side, other);
+  for (; side != 0; side &= side - 1) {
+    if (table_edges_[std::countr_zero(side)].neighbors & other) return true;
   }
   return false;
 }
 
 bool AnalyzedQuery::HasEligiblePredicate(uint64_t mask, int next_table) const {
-  return MasksConnected(mask, uint64_t{1} << next_table);
+  JOINEST_DCHECK_LT(next_table, spec_.num_tables());
+  JOINEST_CHECK_EQ(mask & (uint64_t{1} << next_table), 0u)
+      << "composites overlap";
+  return (table_edges_[static_cast<size_t>(next_table)].neighbors & mask) !=
+         0;
 }
 
 double AnalyzedQuery::JoinCardinality(uint64_t mask, double card,
@@ -295,11 +351,10 @@ double AnalyzedQuery::JoinCompositesUnder(SelectivityRule rule,
   if (rule == SelectivityRule::kMultiplicative) {
     // Rule M: every eligible predicate contributes.
     bool any = false;
-    for (const JoinEdge& edge : edges_) {
-      if (!Crosses(edge, left_mask, right_mask)) continue;
+    ForEachCrossingEdge(left_mask, right_mask, [&](const JoinEdge& edge) {
       result *= edge.selectivity;
       any = true;
-    }
+    });
     if (!any) return result;  // Cartesian product.
     JOINEST_CHECK_CARDINALITY(result);
     JOINEST_DCHECK_LE(result, cartesian * (1.0 + 1e-9))
@@ -309,22 +364,22 @@ double AnalyzedQuery::JoinCompositesUnder(SelectivityRule rule,
 
   // One selectivity per equivalence class, kept in order of the class's
   // first eligible edge; classes multiply independently. A query has few
-  // classes, so the factors live on the stack unless it has many.
+  // classes, so the factors live on the stack unless it has many; only the
+  // first num_factors slots are ever read, so the stack slots start unset.
   struct ClassFactor {
     int class_id;
     double selectivity;
   };
   constexpr int kStackClasses = 16;
-  std::array<ClassFactor, kStackClasses> stack_factors{};
+  std::array<ClassFactor, kStackClasses> stack_factors;
   std::vector<ClassFactor> heap_factors;
   ClassFactor* factors = stack_factors.data();
-  if (classes_.num_classes() > kStackClasses) {
-    heap_factors.resize(static_cast<size_t>(classes_.num_classes()));
+  if (classes().num_classes() > kStackClasses) {
+    heap_factors.resize(static_cast<size_t>(classes().num_classes()));
     factors = heap_factors.data();
   }
   int num_factors = 0;
-  for (const JoinEdge& edge : edges_) {
-    if (!Crosses(edge, left_mask, right_mask)) continue;
+  ForEachCrossingEdge(left_mask, right_mask, [&](const JoinEdge& edge) {
     const double sel = rule == SelectivityRule::kRepresentative
                            ? representative_selectivity_[edge.class_id]
                            : edge.selectivity;
@@ -341,7 +396,7 @@ double AnalyzedQuery::JoinCompositesUnder(SelectivityRule rule,
     } else if (rule == SelectivityRule::kLargest) {
       factor->selectivity = std::max(factor->selectivity, sel);
     }
-  }
+  });
   if (num_factors == 0) return result;  // Cartesian product.
   // Products depend on their order; docs/ALGORITHM.md fixes it as reverse
   // order of first appearance. That is the order libstdc++'s
@@ -379,7 +434,7 @@ std::vector<AnalyzedQuery::StepTrace> AnalyzedQuery::TraceOrder(
     // Group selectivities by class and record what the rule would choose.
     std::unordered_map<int, size_t> class_slot;
     for (const Predicate& p : step.eligible) {
-      const int cls = classes_.ClassOf(p.left);
+      const int cls = classes().ClassOf(p.left);
       auto [it, inserted] = class_slot.emplace(cls, step.classes.size());
       if (inserted) {
         StepTrace::ClassChoice choice;
@@ -498,11 +553,11 @@ std::string AnalyzedQuery::DebugString() const {
       << " ptc=" << (options_.transitive_closure ? "on" : "off")
       << " local_effects="
       << (options_.profile.apply_local_effects ? "on" : "off") << "\n";
-  oss << "predicates (" << predicates_.size() << "):\n";
-  for (const Predicate& p : predicates_) {
+  oss << "predicates (" << predicates().size() << "):\n";
+  for (const Predicate& p : predicates()) {
     oss << "  " << spec_.PredicateToString(*catalog_, p) << "\n";
   }
-  oss << "classes: " << classes_.num_classes() << "\n";
+  oss << "classes: " << classes().num_classes() << "\n";
   for (int t = 0; t < spec_.num_tables(); ++t) {
     oss << "  " << spec_.tables[t].alias << ": "
         << profiles_[t].DebugString() << "\n";

@@ -9,12 +9,21 @@
 //      (estimator/table_profile),
 //   5. derive join selectivities S_J = 1/max(d'_left, d'_right), stored
 //      once per closed join predicate as an edge (two tables, equivalence
-//      class, S_J).
+//      class, S_J), and index the edges by table: each table keeps the mask
+//      of tables it shares an edge with and its own edges in edge order.
+//
+// Steps 1-2 depend only on the spec and the closure switch, so an analysis
+// of the same spec with the same switch can take them from another one
+// (Create's `closure_source`) instead of recomputing them.
 //
 // JoinCardinality implements the final phase (step 6): the incremental
 // result-size computation, under a configurable selectivity rule. It reads
 // only the step-5 edges, so an optimizer can call it once per candidate join
-// without recomputing a selectivity or allocating:
+// without recomputing a selectivity or allocating. Whether two composites
+// are connected is a test of the per-table masks; a join with a
+// single-table side walks only that table's edges, and a join of two
+// composites walks them all. Both walks meet the crossing edges in edge
+// order and feed one accumulation:
 //
 //   * kMultiplicative — Rule M, Selinger [13]: multiply every eligible join
 //     predicate's selectivity (ignores dependencies; underestimates).
@@ -104,15 +113,23 @@ struct EstimationOptions {
 
 class AnalyzedQuery {
  public:
-  static StatusOr<AnalyzedQuery> Create(const Catalog& catalog,
-                                        const QuerySpec& spec,
-                                        const EstimationOptions& options);
+  // Runs steps 1-5. When `closure_source` analyses the same spec with the
+  // same transitive_closure setting as `options`, its closed predicates and
+  // equivalence classes are shared instead of recomputed; any other
+  // closure_source is ignored, so analyses with different closure settings
+  // never share a closure.
+  static StatusOr<AnalyzedQuery> Create(
+      const Catalog& catalog, const QuerySpec& spec,
+      const EstimationOptions& options,
+      const AnalyzedQuery* closure_source = nullptr);
 
   const QuerySpec& spec() const { return spec_; }
   const EstimationOptions& options() const { return options_; }
   // Closed, deduplicated predicate set.
-  const std::vector<Predicate>& predicates() const { return predicates_; }
-  const EquivalenceClasses& classes() const { return classes_; }
+  const std::vector<Predicate>& predicates() const {
+    return closure_->predicates;
+  }
+  const EquivalenceClasses& classes() const { return closure_->classes; }
   const TableProfile& profile(int table_index) const;
   const Catalog& catalog() const { return *catalog_; }
 
@@ -211,23 +228,37 @@ class AnalyzedQuery {
                              double left_card, uint64_t right_mask,
                              double right_card) const;
 
-  // One closed join predicate as step 6 reads it, in predicates_ order.
+  // One closed join predicate as step 6 reads it, in predicates() order.
   struct JoinEdge {
     double selectivity = 1.0;  // S_J.
     int32_t class_id = -1;
     uint8_t left_table = 0;
     uint8_t right_table = 0;
   };
-  static bool Crosses(const JoinEdge& edge, uint64_t left_mask,
-                      uint64_t right_mask);
+
+  // Calls fn(edge) for every edge crossing the two disjoint masks, in
+  // edges_ order. When one side is a single table, only its edges are read.
+  template <typename Fn>
+  void ForEachCrossingEdge(uint64_t left_mask, uint64_t right_mask,
+                           Fn&& fn) const;
 
   const Catalog* catalog_ = nullptr;
   QuerySpec spec_;
   EstimationOptions options_;
-  std::vector<Predicate> predicates_;
-  EquivalenceClasses classes_;
+  // Steps 1-2, possibly shared with analyses of the same spec and closure
+  // setting.
+  std::shared_ptr<const ClosureResult> closure_;
   std::vector<TableProfile> profiles_;
   std::vector<JoinEdge> edges_;
+  // Per query-local table: the tables it shares an edge with, and where
+  // its edges sit in incident_, as indices into edges_ in ascending order.
+  struct TableEdges {
+    uint64_t neighbors = 0;
+    uint32_t begin = 0;
+    uint32_t end = 0;
+  };
+  std::vector<TableEdges> table_edges_;
+  std::vector<uint32_t> incident_;
   // Per equivalence class, the representative selectivity (kRepresentative).
   std::vector<double> representative_selectivity_;
 };

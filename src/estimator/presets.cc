@@ -94,18 +94,21 @@ StatusOr<PaperRuleEstimates> EstimatePaperRules(
     const std::vector<int>& order, const AnalyzedQuery* els,
     const AnalyzedQuery* standard) {
   if (order.empty()) return InvalidArgument("empty join order");
+  // Both presets run the closure, so the analysis built here takes steps
+  // 1-2 from the other one.
   std::optional<AnalyzedQuery> built_els, built_standard;
   if (els == nullptr) {
     JOINEST_ASSIGN_OR_RETURN(
-        built_els, AnalyzedQuery::Create(catalog, spec,
-                                         PresetOptions(AlgorithmPreset::kELS)));
+        built_els,
+        AnalyzedQuery::Create(catalog, spec,
+                              PresetOptions(AlgorithmPreset::kELS), standard));
     els = &*built_els;
   }
   if (standard == nullptr) {
     JOINEST_ASSIGN_OR_RETURN(
         built_standard,
         AnalyzedQuery::Create(catalog, spec,
-                              PresetOptions(AlgorithmPreset::kSM)));
+                              PresetOptions(AlgorithmPreset::kSM), els));
     standard = &*built_standard;
   }
   PaperRuleEstimates estimates;

@@ -48,9 +48,10 @@ struct PaperRuleEstimates {
 
 // Builds at most two analyses. kSM and kSSS differ only in the rule, which
 // AnalyzedQuery::Create reads only for a metric label, so one analysis
-// answers both. A caller that already holds an analysis whose options equal
-// kELS's (or kSM's) apart from the rule passes it as `els` (or `standard`),
-// and no analysis is built for it.
+// answers both. A caller that already holds an analysis of `spec` whose
+// options equal kELS's (or kSM's) apart from the rule passes it as `els`
+// (or `standard`), and no analysis is built for it. Both presets run the
+// transitive closure, so an analysis built here shares the other's.
 StatusOr<PaperRuleEstimates> EstimatePaperRules(
     const Catalog& catalog, const QuerySpec& spec,
     const std::vector<int>& order, const AnalyzedQuery* els = nullptr,

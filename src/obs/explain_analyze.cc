@@ -14,7 +14,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "optimizer/optimizer.h"
-#include "rewrite/transitive_closure.h"
 
 namespace joinest {
 
@@ -129,18 +128,22 @@ StatusOr<ExplainAnalyzeReport> ExplainAnalyzePlan(
     if (options.with_true_cardinalities && order.size() >= 2) {
       // Entry 0 of each rule's sizes is order[0] alone; level i reads
       // entry i.
+      JOINEST_ASSIGN_OR_RETURN(
+          const AnalyzedQuery els,
+          AnalyzedQuery::Create(catalog, spec,
+                                PresetOptions(AlgorithmPreset::kELS)));
       JOINEST_ASSIGN_OR_RETURN(const PaperRuleEstimates rules,
-                               EstimatePaperRules(catalog, spec, order));
+                               EstimatePaperRules(catalog, spec, order, &els));
       {
         Span truth_span("explain_analyze::true_prefix_sizes", "levels",
                         static_cast<int64_t>(order.size()) - 1);
         // Count each level over the predicates the plan could join on:
         // with closure on, a prefix joined through an implied predicate is
-        // a join, not the cartesian product of the raw spec's prefix.
+        // a join, not the cartesian product of the raw spec's prefix. The
+        // ELS analysis above already closed the spec's predicates.
         QuerySpec truth_spec = spec;
         if (options.estimation.transitive_closure) {
-          truth_spec.predicates =
-              ComputeTransitiveClosure(spec.predicates).predicates;
+          truth_spec.predicates = els.predicates();
         }
         JOINEST_ASSIGN_OR_RETURN(actual,
                                  TruePrefixSizes(catalog, truth_spec, order));

@@ -445,9 +445,18 @@ StatusOr<OptimizedPlan> OptimizeQuery(const Catalog& catalog,
     return InvalidArgument("no join methods enabled");
   }
   JOINEST_ASSIGN_OR_RETURN(
-      AnalyzedQuery analyzed,
+      const AnalyzedQuery analyzed,
       AnalyzedQuery::Create(catalog, spec, options.estimation));
+  return OptimizeQuery(analyzed, options);
+}
 
+StatusOr<OptimizedPlan> OptimizeQuery(const AnalyzedQuery& analyzed,
+                                      const OptimizerOptions& options) {
+  if (options.methods.empty()) {
+    return InvalidArgument("no join methods enabled");
+  }
+  const Catalog& catalog = analyzed.catalog();
+  const QuerySpec& spec = analyzed.spec();
   SearchState state;
   state.catalog = &catalog;
   state.spec = &spec;

@@ -12,8 +12,11 @@
 // greedy and the randomized enumerators keep a join order, and all of them
 // materialise the winning order the same way. The bushy DP keeps (cost,
 // rows, outer half, method) per subset and builds its tree from the full
-// set. Each candidate join costs one AnalyzedQuery::JoinCardinality /
-// JoinComposites call, which reads the analysis's precomputed join edges.
+// set. Whether a candidate join is connected is a mask test
+// (AnalyzedQuery::HasEligiblePredicate / MasksConnected), and its size is
+// one JoinCardinality / JoinComposites call: a base table joining a
+// composite reads only that table's precomputed join edges, two composites
+// read them all.
 
 #ifndef JOINEST_OPTIMIZER_OPTIMIZER_H_
 #define JOINEST_OPTIMIZER_OPTIMIZER_H_
@@ -85,8 +88,17 @@ struct OptimizedPlan {
 // Optimizes `spec`. Predicate pushdown honours the estimation options: with
 // transitive closure enabled, derived local predicates are pushed into the
 // scans (the rewrite side of PTC); without it, only the original ones.
+// Builds one analysis under options.estimation and plans over it.
 StatusOr<OptimizedPlan> OptimizeQuery(const Catalog& catalog,
                                       const QuerySpec& spec,
+                                      const OptimizerOptions& options);
+
+// Optimizes the query `analyzed` holds, over its catalog, spec and
+// estimation options; options.estimation is not read. Equals the overload
+// above when analyzed.options() equals options.estimation, so a caller that
+// already holds that analysis (a cached Estimate) plans without building
+// another. `analyzed` must outlive the call only.
+StatusOr<OptimizedPlan> OptimizeQuery(const AnalyzedQuery& analyzed,
                                       const OptimizerOptions& options);
 
 }  // namespace joinest

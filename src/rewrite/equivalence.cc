@@ -1,7 +1,6 @@
 #include "rewrite/equivalence.h"
 
 #include <algorithm>
-#include <map>
 
 #include "common/check.h"
 #include "common/logging.h"
@@ -31,25 +30,24 @@ EquivalenceClasses EquivalenceClasses::Build(
     sets.Union(id_of(p.left), id_of(p.right));
   }
 
-  // Compress roots to contiguous class ids, ordered by smallest member for
-  // deterministic output.
-  std::map<int, std::vector<ColumnRef>> by_root;
+  // One class per union-find root, members sorted by (table, column); the
+  // classes are then ordered by their smallest member, so ids do not depend
+  // on which member union-find made the root.
+  std::vector<std::vector<ColumnRef>> by_root(columns.size());
   for (size_t i = 0; i < columns.size(); ++i) {
-    by_root[sets.Find(static_cast<int>(i))].push_back(columns[i]);
+    by_root[static_cast<size_t>(sets.Find(static_cast<int>(i)))].push_back(
+        columns[i]);
   }
   EquivalenceClasses result;
-  for (auto& [root, members] : by_root) {
+  for (std::vector<ColumnRef>& members : by_root) {
+    if (members.empty()) continue;
     std::sort(members.begin(), members.end());
-    const int class_id = static_cast<int>(result.classes_.size());
-    for (const ColumnRef& ref : members) result.class_of_[ref] = class_id;
     result.classes_.push_back(std::move(members));
   }
-  // Order classes by their smallest member for determinism regardless of
-  // union-find root choice.
   std::sort(result.classes_.begin(), result.classes_.end(),
             [](const std::vector<ColumnRef>& a,
                const std::vector<ColumnRef>& b) { return a[0] < b[0]; });
-  result.class_of_.clear();
+  result.class_of_.reserve(columns.size());
   size_t total_members = 0;
   for (size_t c = 0; c < result.classes_.size(); ++c) {
     JOINEST_DCHECK(!result.classes_[c].empty()) << "empty equivalence class";

@@ -14,11 +14,9 @@ ClosureResult ComputeTransitiveClosure(const std::vector<Predicate>& input,
   ClosureResult result;
   // Step 1 of Algorithm ELS: remove duplicate predicates.
   result.predicates = DeduplicatePredicates(input);
-
-  if (!options.enabled) {
-    result.classes = EquivalenceClasses::Build(result.predicates);
-    return result;
-  }
+  result.classes = EquivalenceClasses::Build(result.predicates);
+  if (!options.enabled) return result;
+  const size_t num_given = result.predicates.size();
 
   std::unordered_set<Predicate, PredicateHash> seen;
   for (const Predicate& p : result.predicates) seen.insert(p.Canonical());
@@ -31,8 +29,7 @@ ClosureResult ComputeTransitiveClosure(const std::vector<Predicate>& input,
 
   // Rules a–d: the fixpoint of equality implication is "every pair of
   // columns within an equivalence class is equal".
-  const EquivalenceClasses classes =
-      EquivalenceClasses::Build(result.predicates);
+  const EquivalenceClasses& classes = result.classes;
   for (int c = 0; c < classes.num_classes(); ++c) {
     const std::vector<ColumnRef>& members = classes.members(c);
     for (size_t i = 0; i < members.size(); ++i) {
@@ -62,16 +59,12 @@ ClosureResult ComputeTransitiveClosure(const std::vector<Predicate>& input,
   }
   for (Predicate& p : propagated) emit(std::move(p));
 
-  result.classes = EquivalenceClasses::Build(result.predicates);
-  // Closure only adds predicates, never drops the user's own, and the
-  // derived count must reconcile with the growth.
-  JOINEST_DCHECK_GE(result.predicates.size(),
-                    DeduplicatePredicates(input).size())
-      << "transitive closure lost predicates";
-  JOINEST_DCHECK_EQ(
-      result.predicates.size(),
-      DeduplicatePredicates(input).size() + static_cast<size_t>(
-                                                result.num_derived))
+  // Every derived predicate equates two members of one class or restricts
+  // a member, so it names no new column and merges no classes: the classes
+  // built over the given predicates are those of the closed set. Closure
+  // only appends, and the derived count must reconcile with the growth.
+  JOINEST_DCHECK_EQ(result.predicates.size(),
+                    num_given + static_cast<size_t>(result.num_derived))
       << "derived-predicate accounting is inconsistent";
   span.SetArg("derived_predicates", result.num_derived);
   return result;

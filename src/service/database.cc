@@ -584,9 +584,24 @@ StatusOr<PlannedQuery> Session::Optimize(const PreparedQuery& prepared) const {
     }
   }
 
+  // Plan over the analysis an Estimate of this query cached under the same
+  // estimation options, if there is one: the optimizer's embedded options
+  // are EffectiveEstimation(), so it is the analysis OptimizeQuery would
+  // build. Nothing new is cached for it.
+  std::shared_ptr<const EstimateResult::Payload> estimate;
+  if (options_.use_cache()) {
+    estimate = std::static_pointer_cast<const EstimateResult::Payload>(
+        database_->cache().Lookup(ServiceCacheKey{
+            prepared.fingerprint, key.tables_digest,
+            EstimationDigest(optimizer.estimation),
+            CacheEntryKind::kAnalysis}));
+  }
   JOINEST_ASSIGN_OR_RETURN(
       OptimizedPlan plan,
-      OptimizeQuery(prepared.snapshot->catalog(), prepared.spec, optimizer));
+      estimate != nullptr
+          ? OptimizeQuery(estimate->analyzed, optimizer)
+          : OptimizeQuery(prepared.snapshot->catalog(), prepared.spec,
+                          optimizer));
   auto payload = std::make_shared<PlannedQuery::Payload>(PlannedQuery::Payload{
       prepared.snapshot, prepared.spec, std::move(plan)});
 

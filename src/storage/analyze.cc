@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -60,22 +60,85 @@ double NumericCell(TypeKind type, Cell cell) {
                                   : CellDouble(cell);
 }
 
+// Distinct keys counted in one flat open-addressing array, keys stored
+// inline (the CountMap idiom, executor/hash_table.h) rather than a node per
+// key. The array is sized once, at most half full after `max_keys`
+// inserts, and Clear() readies it for the next column. Every int64 is a
+// possible key, so kEmpty marks a free slot and a flag records whether
+// kEmpty itself occurred.
+class DistinctKeys {
+ public:
+  explicit DistinctKeys(size_t max_keys) {
+    size_t capacity = 1;
+    while (capacity < 2 * max_keys) capacity *= 2;
+    slots_.assign(capacity, kEmpty);
+  }
+
+  void Clear() {
+    std::fill(slots_.begin(), slots_.end(), kEmpty);
+    count_ = 0;
+    saw_empty_key_ = false;
+  }
+
+  void Insert(int64_t key) {
+    if (key == kEmpty) {
+      saw_empty_key_ = true;
+      return;
+    }
+    const size_t mask = slots_.size() - 1;
+    for (size_t slot = HashInt64(key) & mask;; slot = (slot + 1) & mask) {
+      if (slots_[slot] == key) return;
+      if (slots_[slot] == kEmpty) {
+        slots_[slot] = key;
+        ++count_;
+        return;
+      }
+    }
+  }
+
+  int64_t size() const { return count_ + (saw_empty_key_ ? 1 : 0); }
+
+ private:
+  static constexpr int64_t kEmpty = std::numeric_limits<int64_t>::min();
+  std::vector<int64_t> slots_;
+  int64_t count_ = 0;
+  bool saw_empty_key_ = false;
+};
+
 TableStats AnalyzeExact(const Table& table, const AnalyzeOptions& options) {
   TableStats stats;
   stats.source = StatsSource::kExact;
   stats.row_count = static_cast<double>(table.num_rows());
   stats.columns.resize(table.num_columns());
+  const bool histogram =
+      options.histogram_kind != AnalyzeOptions::HistogramKind::kNone;
+  DistinctKeys distinct(static_cast<size_t>(table.num_rows()));
   for (int c = 0; c < table.num_columns(); ++c) {
     ColumnStats& col = stats.columns[c];
     const std::vector<Cell>& data = table.cells(c);
     const TypeKind type = table.schema().column(c).type;
     const KeyEncoding encoding = KeyEncodingFor(type, type);
-    std::unordered_set<int64_t> distinct;
-    distinct.reserve(data.size());
-    for (Cell cell : data) distinct.insert(DistinctKey(encoding, cell));
+    // Without a histogram, min/max come from the same pass, compared as
+    // AttachNumericStats compares them.
+    const bool min_max = type != TypeKind::kString && !histogram;
+    double min = 0;
+    double max = 0;
+    if (c > 0) distinct.Clear();
+    for (size_t r = 0; r < data.size(); ++r) {
+      distinct.Insert(DistinctKey(encoding, data[r]));
+      if (!min_max) continue;
+      const double v = NumericCell(type, data[r]);
+      if (r == 0) min = max = v;
+      if (v < min) min = v;
+      if (v > max) max = v;
+    }
     col.distinct_count = static_cast<double>(distinct.size());
+    if (min_max && !data.empty()) {
+      col.min = min;
+      col.max = max;
+    }
 
-    if (type == TypeKind::kString) continue;
+    if (type == TypeKind::kString || !histogram) continue;
     std::vector<double> values;
     values.reserve(data.size());
     for (Cell cell : data) values.push_back(NumericCell(type, cell));

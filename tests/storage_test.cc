@@ -3,6 +3,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <limits>
+#include <optional>
 #include <set>
 #include <thread>
 
@@ -221,6 +224,94 @@ TEST(AnalyzeTest, FullScanDistinctIsExact) {
       {ToValueColumn(MakeUniformColumn(5000, 321, rng))});
   const TableStats stats = AnalyzeTable(table);
   EXPECT_DOUBLE_EQ(stats.column(0).distinct_count, 321);
+}
+
+// Exact ANALYZE against plain references: distinct counts against a
+// std::set per column (a double set treats -0.0 and 0.0 as one value, as
+// the column's own key rule does), and min/max from the single pass
+// (no histogram) bit-identical to the ones taken from the materialised
+// column (histogram requested).
+TEST(AnalyzeTest, ExactDistinctAndMinMaxMatchReferences) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  struct Case {
+    std::string name;
+    std::vector<int64_t> ints;
+    std::vector<double> doubles;
+    std::vector<std::string> strings;
+  };
+  std::vector<Case> cases = {
+      {"empty", {}, {}, {}},
+      {"one row", {kMin}, {-0.0}, {"x"}},
+      {"all equal", std::vector<int64_t>(50, 7), std::vector<double>(50, 2.5),
+       std::vector<std::string>(50, "same")},
+      {"extremes",
+       {kMin, kMax, 0, -1, kMin, kMax, 1, kMin + 1, kMax - 1, 0},
+       {0.0, -0.0, -1.5, 1e300, -1e300, -0.0, 0.0, 4.9e-324, -4.9e-324,
+        static_cast<double>(kMin)},
+       {"", "a", "b", "", "a", "ab", "ba", "b", " ", "a"}},
+  };
+  Case distinct{"all distinct", {}, {}, {}};
+  Case repeats{"repeats", {}, {}, {}};
+  Rng rng(17);
+  for (int i = 0; i < 2000; ++i) {
+    distinct.ints.push_back(int64_t{i} * 7919 - 5000000);
+    distinct.doubles.push_back(-0.5 * i);
+    distinct.strings.push_back("s" + std::to_string(i));
+    const int64_t r = rng.NextInt(0, 300);
+    repeats.ints.push_back(r % 2 == 0 ? kMin + r : kMax - r);
+    repeats.doubles.push_back(r % 3 == 0 ? 0.0 : (r % 3 == 1 ? -0.0 : r / 4.0));
+    repeats.strings.push_back("r" + std::to_string(r));
+  }
+  cases.push_back(std::move(distinct));
+  cases.push_back(std::move(repeats));
+
+  const Schema schema({{"i", TypeKind::kInt64},
+                       {"d", TypeKind::kDouble},
+                       {"s", TypeKind::kString}});
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const Table table = Table::FromColumns(
+        schema, {ToValueColumn(c.ints), ToValueColumn(c.doubles),
+                 ToValueColumn(c.strings)});
+    const TableStats single_pass = AnalyzeTable(table);
+    AnalyzeOptions histogram;
+    histogram.histogram_kind = AnalyzeOptions::HistogramKind::kEquiDepth;
+    const TableStats materialised = AnalyzeTable(table, histogram);
+
+    EXPECT_EQ(single_pass.column(0).distinct_count,
+              static_cast<double>(
+                  std::set<int64_t>(c.ints.begin(), c.ints.end()).size()));
+    EXPECT_EQ(single_pass.column(1).distinct_count,
+              static_cast<double>(
+                  std::set<double>(c.doubles.begin(), c.doubles.end()).size()));
+    EXPECT_EQ(single_pass.column(2).distinct_count,
+              static_cast<double>(
+                  std::set<std::string>(c.strings.begin(), c.strings.end())
+                      .size()));
+    for (int col = 0; col < 3; ++col) {
+      EXPECT_EQ(single_pass.column(col).distinct_count,
+                materialised.column(col).distinct_count);
+      const std::optional<double>& min = single_pass.column(col).min;
+      const std::optional<double>& max = single_pass.column(col).max;
+      ASSERT_EQ(min.has_value(), materialised.column(col).min.has_value());
+      ASSERT_EQ(max.has_value(), materialised.column(col).max.has_value());
+      EXPECT_EQ(min.has_value(), col < 2 && table.num_rows() > 0);
+      if (!min.has_value()) continue;
+      EXPECT_EQ(std::bit_cast<uint64_t>(*min),
+                std::bit_cast<uint64_t>(*materialised.column(col).min));
+      EXPECT_EQ(std::bit_cast<uint64_t>(*max),
+                std::bit_cast<uint64_t>(*materialised.column(col).max));
+    }
+    if (!c.ints.empty()) {
+      EXPECT_EQ(*single_pass.column(0).min,
+                static_cast<double>(
+                    *std::min_element(c.ints.begin(), c.ints.end())));
+      EXPECT_EQ(*single_pass.column(0).max,
+                static_cast<double>(
+                    *std::max_element(c.ints.begin(), c.ints.end())));
+    }
+  }
 }
 
 TEST(AnalyzeTest, SampledDistinctReasonable) {
