@@ -3,7 +3,10 @@
 // paper's own examples.
 
 #include <cctype>
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <numeric>
 
 #include "common/random.h"
 #include "estimator/analyzed_query.h"
@@ -615,6 +618,202 @@ TEST(PresetTest, OptionsMatchDefinitions) {
             SelectivityRule::kSmallest);
   EXPECT_EQ(PresetOptions(AlgorithmPreset::kELS).rule,
             SelectivityRule::kLargest);
+}
+
+}  // namespace
+}  // namespace joinest
+
+namespace joinest {
+namespace {
+
+// ------------------------------- Step 6 against a whole-edge scan oracle
+
+// Step 6 rebuilt from the analysis's public pieces: every closed join
+// predicate crossing the two masks, in predicates() order, its S_J from
+// JoinSelectivity and its class from classes(). Rule M multiplies them in
+// that order; the per-class rules keep one factor per class in order of
+// first appearance and multiply them in reverse (docs/ALGORITHM.md).
+double WholeEdgeScan(const AnalyzedQuery& q, SelectivityRule rule,
+                     uint64_t left, double left_card, uint64_t right,
+                     double right_card) {
+  std::vector<double> representative(q.classes().num_classes(), -1.0);
+  for (const Predicate& p : q.predicates()) {
+    if (p.kind != Predicate::Kind::kJoin) continue;
+    double& rep = representative[q.classes().ClassOf(p.left)];
+    const double sel = q.JoinSelectivity(p);
+    if (rep < 0) {
+      rep = sel;
+    } else if (q.options().representative == RepresentativePick::kLargest) {
+      rep = std::max(rep, sel);
+    } else {
+      rep = std::min(rep, sel);
+    }
+  }
+  double result = left_card * right_card;
+  std::vector<std::pair<int, double>> factors;
+  for (const Predicate& p : q.predicates()) {
+    if (p.kind != Predicate::Kind::kJoin) continue;
+    const uint64_t lbit = uint64_t{1} << p.left.table;
+    const uint64_t rbit = uint64_t{1} << p.right.table;
+    if (!(((left & lbit) && (right & rbit)) ||
+          ((left & rbit) && (right & lbit)))) {
+      continue;
+    }
+    const int cls = q.classes().ClassOf(p.left);
+    const double sel = rule == SelectivityRule::kRepresentative
+                           ? representative[cls]
+                           : q.JoinSelectivity(p);
+    if (rule == SelectivityRule::kMultiplicative) {
+      result *= sel;
+      continue;
+    }
+    auto it = std::find_if(factors.begin(), factors.end(),
+                           [cls](const auto& f) { return f.first == cls; });
+    if (it == factors.end()) {
+      factors.emplace_back(cls, sel);
+    } else if (rule == SelectivityRule::kSmallest) {
+      it->second = std::min(it->second, sel);
+    } else if (rule == SelectivityRule::kLargest) {
+      it->second = std::max(it->second, sel);
+    }
+  }
+  for (auto f = factors.rbegin(); f != factors.rend(); ++f) {
+    result *= f->second;
+  }
+  return result;
+}
+
+// Checks JoinCardinality for every (mask, t), JoinComposites for sampled
+// disjoint composite pairs, and the mask tests against edge scans.
+void ExpectStepSixMatchesScan(const Catalog& catalog, const QuerySpec& spec) {
+  const int n = spec.num_tables();
+  const uint64_t full = (uint64_t{1} << n) - 1;
+  Rng rng(static_cast<uint64_t>(n) * 7919 + spec.predicates.size());
+  for (AlgorithmPreset preset : AllPresets()) {
+    SCOPED_TRACE(PresetName(preset));
+    auto q = AnalyzedQuery::Create(catalog, spec, PresetOptions(preset));
+    ASSERT_TRUE(q.ok()) << q.status();
+    const SelectivityRule rule = q->options().rule;
+    for (uint64_t mask = 1; mask <= full; ++mask) {
+      for (int t = 0; t < n; ++t) {
+        const uint64_t bit = uint64_t{1} << t;
+        if (mask & bit) continue;
+        const double card = 1000.0 + static_cast<double>(mask);
+        EXPECT_EQ(q->JoinCardinality(mask, card, t),
+                  WholeEdgeScan(*q, rule, mask, card, bit,
+                                q->BaseCardinality(t)));
+        EXPECT_EQ(q->JoinComposites(bit, 17.5, mask, card),
+                  WholeEdgeScan(*q, rule, bit, 17.5, mask, card));
+        EXPECT_EQ(q->HasEligiblePredicate(mask, t),
+                  !q->EligiblePredicates(mask, t).empty());
+      }
+      // Sampled splits of `mask` into two composites.
+      for (int k = 0; k < 3 && std::popcount(mask) >= 2; ++k) {
+        const uint64_t left = mask & rng.Next();
+        const uint64_t right = mask & ~left;
+        if (left == 0 || right == 0) continue;
+        EXPECT_EQ(q->JoinComposites(left, 321.0, right, 654.0),
+                  WholeEdgeScan(*q, rule, left, 321.0, right, 654.0));
+        EXPECT_EQ(q->MasksConnected(left, right),
+                  !q->EligiblePredicatesBetween(left, right).empty());
+      }
+    }
+  }
+}
+
+TEST(StepSixOracle, ShapesOfThreeToTenTablesMatchWholeEdgeScan) {
+  using Shape = WorkloadOptions::Shape;
+  uint64_t seed = 101;
+  for (Shape shape :
+       {Shape::kChain, Shape::kStar, Shape::kCycle, Shape::kClique}) {
+    for (int n = 3; n <= 10; ++n) {
+      for (bool multi_class : {false, true}) {
+        const GeneratedWorkload w =
+            ShapeWorkload(shape, n, multi_class, seed++);
+        SCOPED_TRACE(w.spec.ToString(w.catalog));
+        ExpectStepSixMatchesScan(w.catalog, w.spec);
+      }
+    }
+  }
+}
+
+// More than 16 classes: the per-class factors leave the stack buffer.
+TEST(StepSixOracle, SeventeenClassesMatchWholeEdgeScan) {
+  Catalog catalog;
+  std::vector<double> distinct_a, distinct_b, distinct_c;
+  for (int c = 0; c < 18; ++c) {
+    distinct_a.push_back(10 + 7 * c);
+    distinct_b.push_back(400 - 9 * c);
+    distinct_c.push_back(50 + 3 * c);
+  }
+  AddStatsOnlyTable(catalog, "A", 5000, distinct_a);
+  AddStatsOnlyTable(catalog, "B", 4000, distinct_b);
+  AddStatsOnlyTable(catalog, "C", 3000, distinct_c);
+  QuerySpec spec = MakeCountSpec(catalog, 3);
+  for (int c = 0; c < 18; ++c) {
+    spec.predicates.push_back(
+        Predicate::Join(ColumnRef{0, c}, ColumnRef{1, c}));
+    if (c % 2 == 0) {
+      spec.predicates.push_back(
+          Predicate::Join(ColumnRef{1, c}, ColumnRef{2, c}));
+    }
+  }
+  auto q = AnalyzedQuery::Create(catalog, spec,
+                                 PresetOptions(AlgorithmPreset::kELS));
+  ASSERT_TRUE(q.ok()) << q.status();
+  EXPECT_GT(q->classes().num_classes(), 16);
+  ExpectStepSixMatchesScan(catalog, spec);
+}
+
+// ------------------------------------------------------ Shared closure
+
+void ExpectSameAnalysis(const AnalyzedQuery& a, const AnalyzedQuery& b) {
+  EXPECT_EQ(a.predicates(), b.predicates());
+  ASSERT_EQ(a.spec().num_tables(), b.spec().num_tables());
+  for (int t = 0; t < a.spec().num_tables(); ++t) {
+    EXPECT_EQ(a.profile(t).effective_rows, b.profile(t).effective_rows);
+    EXPECT_EQ(a.profile(t).join_distinct, b.profile(t).join_distinct);
+  }
+  std::vector<int> order(static_cast<size_t>(a.spec().num_tables()));
+  std::iota(order.begin(), order.end(), 0);
+  do {
+    for (SelectivityRule rule :
+         {SelectivityRule::kMultiplicative, SelectivityRule::kSmallest}) {
+      EXPECT_EQ(a.EstimateOrder(order, rule), b.EstimateOrder(order, rule));
+    }
+  } while (std::next_permutation(order.begin(), order.end()) &&
+           order.size() <= 5);
+}
+
+TEST(SharedClosure, SmOnTheElsClosureEqualsOneBuiltFromScratch) {
+  using Shape = WorkloadOptions::Shape;
+  uint64_t seed = 303;
+  for (Shape shape : {Shape::kChain, Shape::kCycle, Shape::kClique}) {
+    for (int n : {3, 5}) {
+      const GeneratedWorkload w = ShapeWorkload(shape, n, true, seed++);
+      SCOPED_TRACE(w.spec.ToString(w.catalog));
+      auto els = AnalyzedQuery::Create(w.catalog, w.spec,
+                                       PresetOptions(AlgorithmPreset::kELS));
+      ASSERT_TRUE(els.ok()) << els.status();
+      auto shared = AnalyzedQuery::Create(
+          w.catalog, w.spec, PresetOptions(AlgorithmPreset::kSM), &*els);
+      auto scratch = AnalyzedQuery::Create(
+          w.catalog, w.spec, PresetOptions(AlgorithmPreset::kSM));
+      ASSERT_TRUE(shared.ok() && scratch.ok());
+      EXPECT_EQ(&shared->predicates(), &els->predicates());
+      ExpectSameAnalysis(*shared, *scratch);
+
+      // A different closure setting never shares.
+      auto no_ptc = AnalyzedQuery::Create(
+          w.catalog, w.spec, PresetOptions(AlgorithmPreset::kSMNoPtc),
+          &*els);
+      auto no_ptc_scratch = AnalyzedQuery::Create(
+          w.catalog, w.spec, PresetOptions(AlgorithmPreset::kSMNoPtc));
+      ASSERT_TRUE(no_ptc.ok() && no_ptc_scratch.ok());
+      EXPECT_NE(&no_ptc->predicates(), &els->predicates());
+      ExpectSameAnalysis(*no_ptc, *no_ptc_scratch);
+    }
+  }
 }
 
 }  // namespace

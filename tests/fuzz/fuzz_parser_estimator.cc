@@ -7,7 +7,11 @@
 //      on and off, representative strawmen) plus the histogram-join
 //      extension — every selectivity and cardinality the estimator computes
 //      is contract-checked at the point of computation (common/check.h), so
-//      the fuzzer doubles as an invariant search over the paper's formulas;
+//      the fuzzer doubles as an invariant search over the paper's formulas
+//      — and OptimizeQuery over the ELS analysis: the left-deep DP, whose
+//      plan estimates must equal EstimateOrder along the plan's order, and
+//      the bushy DP for six tables or fewer, which reach the mask tests,
+//      the single-table edge walk and the two-composite walk;
 //   3. ParseTableStats / SerializeTableStats — the stats text format must
 //      reject corrupt input cleanly and round-trip what it accepts.
 //
@@ -30,6 +34,7 @@
 #include "common/logging.h"
 #include "estimator/analyzed_query.h"
 #include "estimator/presets.h"
+#include "optimizer/optimizer.h"
 #include "query/lexer.h"
 #include "query/parser.h"
 #include "stats/histogram.h"
@@ -145,6 +150,28 @@ void FuzzQueryPath(const std::string& input) {
     JOINEST_CHECK(size >= 0) << "negative join estimate " << size;
     const double groups = analyzed->EstimateGroupCount();
     JOINEST_CHECK(groups >= 0) << "negative group estimate " << groups;
+  }
+
+  // The optimizer over the ELS analysis: the left-deep DP (greedy past 16
+  // tables) must annotate its plan with the estimator's sizes along the
+  // plan's own order, bit for bit. The bushy DP runs for up to six tables,
+  // checked by the contracts alone.
+  auto els = AnalyzedQuery::Create(FuzzCatalog(), *spec,
+                                   PresetOptions(AlgorithmPreset::kELS));
+  if (!els.ok()) return;
+  OptimizerOptions optimizer;
+  optimizer.estimation = els->options();
+  auto plan = OptimizeQuery(*els, optimizer);
+  JOINEST_CHECK(plan.ok()) << plan.status();
+  JOINEST_CHECK(plan->intermediate_estimates ==
+                els->EstimateOrder(plan->join_order))
+      << "plan estimates differ from the estimator's";
+  if (spec->num_tables() <= 6) {
+    optimizer.allow_bushy = true;
+    auto bushy = OptimizeQuery(*els, optimizer);
+    JOINEST_CHECK(bushy.ok()) << bushy.status();
+    JOINEST_CHECK_EQ(bushy->join_order.size(),
+                     static_cast<size_t>(spec->num_tables()));
   }
 }
 

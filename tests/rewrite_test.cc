@@ -436,3 +436,42 @@ TEST(LocalSelectivityTest, RangeClampedToDomain) {
 
 }  // namespace
 }  // namespace joinest
+
+namespace joinest {
+namespace {
+
+// The closure keeps the classes it built over the given predicates; they
+// must be the classes of its closed set, members and ids alike.
+TEST(ClosureClasses, EqualClassesBuiltOverTheClosedSet) {
+  const std::vector<std::vector<Predicate>> inputs = {
+      {Predicate::Join({0, 0}, {1, 0}), Predicate::Join({1, 0}, {2, 1}),
+       Predicate::LocalConst({0, 0}, CompareOp::kLt, Value(int64_t{50}))},
+      {Predicate::Join({0, 1}, {1, 0}), Predicate::Join({0, 2}, {1, 0}),
+       Predicate::LocalColCol({2, 0}, CompareOp::kEq, {2, 1}),
+       Predicate::Join({2, 1}, {3, 0}),
+       Predicate::LocalColCol({3, 1}, CompareOp::kLt, {3, 2}),
+       Predicate::LocalConst({3, 0}, CompareOp::kEq, Value(int64_t{7})),
+       Predicate::LocalConst({1, 1}, CompareOp::kGe, Value(2.5))},
+      {Predicate::Join({0, 0}, {1, 0}), Predicate::Join({1, 1}, {2, 1}),
+       Predicate::Join({2, 0}, {0, 0}), Predicate::Join({3, 2}, {1, 1}),
+       Predicate::LocalColCol({1, 0}, CompareOp::kEq, {1, 1})},
+  };
+  for (const std::vector<Predicate>& input : inputs) {
+    for (bool enabled : {true, false}) {
+      ClosureOptions options;
+      options.enabled = enabled;
+      const ClosureResult closure = ComputeTransitiveClosure(input, options);
+      const EquivalenceClasses rebuilt =
+          EquivalenceClasses::Build(closure.predicates);
+      EXPECT_EQ(closure.classes.classes(), rebuilt.classes());
+      for (const std::vector<ColumnRef>& members : rebuilt.classes()) {
+        for (const ColumnRef& ref : members) {
+          EXPECT_EQ(closure.classes.ClassOf(ref), rebuilt.ClassOf(ref));
+        }
+      }
+    }
+  }
+}
+
+}  // namespace
+}  // namespace joinest

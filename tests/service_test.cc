@@ -827,3 +827,40 @@ TEST(Concurrency, ExplainAnalyzeTracesOnSeveralThreads) {
 
 }  // namespace
 }  // namespace joinest
+
+namespace joinest {
+namespace {
+
+// Optimize plans over the analysis an Estimate of the same query cached:
+// it builds none, and its plan equals an uncached session's. Alone, it
+// builds exactly one.
+TEST(OptimizeReusesEstimate, AddsNoAnalysisAndPlansAsUncached) {
+  auto db = OpenExample1(Database::Options().set_cache_label("reuse"));
+  const Session session = MakeSession(*db);
+  const Session uncached =
+      MakeSession(*db, Session::Options().set_use_cache(false));
+  for (const char* sql : {kJoinSql, kR2R3Sql}) {
+    SCOPED_TRACE(sql);
+    auto prepared = session.Prepare(sql);
+    ASSERT_TRUE(prepared.ok()) << prepared.status();
+    ASSERT_TRUE(session.Estimate(*prepared).ok());
+    const int64_t before = AnalysesSoFar();
+    auto plan = session.Optimize(*prepared);
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    EXPECT_FALSE(plan->cache_hit());
+    EXPECT_EQ(AnalysesSoFar(), before);
+    auto cold = uncached.Optimize(*prepared);
+    ASSERT_TRUE(cold.ok()) << cold.status();
+    EXPECT_TRUE(SamePlan(*plan, *cold));
+    EXPECT_EQ(plan->ToString(), cold->ToString());
+  }
+
+  auto alone = MakeSession(*db, Session::Options().set_preset(
+                                    AlgorithmPreset::kSM));
+  const int64_t before = AnalysesSoFar();
+  ASSERT_TRUE(alone.Optimize(kJoinSql).ok());
+  EXPECT_EQ(AnalysesSoFar(), before + 1);
+}
+
+}  // namespace
+}  // namespace joinest
